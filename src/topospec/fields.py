@@ -5,7 +5,10 @@ of pair terms f_j(r) f_j'(r) (alpha cos(D phi) + beta sin(D phi)) with
 D = l_j' - l_j, which gives exact radial and azimuthal derivatives for
 free.  A UnitField bundles the three components of a triple in canonical
 arrangement (cos-like, sin-like, third) together with the origin-fix
-policy that repairs wedge discontinuities of root-type thirds.
+policy that repairs wedge discontinuities of root-type thirds.  Its area
+density det[m, m_r, m_phi] / |m|^3 is taken straight from the unnormalized
+field; the normalized map and its tangent derivatives (``unit``) serve the
+boundary classifier.
 """
 
 from __future__ import annotations
@@ -206,23 +209,44 @@ class UnitField:
             mp[2] = self.sigma * sgn * mp[2]
         return m, mr, mp
 
-    def unit(self, r, phi, fix: bool = True):
-        """Normalized S and its partials via the tangent-projection rule.
+    def _rescaled(self, r, phi, fix: bool):
+        """Envelope-free fields divided by their per-radius peak.
 
-        Works on envelope-free fields with a per-radius rescale first:
-        both drop out of S and of the projected derivatives, while keeping
-        every intermediate in floating-point range at any radius.
+        Both factors are positive per radius, so they drop out of S and of
+        the area density, while keeping every intermediate in
+        floating-point range at any radius.
         """
         m, mr, mp = self.evaluate(r, phi, fix, scaled=True)
         peak = np.max(np.abs(m), axis=(0, 2))
         peak = np.where(peak == 0.0, 1.0, peak)[None, :, None]
-        m, mr, mp = m / peak, mr / peak, mp / peak
+        return m / peak, mr / peak, mp / peak
+
+    def unit(self, r, phi, fix: bool = True):
+        """Normalized S and its partials via the tangent-projection rule."""
+        m, mr, mp = self._rescaled(r, phi, fix)
         nrm = np.sqrt(np.sum(m * m, axis=0))
         nrm = np.where(nrm == 0.0, 1.0, nrm)
         s = m / nrm
         sr = (mr - s * np.sum(s * mr, axis=0)) / nrm
         sp = (mp - s * np.sum(s * mp, axis=0)) / nrm
         return s, sr, sp
+
+    def area_density(self, r, phi, fix: bool = True) -> np.ndarray:
+        """Pullback area density S . (dS/dr x dS/dphi), shape (nr, nphi).
+
+        Computed as det[m, m_r, m_phi] / |m|^3 straight from the
+        unnormalized field, which equals the normalized triple product
+        exactly: the parts of m_r and m_phi along m drop out of the
+        determinant, and any positive per-radius scale cancels.  0 where
+        |m| = 0.
+        """
+        m, mr, mp = self._rescaled(r, phi, fix)
+        det = (m[0] * (mr[1] * mp[2] - mr[2] * mp[1])
+               + m[1] * (mr[2] * mp[0] - mr[0] * mp[2])
+               + m[2] * (mr[0] * mp[1] - mr[1] * mp[0]))
+        nrm2 = np.sum(m * m, axis=0)
+        cube = nrm2 * np.sqrt(nrm2)
+        return np.divide(det, cube, out=np.zeros_like(det), where=cube != 0.0)
 
 
 def detect_nice_pair(d: int, indices: tuple[int, int, int], basis=None):

@@ -360,7 +360,12 @@ def spectrum_to_dict(spectrum: TopologicalSpectrum, meta: dict | None = None) ->
     for e in spectrum.entries:
         entries.append({"triple_label": e.triple_label, "map_class": e.map_class,
                         "raw": e.raw, "glued": e.glued, "analytic": e.analytic,
-                        "singular": e.singular, "trivial": e.trivial})
+                        "singular": e.singular, "trivial": e.trivial,
+                        "converged": e.converged,
+                        # no doubling leaves an infinite error, which JSON lacks
+                        "quadrature_error": (e.quadrature_error
+                                             if math.isfinite(e.quadrature_error)
+                                             else None)})
     out = {"d": spectrum.d, "mode": spectrum.mode, "entries": entries,
            "meta": dict(meta or {})}
     out["meta"].setdefault("non_converged", spectrum.non_converged)

@@ -8,7 +8,7 @@ from topospec.basis import build_basis
 from topospec.fields import (GridSpec, TripleSpec, classify_map,
                              component_field, term_field, triple_field)
 from topospec.invariants import canonical_field
-from topospec.states import make_state
+from topospec.states import inject_subspace, make_state, sample_perturbation
 
 st_l3 = st.lists(st.integers(-4, 4), min_size=3, max_size=3, unique=True)
 st_index = st.integers(1, 8)
@@ -77,6 +77,19 @@ def test_unit_field_survives_extreme_radii():
     s, sr, sp = field.unit(np.array([1e-3, 50.0]), np.array([0.4]))
     assert np.all(np.isfinite(s)) and np.all(np.isfinite(sr))
     assert_allclose(np.sum(s * s, axis=0), 1.0, atol=1e-9)
+
+
+def test_area_density_equals_unit_triple_product():
+    state = inject_subspace(make_state((-3, 1, 4), np.ones(3)),
+                            sample_perturbation(3, np.random.default_rng(0)))
+    field = canonical_field(state, "451")
+    r = np.array([1e-3, 0.3, 1.0, 2.5, 50.0])
+    phi = np.linspace(0.0, 2 * np.pi, 17)
+    s, sr, sp = field.unit(r, phi)
+    expected = np.sum(s * np.cross(sr, sp, axis=0), axis=0)
+    got = field.area_density(r, phi)
+    assert got.shape == (r.size, phi.size)
+    assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_origin_fix_makes_third_single_signed():

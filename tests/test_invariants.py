@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from topospec.fields import GridSpec, MapClass, TripleSpec, triple_field
+from topospec.fields import (GridSpec, MapClass, TripleSpec, UnitField,
+                             triple_field)
 from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap,
                                  _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
@@ -82,6 +83,58 @@ def test_singular_map_raw_is_half_integer():
     assert res.map_class.kind == "disk"
     assert_allclose(res.raw, -0.5, atol=0.03)
     assert_allclose(res.glued, -1.0, atol=0.05)
+
+
+def test_singular_regrid_keeps_tail_eps():
+    # the 4x azimuthal regrid of singular maps must keep the radial cutoff
+    state = make_state((-1, 0, 1), np.ones(3))
+    field = canonical_field(state, "124")
+    grid = GridSpec(n_r=64, tail_eps=1e-4)
+    n_phi = grid.resolve(field.l).n_phi
+    auto = wrapping_numeric(field, grid, singular=True)
+    explicit = wrapping_numeric(field, GridSpec(n_r=64, n_phi=4 * n_phi,
+                                                tail_eps=1e-4), singular=False)
+    assert auto.raw == explicit.raw
+
+
+def test_exact_cancellation_maps_stay_zero():
+    # the lambda-3 third cancels exactly on these maps; reordering the term
+    # accumulation breaks the cancellation and the convergence with it
+    l = (2, -2, 0)
+    state = make_state(l, np.ones(3))
+    for label in ("453", "673"):
+        res = wrapping_numeric(canonical_field(state, label), GridSpec(n_r=512),
+                               singular=singularity_class_label(label, l))
+        assert res.glued == 0.0, label
+        assert res.converged, label
+
+
+def test_nested_radial_rule_evaluates_each_node_once(monkeypatch):
+    state = make_state((-1, 0, 1), np.ones(3))
+    field = canonical_field(state, "124")
+    grid = GridSpec(n_r=64)
+    g = grid.resolve(field.l)
+    phi = GridSpec(n_phi=4 * g.n_phi).phi_nodes()   # singular: 4x azimuth
+
+    def direct(level):
+        r, w = g.radial_rule(level)
+        dens = field.area_density(r, phi).sum(axis=1)
+        return float(w @ dens) * (2.0 * np.pi / phi.size) / (4.0 * np.pi)
+
+    nodes = []
+    inner = UnitField.area_density
+
+    def counting(self, r, phi, fix=True):
+        nodes.append(np.asarray(r).size)
+        return inner(self, r, phi, fix)
+
+    monkeypatch.setattr(UnitField, "area_density", counting)
+    res = wrapping_numeric(field, grid)
+    assert res.singular and res.converged and res.n_r_used == 2 * g.n_r
+    assert sum(nodes) == 2 * g.n_r + 1
+    assert abs(res.raw - direct(1)) <= 1e-12
+    assert abs(res.quadrature_error - abs(direct(1) - direct(0))) <= 1e-12
+    assert abs(wrapping_numeric(field, grid, max_doublings=0).raw - direct(0)) <= 1e-12
 
 
 @given(st_l3, st.sampled_from(CANONICAL_LABELS))

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.fields import GridSpec
-from topospec.invariants import CANONICAL_LABELS
+from topospec.invariants import CANONICAL_LABELS, QUAD_TOL
 from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS, capacity,
                                compute_spectrum, dependency_scan,
                                enumerate_triples, independent_count,
                                normalize_mode, read_spectrum_values,
-                               similarity, svg_bar_chart, triple_count,
-                               write_spectrum_csv, write_spectrum_json)
+                               similarity, spectrum_to_dict, svg_bar_chart,
+                               triple_count, write_spectrum_csv,
+                               write_spectrum_json)
 from topospec.states import make_state
 
 SMALL_GRID = GridSpec(n_r=256, n_phi=64)
@@ -156,6 +157,17 @@ def test_json_artifact(tmp_path):
     assert doc["meta"]["seed"] == 3
     assert doc["meta"]["non_converged"] == []
     assert [e["triple_label"] for e in doc["entries"]] == CANONICAL_LABELS
+    for got, entry in zip(doc["entries"], sp.entries):
+        assert got["converged"] is entry.converged is True
+        assert got["quadrature_error"] == entry.quadrature_error
+        assert 0.0 <= got["quadrature_error"] <= QUAD_TOL
+
+
+def test_json_artifact_without_doubling_has_no_error_estimate():
+    doc = spectrum_to_dict(_spectrum_m101(max_doublings=0))
+    assert all(e["converged"] is False for e in doc["entries"])
+    assert all(e["quadrature_error"] is None for e in doc["entries"])
+    json.dumps(doc, allow_nan=False)
 
 
 def test_svg_chart(tmp_path):
