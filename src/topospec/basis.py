@@ -11,6 +11,7 @@ every cos/sin partner sits at adjacent indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -69,8 +70,12 @@ def _diag(d, k):
     return m
 
 
-def build_basis(d: int) -> list[BasisElement]:
-    """Return the d^2 - 1 generators in canonical order."""
+@cache
+def build_basis(d: int) -> tuple[BasisElement, ...]:
+    """Return the d^2 - 1 generators in canonical order.
+
+    Built once per d and shared: the matrices are read-only.
+    """
     if d < 2:
         raise ValueError("need d >= 2")
     out: list[BasisElement] = []
@@ -94,7 +99,9 @@ def build_basis(d: int) -> list[BasisElement]:
             out.append(BasisElement(idx, kind, _sym(d, *info), info))
         else:
             out.append(BasisElement(idx, kind, _asym(d, *info), info))
-    return out
+    for b in out:
+        b.matrix.setflags(write=False)
+    return tuple(out)
 
 
 def nice_pairs(d: int) -> list[tuple[int, int]]:

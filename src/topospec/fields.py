@@ -8,17 +8,29 @@ arrangement (cos-like, sin-like, third) together with the origin-fix
 policy that repairs wedge discontinuities of root-type thirds.  Its area
 density det[m, m_r, m_phi] / |m|^3 is taken straight from the unnormalized
 field; the normalized map and its tangent derivatives (``unit``) serve the
-boundary classifier.
+boundary classifier.  The density fills its stacks into a reused
+per-thread workspace and works in place there, so one call allocates only
+the array it returns; blocks of up to BLOCK_POINTS points keep that
+workspace a few megabytes at any azimuthal resolution.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import BasisElement, build_basis, nice_pairs
 from .states import QuditState, radial_profile
+
+# Points per block of area-density rows: wrapping_numeric streams its radial
+# nodes in blocks of this many (r, phi) points, and the workspace keeps
+# buffers up to this size between calls.
+BLOCK_POINTS = 2 ** 16
+
+# the area-density workspace, one per thread
+_LOCAL = threading.local()
 
 
 @dataclass(frozen=True)
@@ -87,15 +99,15 @@ class TermField:
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
         if profiles is None:
-            if scaled:
-                profiles = {j: r ** abs(self.l[j])
-                            for j in set(self.js) | set(self.jps)}
-            else:
-                profiles = {j: radial_profile(self.l[j], r)
-                            for j in set(self.js) | set(self.jps)}
+            profiles = _profiles(self.l, set(self.js) | set(self.jps), r, scaled)
         m = np.zeros((r.size, phi.size))
         mr = np.zeros_like(m)
         mp = np.zeros_like(m)
+        self._accumulate(r, phi, profiles, scaled, m, mr, mp, np.empty_like(m))
+        return m, mr, mp
+
+    def _accumulate(self, r, phi, profiles, scaled, m, mr, mp, tmp):
+        """Add every pair term into the caller's m, mr, mp; tmp is scratch."""
         envelope = 0.0 if scaled else 4.0
         for j, jp, a, b in zip(self.js, self.jps, self.alpha, self.beta):
             prod = profiles[j] * profiles[jp]
@@ -104,10 +116,16 @@ class TermField:
             c, s = np.cos(delta * phi), np.sin(delta * phi)
             ang = a * c + b * s
             dang = delta * (-a * s + b * c)
-            m += prod[:, None] * ang[None, :]
-            mr += dprod[:, None] * ang[None, :]
-            mp += prod[:, None] * dang[None, :]
-        return m, mr, mp
+            m += np.multiply.outer(prod, ang, out=tmp)
+            mr += np.multiply.outer(dprod, ang, out=tmp)
+            mp += np.multiply.outer(prod, dang, out=tmp)
+
+
+def _profiles(l, modes, r, scaled):
+    """Radial profile of each mode, without the Gaussian envelope if scaled."""
+    if scaled:
+        return {j: r ** abs(l[j]) for j in modes}
+    return {j: radial_profile(l[j], r) for j in modes}
 
 
 def term_field(source, matrix: np.ndarray, tol: float = 1e-14) -> TermField:
@@ -189,41 +207,35 @@ class UnitField:
     def evaluate(self, r, phi, fix: bool = True, scaled: bool = False):
         """Stacked S-tilde and partials, shape (3, nr, nphi) each."""
         r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        m = np.empty((3, r.size, phi.size))
+        mr = np.empty_like(m)
+        mp = np.empty_like(m)
+        self._fill(r, phi, fix, scaled, m, mr, mp, np.empty_like(m[0]))
+        return m, mr, mp
+
+    def _fill(self, r, phi, fix, scaled, m, mr, mp, tmp):
+        """Write the stacks of ``evaluate`` into the caller's arrays."""
         modes = set()
         for t in self.terms:
             modes |= set(t.js) | set(t.jps)
-        if scaled:
-            profiles = {j: r ** abs(self.l[j]) for j in modes}
-        else:
-            profiles = {j: radial_profile(self.l[j], r) for j in modes}
-        m = np.empty((3, r.size, np.asarray(phi).size))
-        mr = np.empty_like(m)
-        mp = np.empty_like(m)
+        profiles = _profiles(self.l, modes, r, scaled)
+        for a in (m, mr, mp):
+            a.fill(0.0)
         for k, t in enumerate(self.terms):
-            m[k], mr[k], mp[k] = t.evaluate(r, phi, profiles, scaled)
+            t._accumulate(r, phi, profiles, scaled, m[k], mr[k], mp[k], tmp)
         if fix and self.sigma != 0.0:
-            sgn = np.sign(m[2])
+            sgn = np.sign(m[2], out=tmp)
             sgn[sgn == 0.0] = 1.0
-            m[2] = self.sigma * sgn * m[2]
-            mr[2] = self.sigma * sgn * mr[2]
-            mp[2] = self.sigma * sgn * mp[2]
-        return m, mr, mp
-
-    def _rescaled(self, r, phi, fix: bool):
-        """Envelope-free fields divided by their per-radius peak.
-
-        Both factors are positive per radius, so they drop out of S and of
-        the area density, while keeping every intermediate in
-        floating-point range at any radius.
-        """
-        m, mr, mp = self.evaluate(r, phi, fix, scaled=True)
-        peak = np.max(np.abs(m), axis=(0, 2))
-        peak = np.where(peak == 0.0, 1.0, peak)[None, :, None]
-        return m / peak, mr / peak, mp / peak
+            sgn *= self.sigma
+            m[2] *= sgn
+            mr[2] *= sgn
+            mp[2] *= sgn
 
     def unit(self, r, phi, fix: bool = True):
         """Normalized S and its partials via the tangent-projection rule."""
-        m, mr, mp = self._rescaled(r, phi, fix)
+        m, mr, mp = self.evaluate(r, phi, fix, scaled=True)
+        _divide_by_peak(m, mr, mp, np.empty_like(m[0]))
         nrm = np.sqrt(np.sum(m * m, axis=0))
         nrm = np.where(nrm == 0.0, 1.0, nrm)
         s = m / nrm
@@ -238,15 +250,70 @@ class UnitField:
         unnormalized field, which equals the normalized triple product
         exactly: the parts of m_r and m_phi along m drop out of the
         determinant, and any positive per-radius scale cancels.  0 where
-        |m| = 0.
+        |m| = 0.  The stacks and the two scratch rows are views into a
+        reused per-thread workspace and every step runs in place, so the
+        returned density is the only array allocated per call.
         """
-        m, mr, mp = self._rescaled(r, phi, fix)
-        det = (m[0] * (mr[1] * mp[2] - mr[2] * mp[1])
-               + m[1] * (mr[2] * mp[0] - mr[0] * mp[2])
-               + m[2] * (mr[0] * mp[1] - mr[1] * mp[0]))
-        nrm2 = np.sum(m * m, axis=0)
-        cube = nrm2 * np.sqrt(nrm2)
-        return np.divide(det, cube, out=np.zeros_like(det), where=cube != 0.0)
+        r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        ws = _workspace(r.size, phi.size)
+        m, mr, mp, s1, s2 = ws[0:3], ws[3:6], ws[6:9], ws[9], ws[10]
+        self._fill(r, phi, fix, True, m, mr, mp, s1)
+        _divide_by_peak(m, mr, mp, s1)
+        out = np.empty_like(s1)
+        # det = (t0 + t1) + t2, each t = m_a * (mr_b * mp_c - mr_c * mp_b)
+        np.multiply(mr[1], mp[2], out=s1)
+        s1 -= np.multiply(mr[2], mp[1], out=s2)
+        s1 *= m[0]
+        np.multiply(mr[2], mp[0], out=s2)
+        s2 -= np.multiply(mr[0], mp[2], out=out)
+        s2 *= m[1]
+        s1 += s2
+        np.multiply(mr[0], mp[1], out=s2)
+        s2 -= np.multiply(mr[1], mp[0], out=out)
+        s2 *= m[2]
+        s1 += s2
+        # |m|^3 = nrm2 * sqrt(nrm2), nrm2 = (m0^2 + m1^2) + m2^2
+        np.multiply(m[0], m[0], out=s2)
+        s2 += np.multiply(m[1], m[1], out=out)
+        s2 += np.multiply(m[2], m[2], out=out)
+        cube = np.sqrt(s2, out=out)
+        cube *= s2
+        # where |m| = 0 the output keeps the cube's 0
+        return np.divide(s1, cube, out=cube, where=cube != 0.0)
+
+
+def _workspace(rows: int, n_phi: int) -> np.ndarray:
+    """Eleven (rows, n_phi) float64 views of one flat per-thread buffer.
+
+    The buffer grows on demand and is kept for the next call while it
+    holds at most BLOCK_POINTS points per view; larger requests get a
+    buffer of their own.
+    """
+    size = 11 * rows * n_phi
+    buf = getattr(_LOCAL, "buf", None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        if rows * n_phi <= BLOCK_POINTS:
+            _LOCAL.buf = buf
+    return buf[:size].reshape(11, rows, n_phi)
+
+
+def _divide_by_peak(m, mr, mp, tmp) -> None:
+    """Divide envelope-free stacks in place by the per-radius peak of |m|.
+
+    The dropped envelope and the peak are positive per radius, so they drop
+    out of S and of the area density, while keeping every intermediate in
+    floating-point range at any radius.  A zero peak divides by 1.
+    """
+    peak = np.abs(m[0], out=tmp).max(axis=1)
+    for k in (1, 2):
+        np.maximum(peak, np.abs(m[k], out=tmp).max(axis=1), out=peak)
+    peak[peak == 0.0] = 1.0
+    peak = peak[None, :, None]
+    m /= peak
+    mr /= peak
+    mp /= peak
 
 
 def detect_nice_pair(d: int, indices: tuple[int, int, int], basis=None):

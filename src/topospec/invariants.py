@@ -4,7 +4,9 @@ The numeric route integrates the area density S . (dS/dr x dS/dphi) / 4pi
 over the annulus with Simpson weights in r and midpoints in phi.  The
 radial grid doubles until two successive estimates agree within the
 tolerance; the rule is nested, so each doubling evaluates only the new odd
-nodes and reuses the phi-summed density kept at the old ones.  No
+nodes and reuses the phi-summed density kept at the old ones.  Nodes are
+streamed in blocks of about BLOCK_POINTS (r, phi) points, which the
+field's reused workspace serves without fresh allocations.  No
 extrapolation is applied: the finer estimate is reported as it stands.
 The analytic route compares radial exponents of the pair amplitude against
 the third-axis amplitude at both radial ends: the smallest exponent wins
@@ -22,8 +24,8 @@ from math import gcd
 import numpy as np
 
 from .basis import build_basis
-from .fields import (GridSpec, MapClass, TermField, TripleSpec, UnitField,
-                     classify_map, detect_nice_pair, term_field)
+from .fields import (BLOCK_POINTS, GridSpec, MapClass, TermField, TripleSpec,
+                     UnitField, classify_map, detect_nice_pair, term_field)
 from .states import QuditState
 
 QUAD_TOL = 5e-3
@@ -47,9 +49,13 @@ class AnalyticWrap:
     kind: str
 
 
-def _row_sums(field: UnitField, r: np.ndarray, phi: np.ndarray,
-              block: int = 512) -> np.ndarray:
-    """Phi-summed area density at each radial node, streamed over blocks."""
+def _row_sums(field: UnitField, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Phi-summed area density at each radial node, streamed over blocks.
+
+    A block holds about BLOCK_POINTS (r, phi) points (at least one row), so
+    the field's workspace stays the same size at every n_phi.
+    """
+    block = max(1, BLOCK_POINTS // phi.size)
     return np.concatenate([field.area_density(r[lo:lo + block], phi).sum(axis=1)
                            for lo in range(0, r.size, block)])
 

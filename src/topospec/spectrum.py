@@ -117,6 +117,7 @@ class SpectrumEntry:
     trivial: bool
     converged: bool
     quadrature_error: float
+    n_r_used: int | None = None     # radial panels of the final estimate
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,8 @@ def _evaluate_position(item) -> tuple:
     return (pos, SpectrumEntry(spec.label, res.map_class.kind, sign * res.raw,
                                glued, analytic, res.singular,
                                abs(glued) < TRIVIAL_THRESHOLD,
-                               res.converged, res.quadrature_error))
+                               res.converged, res.quadrature_error,
+                               res.n_r_used))
 
 
 def default_workers() -> int:
@@ -365,7 +367,8 @@ def spectrum_to_dict(spectrum: TopologicalSpectrum, meta: dict | None = None) ->
                         # no doubling leaves an infinite error, which JSON lacks
                         "quadrature_error": (e.quadrature_error
                                              if math.isfinite(e.quadrature_error)
-                                             else None)})
+                                             else None),
+                        "n_r_used": e.n_r_used})
     out = {"d": spectrum.d, "mode": spectrum.mode, "entries": entries,
            "meta": dict(meta or {})}
     out["meta"].setdefault("non_converged", spectrum.non_converged)

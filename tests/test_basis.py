@@ -1,6 +1,7 @@
 """Generator-basis construction and Cartan-Weyl structure tests."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -72,3 +73,13 @@ def test_cartan_weyl_split(d):
         assert_allclose(basis[p.sym_index - 1].matrix, e + e.conj().T)
         assert_allclose(basis[p.asym_index - 1].matrix,
                         -1j * (e - e.conj().T))
+
+
+def test_build_basis_is_built_once_and_read_only():
+    basis = build_basis(4)
+    assert isinstance(basis, tuple)
+    assert build_basis(4) is basis
+    for b in basis:
+        assert not b.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0].matrix[0, 1] = 2.0

@@ -92,6 +92,22 @@ def test_area_density_equals_unit_triple_product():
     assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * np.max(np.abs(expected)))
 
 
+def test_area_density_results_are_independent():
+    # area_density reuses one workspace; the arrays it returns stay the caller's
+    first_field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
+    other_field = canonical_field(make_state((-1, 0, 1), np.ones(3)), "453")
+    r = np.linspace(0.2, 3.0, 9)
+    phi = GridSpec(n_phi=32).phi_nodes()
+    first = first_field.area_density(r, phi)
+    kept = first.copy()
+    second = other_field.area_density(np.linspace(0.1, 2.0, 5),
+                                      GridSpec(n_phi=48).phi_nodes())
+    assert second.shape == (5, 48)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(first_field.area_density(r, phi), kept)
+
+
 def test_origin_fix_makes_third_single_signed():
     state = make_state((-1, 0, 1), np.ones(3))
     field = canonical_field(state, "124")

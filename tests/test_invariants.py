@@ -1,13 +1,15 @@
 """Wrapping-number evaluation, gluing, classification, and charge identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from topospec.fields import (GridSpec, MapClass, TripleSpec, UnitField,
-                             triple_field)
-from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap,
+from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
+                             UnitField, triple_field)
+from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _row_sums,
                                  _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
                                  lissajous_winding, monopole_charge_area,
@@ -135,6 +137,30 @@ def test_nested_radial_rule_evaluates_each_node_once(monkeypatch):
     assert abs(res.raw - direct(1)) <= 1e-12
     assert abs(res.quadrature_error - abs(direct(1) - direct(0))) <= 1e-12
     assert abs(wrapping_numeric(field, grid, max_doublings=0).raw - direct(0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_r, n_phi", [(300, 512), (5, BLOCK_POINTS + 3)])
+def test_row_sums_equal_one_shot_density(n_r, n_phi):
+    # 301 rows at 128 rows per block; one row per block above BLOCK_POINTS
+    field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
+    r, _ = GridSpec(n_r=n_r).radial_rule(0)
+    phi = GridSpec(n_phi=n_phi).phi_nodes()
+    assert np.array_equal(_row_sums(field, r, phi),
+                          field.area_density(r, phi).sum(axis=1))
+
+
+def test_warm_singular_integral_allocates_little():
+    field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
+    grid = GridSpec(n_r=512)
+    wrapping_numeric(field, grid)
+    tracemalloc.start()
+    try:
+        res = wrapping_numeric(field, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.singular and res.converged
+    assert peak < 16 * 2 ** 20
 
 
 @given(st_l3, st.sampled_from(CANONICAL_LABELS))

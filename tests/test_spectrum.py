@@ -148,6 +148,17 @@ def test_value_csv_round_trip(tmp_path):
     assert_allclose(values, [-1.5, 0.25])
 
 
+@pytest.mark.parametrize("l, mode, grid", [
+    ((-4, -3, 4), "canonical18", SMALL_GRID),
+    ((-2, -1, 1, 0), "full", GridSpec(n_r=64)),
+])
+def test_spectrum_independent_of_worker_count(l, mode, grid):
+    state = make_state(l, np.ones(len(l)))
+    one = compute_spectrum(state, mode, grid=grid, workers=1)
+    two = compute_spectrum(state, mode, grid=grid, workers=2)
+    assert one.entries == two.entries
+
+
 def test_json_artifact(tmp_path):
     sp = _spectrum_m101()
     path = tmp_path / "spectrum.json"
@@ -161,12 +172,15 @@ def test_json_artifact(tmp_path):
         assert got["converged"] is entry.converged is True
         assert got["quadrature_error"] == entry.quadrature_error
         assert 0.0 <= got["quadrature_error"] <= QUAD_TOL
+        assert got["n_r_used"] == entry.n_r_used
+        assert got["n_r_used"] in (2 * SMALL_GRID.n_r, 4 * SMALL_GRID.n_r)
 
 
 def test_json_artifact_without_doubling_has_no_error_estimate():
     doc = spectrum_to_dict(_spectrum_m101(max_doublings=0))
     assert all(e["converged"] is False for e in doc["entries"])
     assert all(e["quadrature_error"] is None for e in doc["entries"])
+    assert all(e["n_r_used"] == SMALL_GRID.n_r for e in doc["entries"])
     json.dumps(doc, allow_nan=False)
 
 
