@@ -8,10 +8,16 @@ arrangement (cos-like, sin-like, third) together with the origin-fix
 policy that repairs wedge discontinuities of root-type thirds.  Its area
 density det[m, m_r, m_phi] / |m|^3 is taken straight from the unnormalized
 field; the normalized map and its tangent derivatives (``unit``) serve the
-boundary classifier.  The density fills its stacks into a reused
-per-thread workspace and works in place there, so one call allocates only
-the array it returns; blocks of up to BLOCK_POINTS points keep that
-workspace a few megabytes at any azimuthal resolution.
+boundary classifier and stand as the reference for the density.  With the
+Gaussian envelope dropped, each pair term is r^e times an angular factor,
+so the density expands separably: the determinant and |m|^2 are short sums
+of radial monomials times tables in phi, built once per (field, phi) and
+kept per thread.  A block of radii then costs one small matrix-vector
+product per radius and table, scaled per radius by a power of r that
+keeps every factor in range and cancels in the quotient; its
+intermediates live in a three-view per-thread workspace, and blocks of up
+to BLOCK_POINTS points keep that workspace a few megabytes at any
+azimuthal resolution.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .states import QuditState, radial_profile
 # buffers up to this size between calls.
 BLOCK_POINTS = 2 ** 16
 
-# the area-density workspace, one per thread
+# the area-density workspace and the last expansion, one per thread
 _LOCAL = threading.local()
 
 
@@ -109,16 +115,21 @@ class TermField:
     def _accumulate(self, r, phi, profiles, scaled, m, mr, mp, tmp):
         """Add every pair term into the caller's m, mr, mp; tmp is scratch."""
         envelope = 0.0 if scaled else 4.0
-        for j, jp, a, b in zip(self.js, self.jps, self.alpha, self.beta):
+        for j, jp, (e, ang, dang) in zip(self.js, self.jps, self._angular(phi)):
             prod = profiles[j] * profiles[jp]
-            dprod = ((abs(self.l[j]) + abs(self.l[jp])) / r - envelope * r) * prod
-            delta = self.l[jp] - self.l[j]
-            c, s = np.cos(delta * phi), np.sin(delta * phi)
-            ang = a * c + b * s
-            dang = delta * (-a * s + b * c)
+            dprod = (e / r - envelope * r) * prod
             m += np.multiply.outer(prod, ang, out=tmp)
             mr += np.multiply.outer(dprod, ang, out=tmp)
             mp += np.multiply.outer(prod, dang, out=tmp)
+
+    def _angular(self, phi):
+        """Per pair term, in order: its envelope-free radial exponent
+        |l_j| + |l_j'| and its angular factor with that factor's phi-derivative."""
+        for j, jp, a, b in zip(self.js, self.jps, self.alpha, self.beta):
+            delta = self.l[jp] - self.l[j]
+            c, s = np.cos(delta * phi), np.sin(delta * phi)
+            yield (abs(self.l[j]) + abs(self.l[jp]), a * c + b * s,
+                   delta * (-a * s + b * c))
 
 
 def _profiles(l, modes, r, scaled):
@@ -208,20 +219,14 @@ class UnitField:
         """Stacked S-tilde and partials, shape (3, nr, nphi) each."""
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        m = np.empty((3, r.size, phi.size))
-        mr = np.empty_like(m)
-        mp = np.empty_like(m)
-        self._fill(r, phi, fix, scaled, m, mr, mp, np.empty_like(m[0]))
-        return m, mr, mp
-
-    def _fill(self, r, phi, fix, scaled, m, mr, mp, tmp):
-        """Write the stacks of ``evaluate`` into the caller's arrays."""
         modes = set()
         for t in self.terms:
             modes |= set(t.js) | set(t.jps)
         profiles = _profiles(self.l, modes, r, scaled)
-        for a in (m, mr, mp):
-            a.fill(0.0)
+        m = np.zeros((3, r.size, phi.size))
+        mr = np.zeros_like(m)
+        mp = np.zeros_like(m)
+        tmp = np.empty_like(m[0])
         for k, t in enumerate(self.terms):
             t._accumulate(r, phi, profiles, scaled, m[k], mr[k], mp[k], tmp)
         if fix and self.sigma != 0.0:
@@ -231,11 +236,23 @@ class UnitField:
             m[2] *= sgn
             mr[2] *= sgn
             mp[2] *= sgn
+        return m, mr, mp
 
     def unit(self, r, phi, fix: bool = True):
-        """Normalized S and its partials via the tangent-projection rule."""
+        """Normalized S and its partials via the tangent-projection rule.
+
+        The envelope-free stacks are divided by the per-radius peak of |m|:
+        the dropped envelope and the peak are positive per radius, so they
+        drop out of S while every intermediate stays in floating-point
+        range at any radius.
+        """
         m, mr, mp = self.evaluate(r, phi, fix, scaled=True)
-        _divide_by_peak(m, mr, mp, np.empty_like(m[0]))
+        peak = np.abs(m).max(axis=(0, 2))
+        peak[peak == 0.0] = 1.0
+        peak = peak[None, :, None]
+        m /= peak
+        mr /= peak
+        mp /= peak
         nrm = np.sqrt(np.sum(m * m, axis=0))
         nrm = np.where(nrm == 0.0, 1.0, nrm)
         s = m / nrm
@@ -246,74 +263,148 @@ class UnitField:
     def area_density(self, r, phi, fix: bool = True) -> np.ndarray:
         """Pullback area density S . (dS/dr x dS/dphi), shape (nr, nphi).
 
-        Computed as det[m, m_r, m_phi] / |m|^3 straight from the
-        unnormalized field, which equals the normalized triple product
-        exactly: the parts of m_r and m_phi along m drop out of the
-        determinant, and any positive per-radius scale cancels.  0 where
-        |m| = 0.  The stacks and the two scratch rows are views into a
-        reused per-thread workspace and every step runs in place, so the
-        returned density is the only array allocated per call.
+        Equals det[m, m_r, m_phi] / |m|^3 of the unnormalized field: the
+        parts of m_r and m_phi along m drop out of the determinant, and any
+        positive per-radius scale cancels.  Both the determinant and |m|^2
+        are short sums of radial monomials times tables in phi (see
+        ``_Expansion``), so a block costs one matrix-vector product per
+        radius and table, then a square root and a guarded divide; 0 where
+        |m| = 0.  The origin fix flips the sign of the third row, and the
+        determinant is linear in it, so the fixed density is
+        sigma * sign(m_3) * det with sign(+-0) = +1.  The tables of the
+        last (field, phi) pair are kept per thread, and the block's
+        intermediates live in a reused per-thread workspace, so the
+        returned density is the only block-sized float array allocated per
+        call.
         """
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        ws = _workspace(r.size, phi.size)
-        m, mr, mp, s1, s2 = ws[0:3], ws[3:6], ws[6:9], ws[9], ws[10]
-        self._fill(r, phi, fix, True, m, mr, mp, s1)
-        _divide_by_peak(m, mr, mp, s1)
-        out = np.empty_like(s1)
-        # det = (t0 + t1) + t2, each t = m_a * (mr_b * mp_c - mr_c * mp_b)
-        np.multiply(mr[1], mp[2], out=s1)
-        s1 -= np.multiply(mr[2], mp[1], out=s2)
-        s1 *= m[0]
-        np.multiply(mr[2], mp[0], out=s2)
-        s2 -= np.multiply(mr[0], mp[2], out=out)
-        s2 *= m[1]
-        s1 += s2
-        np.multiply(mr[0], mp[1], out=s2)
-        s2 -= np.multiply(mr[1], mp[0], out=out)
-        s2 *= m[2]
-        s1 += s2
-        # |m|^3 = nrm2 * sqrt(nrm2), nrm2 = (m0^2 + m1^2) + m2^2
-        np.multiply(m[0], m[0], out=s2)
-        s2 += np.multiply(m[1], m[1], out=out)
-        s2 += np.multiply(m[2], m[2], out=out)
-        cube = np.sqrt(s2, out=out)
-        cube *= s2
-        # where |m| = 0 the output keeps the cube's 0
-        return np.divide(s1, cube, out=cube, where=cube != 0.0)
+        ex = _expansion(self, phi)
+        det, nrm2, third = _workspace(r.size, phi.size)
+        # per-radius scale r^-e_ref: with e_ref the largest live exponent
+        # for r >= 1 and the smallest below, every radial factor is at
+        # most 1/r, and the scale cancels in det / |m|^3
+        e_ref = np.where(r >= 1.0, ex.e_hi, ex.e_lo)
+        _radial_sum(r, ex.det_exps, 3 * e_ref, ex.det_tables, det)
+        _radial_sum(r, ex.nrm_exps, 2 * e_ref, ex.nrm_tables, nrm2)
+        if fix and self.sigma != 0.0:
+            _radial_sum(r, ex.third_exps, e_ref, ex.third_tables, third)
+            flip = third < 0.0 if self.sigma > 0.0 else third >= 0.0
+            np.negative(det, out=det, where=flip)
+        # the expanded sum can round below 0 where |m| is about 0
+        np.maximum(nrm2, 0.0, out=nrm2)
+        cube = np.sqrt(nrm2)
+        cube *= nrm2
+        # an infinite cube gives the density 0 where |m| = 0
+        cube[cube == 0.0] = np.inf
+        return np.divide(det, cube, out=cube)
+
+
+@dataclass(frozen=True)
+class _Expansion:
+    """Area density of one field on one phi grid as radial monomials.
+
+    Grouping each component's pair terms by envelope-free radial exponent
+    e = |l_j| + |l_j'| gives m_k = sum_e r^e a_ke(phi), d_r m_k =
+    sum_e e r^(e-1) a_ke and d_phi m_k = sum_e r^e a'_ke.  The determinant
+    is multilinear in the components, so det[m, m_r, m_phi] =
+    sum_E r^(E-1) G_E(phi), and |m|^2 = sum_F r^F H_F(phi).  Each table
+    row pairs with the power of r in the matching ``*_exps`` entry; the
+    third component's own rows give the sign for the origin fix.  e_lo and
+    e_hi are the smallest and largest live exponents.
+    """
+
+    e_lo: int
+    e_hi: int
+    det_exps: np.ndarray
+    det_tables: np.ndarray
+    nrm_exps: np.ndarray
+    nrm_tables: np.ndarray
+    third_exps: np.ndarray
+    third_tables: np.ndarray
+
+
+def _expansion(field: UnitField, phi: np.ndarray) -> _Expansion:
+    """The expansion of field on phi, kept per thread for the next call.
+
+    Every block and every doubling of one map asks for the same pair, so
+    the cache holds only the last one; field is matched by identity.
+    """
+    cached = getattr(_LOCAL, "expansion", None)
+    if cached is not None and cached[0] is field and np.array_equal(cached[1], phi):
+        return cached[2]
+    ex = _build_expansion(field, phi)
+    _LOCAL.expansion = (field, phi.copy(), ex)
+    return ex
+
+
+def _build_expansion(field: UnitField, phi: np.ndarray) -> _Expansion:
+    terms = [list(t._angular(phi)) for t in field.terms]
+    size = 1 + max((e for ts in terms for e, _, _ in ts), default=0)
+    # polynomials in r with phi-table coefficients, row e at exponent e;
+    # each row sums its terms in term order, so amplitudes that cancel (the
+    # lambda-3 third of equal-weight |l| pairs) leave exact zeros
+    p = np.zeros((3, size, phi.size))
+    dp = np.zeros_like(p)
+    for k, ts in enumerate(terms):
+        for e, ang, dang in ts:
+            p[k, e] += ang
+            dp[k, e] += dang
+    live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
+    e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
+    p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
+    q = p * np.arange(e_lo, e_hi + 1)[:, None]      # r * d_r
+    det = (_poly_mul(p[0], _poly_mul(q[1], dp[2]) - _poly_mul(q[2], dp[1]))
+           + _poly_mul(p[1], _poly_mul(q[2], dp[0]) - _poly_mul(q[0], dp[2]))
+           + _poly_mul(p[2], _poly_mul(q[0], dp[1]) - _poly_mul(q[1], dp[0])))
+    nrm = _poly_mul(p[0], p[0]) + _poly_mul(p[1], p[1]) + _poly_mul(p[2], p[2])
+    # the determinant carries one 1/r from m_r
+    return _Expansion(e_lo, e_hi, *_live_rows(det, 3 * e_lo - 1),
+                      *_live_rows(nrm, 2 * e_lo), *_live_rows(p[2], e_lo))
+
+
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two polynomials whose coefficients are phi tables."""
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1]))
+    for i, row in enumerate(a):
+        out[i:i + len(b)] += row * b
+    return out
+
+
+def _live_rows(tables: np.ndarray, e0: int):
+    """Exponents e0 + i and rows i of the tables that are not all zero."""
+    keep = np.flatnonzero(np.any(tables, axis=1))
+    return e0 + keep, tables[keep]
+
+
+def _radial_sum(r, exps, scale, tables, out) -> None:
+    """out[i] = sum_k r_i^(exps_k - scale_i) tables[k].
+
+    One matrix-vector product per radius, so the value of a row does not
+    depend on the block it is evaluated in.
+    """
+    powers = r[:, None] ** (exps[None, :] - scale[:, None])
+    if len(tables) == 1:
+        # matmul takes an unvectorized loop for a single term
+        np.multiply(powers, tables[0], out=out)
+    else:
+        np.matmul(powers[:, None, :], tables, out=out[:, None, :])
 
 
 def _workspace(rows: int, n_phi: int) -> np.ndarray:
-    """Eleven (rows, n_phi) float64 views of one flat per-thread buffer.
+    """Three (rows, n_phi) float64 views of one flat per-thread buffer.
 
     The buffer grows on demand and is kept for the next call while it
     holds at most BLOCK_POINTS points per view; larger requests get a
     buffer of their own.
     """
-    size = 11 * rows * n_phi
+    size = 3 * rows * n_phi
     buf = getattr(_LOCAL, "buf", None)
     if buf is None or buf.size < size:
         buf = np.empty(size)
         if rows * n_phi <= BLOCK_POINTS:
             _LOCAL.buf = buf
-    return buf[:size].reshape(11, rows, n_phi)
-
-
-def _divide_by_peak(m, mr, mp, tmp) -> None:
-    """Divide envelope-free stacks in place by the per-radius peak of |m|.
-
-    The dropped envelope and the peak are positive per radius, so they drop
-    out of S and of the area density, while keeping every intermediate in
-    floating-point range at any radius.  A zero peak divides by 1.
-    """
-    peak = np.abs(m[0], out=tmp).max(axis=1)
-    for k in (1, 2):
-        np.maximum(peak, np.abs(m[k], out=tmp).max(axis=1), out=peak)
-    peak[peak == 0.0] = 1.0
-    peak = peak[None, :, None]
-    m /= peak
-    mr /= peak
-    mp /= peak
+    return buf[:size].reshape(3, rows, n_phi)
 
 
 def detect_nice_pair(d: int, indices: tuple[int, int, int], basis=None):
@@ -367,11 +458,6 @@ class MapClass:
     outer_point: bool
 
 
-def _ring_variance(field: UnitField, r: float, phi: np.ndarray) -> np.ndarray:
-    s, _, _ = field.unit(np.array([r]), phi)
-    return s[:, 0, :]
-
-
 def classify_map(field: UnitField, grid: GridSpec, n_probe: int = 256) -> MapClass:
     """Trend-based boundary classification.
 
@@ -382,11 +468,11 @@ def classify_map(field: UnitField, grid: GridSpec, n_probe: int = 256) -> MapCla
     """
     g = grid.resolve(field.l)
     phi = (np.arange(n_probe) + 0.5) * (2.0 * np.pi / n_probe)
-    rings = {}
     radii = {"in0": g.r_min, "in1": 2.0 * g.r_min,
              "mid0": 0.25 * g.r_max, "mid1": 0.5 * g.r_max, "out": g.r_max}
-    for key, r in radii.items():
-        rings[key] = _ring_variance(field, r, phi)
+    # one evaluation for all rings: unit() treats every radius on its own
+    s, _, _ = field.unit(np.array(list(radii.values())), phi)
+    rings = {key: s[:, i, :] for i, key in enumerate(radii)}
 
     def var(ring):
         return float(np.sum(np.var(ring, axis=1)))

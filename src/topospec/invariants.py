@@ -5,8 +5,9 @@ over the annulus with Simpson weights in r and midpoints in phi.  The
 radial grid doubles until two successive estimates agree within the
 tolerance; the rule is nested, so each doubling evaluates only the new odd
 nodes and reuses the phi-summed density kept at the old ones.  Nodes are
-streamed in blocks of about BLOCK_POINTS (r, phi) points, which the
-field's reused workspace serves without fresh allocations.  No
+streamed in blocks of about BLOCK_POINTS (r, phi) points; every block and
+every doubling of a map reuses the field's radial-monomial tables of the
+density, built once per map, and its three-view per-thread workspace.  No
 extrapolation is applied: the finer estimate is reported as it stands.
 The analytic route compares radial exponents of the pair amplitude against
 the third-axis amplitude at both radial ends: the smallest exponent wins

@@ -1,11 +1,13 @@
 """Component-field evaluation, unit maps, and boundary classification tests."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.basis import build_basis
-from topospec.fields import (GridSpec, TripleSpec, classify_map,
+from topospec.fields import (GridSpec, TripleSpec, UnitField, classify_map,
                              component_field, term_field, triple_field)
 from topospec.invariants import canonical_field
 from topospec.states import inject_subspace, make_state, sample_perturbation
@@ -108,6 +110,39 @@ def test_area_density_results_are_independent():
     assert np.array_equal(first_field.area_density(r, phi), kept)
 
 
+def test_area_density_cache_never_serves_a_stale_expansion():
+    # the expansion is cached per (field, phi); interleaving two fields of the
+    # same charges, two phi grids of the same size and both fix settings
+    # must reproduce every first evaluation exactly
+    state = make_state((-4, -3, 4), np.ones(3))
+    fields = [canonical_field(state, "124"), canonical_field(state, "125")]
+    base = GridSpec(n_phi=64).phi_nodes()
+    grids = [base, base + 0.1]
+    r = np.linspace(0.05, 4.0, 7)
+    combos = [(f, p, fix) for f in range(2) for p in range(2) for fix in (True, False)]
+    # a copy of the field has a new identity, so each reference is built fresh
+    fresh = {c: replace(fields[c[0]]).area_density(r, grids[c[1]].copy(), c[2])
+             for c in combos}
+    for _ in range(2):
+        for c in combos[::3] + combos[1::3] + combos[2::3]:
+            got = fields[c[0]].area_density(r, grids[c[1]], c[2])
+            assert np.array_equal(got, fresh[c]), c
+
+
+def test_area_density_of_a_vanishing_component_is_zero():
+    # an empty component (separable state) and a third that cancels exactly
+    r = np.linspace(0.01, 5.0, 11)
+    phi = GridSpec(n_phi=128).phi_nodes()
+    separable = canonical_field(make_state((-1, 0, 1), [1.0, 0.0, 0.0]), "123")
+    assert len(separable.terms[0].js) == 0
+    cancelled = canonical_field(make_state((2, -2, 0), np.ones(3)), "453")
+    for field in (separable, cancelled):
+        for fix in (True, False):
+            dens = field.area_density(r, phi, fix)
+            assert dens.shape == (r.size, phi.size)
+            assert not np.any(dens)
+
+
 def test_origin_fix_makes_third_single_signed():
     state = make_state((-1, 0, 1), np.ones(3))
     field = canonical_field(state, "124")
@@ -146,6 +181,20 @@ def test_classify_map_kinds():
     assert classify_map(canonical_field(state, "124"), grid).kind == "disk"
     separable = make_state((-1, 0, 1), [1.0, 0.0, 0.0])
     assert classify_map(canonical_field(separable, "123"), grid).kind == "degenerate"
+
+
+def test_classify_map_probes_all_rings_in_one_call(monkeypatch):
+    state = make_state((-1, 0, 1), np.ones(3))
+    calls = []
+    inner = UnitField.unit
+
+    def counting(self, r, phi, fix=True):
+        calls.append(np.asarray(r).size)
+        return inner(self, r, phi, fix)
+
+    monkeypatch.setattr(UnitField, "unit", counting)
+    assert classify_map(canonical_field(state, "123"), GridSpec()).kind == "sphere"
+    assert calls == [5]
 
 
 def test_radial_rule_integrates_known_integral():

@@ -19,6 +19,7 @@ from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _row_sums,
                                  wrapping_analytic_triple,
                                  wrapping_analytic_usual, wrapping_numeric)
 from topospec.states import make_state
+from topospec.tomography import DensityCoeffs
 
 st_l3 = st.lists(st.integers(-4, 4), min_size=3, max_size=3, unique=True)
 
@@ -145,6 +146,41 @@ def test_row_sums_equal_one_shot_density(n_r, n_phi):
     field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
     r, _ = GridSpec(n_r=n_r).radial_rule(0)
     phi = GridSpec(n_phi=n_phi).phi_nodes()
+    assert np.array_equal(_row_sums(field, r, phi),
+                          field.area_density(r, phi).sum(axis=1))
+
+
+def _source(kind, l, rng):
+    if kind == "clean":
+        return make_state(l, np.ones(3))
+    if kind == "complex":
+        return make_state(l, rng.normal(size=3) + 1j * rng.normal(size=3))
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    rho = a @ a.conj().T
+    return DensityCoeffs(tuple(l), rho / np.trace(rho).real)
+
+
+@given(st_l3, st.sampled_from(CANONICAL_LABELS),
+       st.sampled_from(["clean", "complex", "mixed"]), st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_level0_integral_matches_unit_triple_product(l, label, kind, seed):
+    # the separable density against the normalized map's triple product
+    field = canonical_field(_source(kind, l, np.random.default_rng(seed)), label)
+    g = GridSpec(n_r=16).resolve(field.l)
+    r, w = g.radial_rule(0)
+    phi = g.phi_nodes()
+    s, sr, sp = field.unit(r, phi)
+    reference = np.sum(s * np.cross(sr, sp, axis=0), axis=0).sum(axis=1)
+    scale = (2.0 * np.pi / phi.size) / (4.0 * np.pi)
+    assert abs(w @ _row_sums(field, r, phi) - w @ reference) * scale <= 1e-9
+
+
+def test_row_sums_of_mixed_source_equal_one_shot_density():
+    # many-term tables of a mixed density, one row per block
+    l = (-3, 1, 4)
+    field = canonical_field(_source("mixed", l, np.random.default_rng(7)), "451")
+    r, _ = GridSpec(n_r=4).radial_rule(0)
+    phi = GridSpec(n_phi=BLOCK_POINTS // 2 + 1).phi_nodes()
     assert np.array_equal(_row_sums(field, r, phi),
                           field.area_density(r, phi).sum(axis=1))
 
