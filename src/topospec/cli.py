@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import GridSpec, TripleSpec, triple_field
-from .invariants import (canonical_field, canonical_label, singularity_class,
-                         singularity_class_label, wrapping_analytic_d3,
-                         wrapping_analytic_triple, wrapping_numeric)
-from .spectrum import (_is_clean, compute_spectrum, default_workers,
-                       dependency_scan, read_spectrum_values, similarity,
-                       svg_bar_chart, write_spectrum_csv, write_spectrum_json)
+from .fields import GridSpec, TripleSpec
+from .invariants import canonical_label
+from .spectrum import (compute_spectrum, default_workers, dependency_scan,
+                       enumerate_triples, evaluate_map, read_spectrum_values,
+                       similarity, svg_bar_chart, write_spectrum_csv,
+                       write_spectrum_json)
 from .states import (load_state, make_state, sample_perturbation, save_state,
                      inject_subspace)
 from .tomography import (NoiseModel, epsilon_from_crosstalk, metrics,
@@ -51,16 +50,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("full", "canonical18"), default=None,
-                   help="census to evaluate (default: canonical18 for d=3)")
     p.add_argument("--grid-nr", type=int, default=None,
                    help="radial Simpson panels")
     p.add_argument("--grid-nphi", type=int, default=None,
                    help="azimuthal nodes")
     p.add_argument("--rmax", type=float, default=None,
                    help="outer probe radius for map classification")
-    p.add_argument("--workers", type=int, default=None,
+
+
+def _add_census_flags(p: argparse.ArgumentParser) -> None:
+    """The grid flags plus the census and pool size of a whole spectrum."""
+    _add_grid_flags(p)
+    p.add_argument("--mode", choices=("full", "canonical18"), default=None,
+                   help="census to evaluate (default: canonical18 for d=3)")
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help="parallel workers (default: all cores, capped by "
                         "TOPOSPEC_THREADS)")
 
@@ -101,11 +112,12 @@ def _cmd_state_make(args) -> int:
 
 def _cmd_spectrum_compute(args) -> int:
     state = load_state(args.state)
+    workers = args.workers or default_workers()
     spec = compute_spectrum(state, mode=args.mode, grid=_grid_from_args(args),
-                            workers=args.workers, photon_swap=args.swap_photons)
+                            workers=workers, photon_swap=args.swap_photons)
     write_spectrum_csv(spec, args.out)
-    meta = {"state_file": str(args.state), "workers": args.workers
-            or default_workers(), "photon_swap": bool(args.swap_photons)}
+    meta = {"state_file": str(args.state), "workers": workers,
+            "photon_swap": bool(args.swap_photons)}
     if args.json:
         write_spectrum_json(spec, args.json, meta)
     if args.svg:
@@ -141,32 +153,22 @@ def _cmd_spectrum_compare(args) -> int:
 
 def _cmd_invariant_eval(args) -> int:
     state = load_state(args.state)
-    grid = _grid_from_args(args)
-    clean = _is_clean(state)
     if "," in args.triple:
         indices = tuple(_parse_int_list(args.triple))
         if len(indices) != 3:
             raise ValueError("triple must name three basis indices")
-        field = triple_field(state, TripleSpec(indices))
-        singular = singularity_class(field)
-        ana = (wrapping_analytic_triple(state.l, indices, state.d)
-               if clean else None)
+        spec = TripleSpec(indices)
     else:
-        if state.d != 3:
-            raise ValueError("canonical labels only apply to d=3 states")
         label = canonical_label(args.triple)
-        field = canonical_field(state, label)
-        singular = (singularity_class_label(label, state.l) if clean
-                    else singularity_class(field))
-        ana = wrapping_analytic_d3(label, state.l) if clean else None
-    res = wrapping_numeric(field, grid, singular=singular)
-    sign = -1.0 if args.swap_photons else 1.0
-    ana_txt = "n/a" if ana is None else format(sign * ana.glued, ".6g")
-    print(f"{args.triple}: class={res.map_class.kind} raw={sign * res.raw:.6f} "
-          f"glued={sign * res.glued:.6f} analytic={ana_txt} "
-          f"singular={res.singular} converged={res.converged} "
-          f"err={res.quadrature_error:.2e}")
-    return EXIT_OK if res.converged else EXIT_NUMERIC
+        spec = next(t for t in enumerate_triples(3) if t.canonical == label)
+    e = evaluate_map(state, spec, _grid_from_args(args),
+                     photon_swap=args.swap_photons)
+    ana_txt = "n/a" if e.analytic is None else format(e.analytic, ".6g")
+    print(f"{args.triple}: class={e.map_class} raw={e.raw:.6f} "
+          f"glued={e.glued:.6f} analytic={ana_txt} "
+          f"singular={e.singular} converged={e.converged} "
+          f"err={e.quadrature_error:.2e}")
+    return EXIT_OK if e.converged else EXIT_NUMERIC
 
 
 def _cmd_deps_scan(args) -> int:
@@ -264,7 +266,7 @@ def build_parser() -> _Parser:
     p_comp = spec_sub.add_parser("compute",
                                  help="evaluate every candidate map")
     p_comp.add_argument("state", help="state JSON file")
-    _add_grid_flags(p_comp)
+    _add_census_flags(p_comp)
     p_comp.add_argument("--swap-photons", action="store_true",
                         help="flip the orientation sign of the whole spectrum")
     p_comp.add_argument("--out", default="spectrum.csv")
@@ -308,7 +310,7 @@ def build_parser() -> _Parser:
     p_run = tomo_sub.add_parser("run",
                                 help="simulate, reconstruct, score, re-spectrum")
     p_run.add_argument("state")
-    _add_grid_flags(p_run)
+    _add_census_flags(p_run)
     p_run.add_argument("--counts", type=float, default=1e4,
                        help="total coincidence budget scale")
     p_run.add_argument("--noise", choices=("none", "poisson", "crosstalk"),

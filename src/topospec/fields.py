@@ -64,6 +64,9 @@ class GridSpec:
         if n_phi is None:
             spread = max(l) - min(l)
             n_phi = 64 * max(1, int(spread))
+        if self.n_r < 1 or n_phi < 1:
+            raise ValueError(f"grid needs n_r >= 1 and n_phi >= 1, got "
+                             f"n_r={self.n_r}, n_phi={n_phi}")
         return GridSpec(self.r_min, r_max, int(self.n_r), int(n_phi), self.tail_eps)
 
     def radial_rule(self, doublings: int = 0):
@@ -407,15 +410,13 @@ def _workspace(rows: int, n_phi: int) -> np.ndarray:
     return buf[:size].reshape(3, rows, n_phi)
 
 
-def detect_nice_pair(d: int, indices: tuple[int, int, int], basis=None):
+def detect_nice_pair(d: int, indices: tuple[int, int, int]):
     """Positions (cos, sin, third) of a nice pair inside the triple, or None."""
-    pairs = {p: k for k, p in enumerate(nice_pairs(d))}
-    idx = list(indices)
+    pairs = set(nice_pairs(d))
     for a in range(3):
         for b in range(3):
-            if a != b and (idx[a], idx[b]) in pairs:
-                third = 3 - a - b
-                return (a, b, third)
+            if a != b and (indices[a], indices[b]) in pairs:
+                return (a, b, 3 - a - b)
     return None
 
 
@@ -426,7 +427,7 @@ def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
     d = state.d
     basis = build_basis(d)
     idx = spec.indices
-    found = detect_nice_pair(d, idx, basis)
+    found = detect_nice_pair(d, idx)
     if found is None:
         arrangement = (0, 1, 2)
         sigma = 0.0

@@ -9,24 +9,30 @@ streamed in blocks of about BLOCK_POINTS (r, phi) points; every block and
 every doubling of a map reuses the field's radial-monomial tables of the
 density, built once per map, and its three-view per-thread workspace.  No
 extrapolation is applied: the finer estimate is reported as it stands.
-The analytic route compares radial exponents of the pair amplitude against
-the third-axis amplitude at both radial ends: the smallest exponent wins
-as r -> 0, the largest as r -> infinity, and exponent ties land on
-intermediate latitudes W / sqrt(W^2 + 4).  Disk-like maps (one boundary
-end mapping to a trace instead of a point) are glued, doubling the raw
-integral.
+The analytic route rests on one exponent rule.  With the Gaussian envelope
+dropped, every pair term of a component grows like r^e with
+e = |l_j| + |l_j'|; the third axis's terms, summed per exponent, leave a
+sorted list of live (exponent, weight) entries, and the rule compares it
+with the pair exponent.  The lowest live exponent wins as r -> 0 and the
+highest as r -> infinity, exponent ties land on intermediate latitudes
+W / sqrt(W^2 + 4), a lone live exponent equal to the pair's leaves a
+degenerate map, and a lowest live exponent one above the pair's makes the
+planar density diverge like 1/r at the origin (the singular flag).  The
+closed forms, the singular flag of a field or of a canonical label, and
+the accidental predictor all read the same list.  Disk-like maps (one
+boundary end mapping to a trace instead of a point) are glued, doubling
+the raw integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd
 
 import numpy as np
 
 from .basis import build_basis
-from .fields import (BLOCK_POINTS, GridSpec, MapClass, TermField, TripleSpec,
-                     UnitField, classify_map, detect_nice_pair, term_field)
+from .fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec, UnitField,
+                     classify_map, detect_nice_pair, term_field, triple_field)
 from .states import QuditState
 
 QUAD_TOL = 5e-3
@@ -69,27 +75,15 @@ def glue(raw: float, map_class: MapClass) -> float:
 def singularity_class(field: UnitField) -> bool:
     """True when the planar density diverges like 1/r at the origin.
 
-    For nice-pair triples this happens exactly when the lowest surviving
-    radial exponent of the third axis exceeds the pair exponent by one.
+    Read from the third axis's term content, so it holds for any
+    amplitudes: a root-type term weighs in with its magnitude.
     """
     if field.pair_modes is None:
         return False
-    l = field.l
-    i, j = field.pair_modes
-    e_pair = abs(l[i]) + abs(l[j])
-    third = field.terms[2]
-    exps: dict[int, float] = {}
-    for jj, jp, a, b in zip(third.js, third.jps, third.alpha, third.beta):
-        if jj == jp:
-            exps[2 * abs(l[jj])] = exps.get(2 * abs(l[jj]), 0.0) + a
-        else:
-            # root-type third: one product term
-            exps[abs(l[jj]) + abs(l[jp])] = exps.get(abs(l[jj]) + abs(l[jp]), 0.0) \
-                + np.hypot(a, b)
-    live = [e for e, w in exps.items() if abs(w) > 1e-12]
-    if not live:
-        return False
-    return min(live) - e_pair == 1
+    (i, j), l, third = field.pair_modes, field.l, field.terms[2]
+    terms = [(m, n, a if m == n else np.hypot(a, b))
+             for m, n, a, b in zip(third.js, third.jps, third.alpha, third.beta)]
+    return _exponent_rule(abs(l[i]) + abs(l[j]), _live_exponents(l, terms))[0]
 
 
 def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
@@ -125,28 +119,55 @@ def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
 
 
 # ---------------------------------------------------------------------------
-# boundary-limit evaluation
+# the exponent rule and the closed forms
 
-def _end_limits(e_pair: int, exps: dict[int, float]):
-    """(e0, einf) for a diagonal-type third with weight-per-exponent exps."""
-    live = sorted((e, w) for e, w in exps.items() if abs(w) > 1e-12)
+def _live_exponents(l, terms) -> list[tuple[int, float]]:
+    """Third-axis terms (m, n, weight) as ascending live (exponent, weight).
+
+    A term grows like r^(|l_m| + |l_n|) once the common Gaussian envelope
+    is dropped: a diagonal term has m = n, a root-type third is one term.
+    Weights of one exponent add up, and sums within 1e-12 of zero drop out.
+    """
+    if len(terms) == 1:
+        (m, n, w), = terms
+        return [(abs(l[m]) + abs(l[n]), w)] if abs(w) > 1e-12 else []
+    exps: dict[int, float] = {}
+    for m, n, w in terms:
+        e = abs(l[m]) + abs(l[n])
+        exps[e] = exps.get(e, 0.0) + w
+    return sorted((e, w) for e, w in exps.items() if abs(w) > 1e-12)
+
+
+def _exponent_rule(e_pair: int, live) -> tuple[bool, bool, float, float]:
+    """(singular, degenerate, e0, einf) of a map from its radial exponents.
+
+    live is the third axis's ascending list of live (exponent, weight)
+    entries and e_pair the pair amplitude's exponent.  At each radial end
+    the third axis's leading entry reaches its pole (sign of its weight)
+    when it outgrows the pair, the equator when the pair outgrows it, and
+    the latitude W / sqrt(W^2 + 4) on a tie.  A map with no live entry, or
+    a single one at the pair exponent, is degenerate.
+    """
     if not live:
-        return None
+        return False, True, 0.0, 0.0
     e_lo, w_lo = live[0]
     e_hi, w_hi = live[-1]
+    if e_lo == e_hi == e_pair:
+        # third stays proportional to the pair amplitude at every radius
+        return False, True, 0.0, 0.0
     if e_lo < e_pair:
-        e0 = float(np.sign(w_lo))
+        e0 = 1.0 if w_lo > 0 else -1.0
     elif e_lo > e_pair:
         e0 = 0.0
     else:
         e0 = w_lo / np.hypot(w_lo, 2.0)
     if e_hi > e_pair:
-        einf = float(np.sign(w_hi))
+        einf = 1.0 if w_hi > 0 else -1.0
     elif e_hi < e_pair:
         einf = 0.0
     else:
         einf = w_hi / np.hypot(w_hi, 2.0)
-    return e0, einf
+    return e_lo - e_pair == 1, False, e0, einf
 
 
 def _wrap_from_limits(omega: int, e0: float, einf: float) -> AnalyticWrap:
@@ -159,82 +180,50 @@ def _wrap_from_limits(omega: int, e0: float, einf: float) -> AnalyticWrap:
     raise ValueError("both radial ends map to traces; not a closable map")
 
 
-def _cartan_wrap(l, pair: tuple[int, int], weights: dict[int, float]) -> AnalyticWrap:
+def _closed_form(l, pair: tuple[int, int], third) -> AnalyticWrap:
+    """Boundary-limit value of the nice pair on modes pair with third-axis
+    terms third (see _live_exponents)."""
     i, j = pair
     omega = l[i] - l[j]
-    if omega == 0:
-        return AnalyticWrap(0.0, 0.0, "degenerate")
-    exps: dict[int, float] = {}
-    for mode, w in weights.items():
-        e = 2 * abs(l[mode])
-        exps[e] = exps.get(e, 0.0) + w
-    e_pair = abs(l[i]) + abs(l[j])
-    live = [e for e, w in exps.items() if abs(w) > 1e-12]
-    if len(live) == 1 and live[0] == e_pair:
-        # third stays proportional to the pair amplitude at every radius
-        return AnalyticWrap(0.0, 0.0, "degenerate")
-    lim = _end_limits(e_pair, exps)
-    if lim is None:
-        return AnalyticWrap(0.0, 0.0, "degenerate")
-    return _wrap_from_limits(omega, *lim)
-
-
-def _root_wrap(l, pair: tuple[int, int], third: tuple[int, int], sigma: float) -> AnalyticWrap:
-    i, j = pair
-    omega = l[i] - l[j]
-    if omega == 0:
-        return AnalyticWrap(0.0, 0.0, "degenerate")
-    e_pair = abs(l[i]) + abs(l[j])
-    e_third = abs(l[third[0]]) + abs(l[third[1]])
-    if e_third == e_pair:
-        # third amplitude proportional to the pair amplitude at every r
-        return AnalyticWrap(0.0, 0.0, "degenerate")
-    if e_third < e_pair:
-        e0, einf = sigma, 0.0
-    else:
-        e0, einf = 0.0, sigma
-    return _wrap_from_limits(omega, e0, einf)
+    if omega != 0:
+        _, degenerate, e0, einf = _exponent_rule(abs(l[i]) + abs(l[j]),
+                                                 _live_exponents(l, third))
+        if not degenerate:
+            return _wrap_from_limits(omega, e0, einf)
+    return AnalyticWrap(0.0, 0.0, "degenerate")
 
 
 def wrapping_analytic_usual(l, modes: tuple[int, int]) -> AnalyticWrap:
     """Root-pair map with its own commutator third, any dimension."""
     i, j = modes
-    return _cartan_wrap(tuple(l), (i, j), {i: 1.0, j: -1.0})
+    return _closed_form(tuple(l), (i, j), ((i, i, 1.0), (j, j, -1.0)))
 
 
 def wrapping_analytic_triple(l, indices: tuple[int, int, int],
                              d: int | None = None) -> AnalyticWrap | None:
     """Closed-form value of a pure-index triple for an equal-amplitude state.
 
-    Nice-pair triples evaluate through the boundary-limit rules (diagonal
-    or root-type third); mixed cos/diagonal/sin triples go through the
+    Nice-pair triples evaluate through the exponent rule (diagonal or
+    root-type third); mixed cos/diagonal/sin triples go through the
     accidental predictor.  Anything else has no closed form here.
     """
     l = tuple(int(x) for x in l)
     d = d or len(l)
     basis = build_basis(d)
     idx = tuple(sorted(int(i) for i in indices))
-    found = detect_nice_pair(d, idx, basis)
+    found = detect_nice_pair(d, idx)
     if found is None:
         v = accidental_predict(l, idx, d)
         return None if v is None else AnalyticWrap(v, v, "accidental")
     a, _, t = found
-    pair_modes = basis[idx[a] - 1].modes
     third = basis[idx[t] - 1]
     if third.kind == "diag":
-        w = {m: float(x) for m, x in enumerate(np.real(np.diag(third.matrix)))
-             if abs(x) > 1e-12}
-        return _cartan_wrap(l, pair_modes, w)
-    sigma = -1.0 if d == 3 and idx[a] == 4 else 1.0
-    return _root_wrap(l, pair_modes, third.modes, sigma)
+        terms = tuple((m, m, float(x)) for m, x in
+                      enumerate(np.real(np.diag(third.matrix))) if abs(x) > 1e-12)
+    else:
+        terms = ((*third.modes, -1.0 if d == 3 and idx[a] == 4 else 1.0),)
+    return _closed_form(l, basis[idx[a] - 1].modes, terms)
 
-
-_D3_PAIRS = {"12": (0, 1), "45": (0, 2), "67": (1, 2)}
-_D3_SIGMA = {"12": 1.0, "45": -1.0, "67": 1.0}
-_D3_ROOT_THIRDS = {"1": (0, 1), "2": (0, 1), "4": (0, 2),
-                   "5": (0, 2), "6": (1, 2), "7": (1, 2)}
-_D3_USUAL_W = {"12": {0: 1.0, 1: -1.0}, "45": {0: 1.0, 2: -1.0},
-               "67": {1: 1.0, 2: -1.0}}
 
 CANONICAL_LABELS = ["123", "45*", "67*",
                     "124", "125", "126", "127", "128",
@@ -242,6 +231,27 @@ CANONICAL_LABELS = ["123", "45*", "67*",
                     "671", "672", "673", "674", "675"]
 
 _ALIASES = {"45s": "45*", "67s": "67*", "458": "45*", "678": "67*"}
+
+_D3_PAIRS = {"12": (0, 1), "45": (0, 2), "67": (1, 2)}
+_S3 = 1.0 / np.sqrt(3.0)
+
+
+def _d3_map(label: str):
+    """Pair modes and third-axis terms (m, n, weight) of a canonical label."""
+    i, j = pair = _D3_PAIRS[label[:2]]
+    third = label[2]
+    if third == "*":
+        return pair, ((i, i, 1.0), (j, j, -1.0))
+    if third == "3":
+        return pair, ((0, 0, 1.0), (1, 1, -1.0))
+    if third == "8":
+        return pair, ((0, 0, _S3), (1, 1, _S3), (2, 2, -2.0 * _S3))
+    # a root-type third, with the orientation gauge of the (4,5) family
+    m, n = build_basis(3)[int(third) - 1].modes
+    return pair, ((m, n, -1.0 if label[:2] == "45" else 1.0),)
+
+
+_D3_MAPS = {label: _d3_map(label) for label in CANONICAL_LABELS}
 
 
 def canonical_label(label: str) -> str:
@@ -257,112 +267,51 @@ def wrapping_analytic_d3(label: str, l) -> AnalyticWrap:
     l = tuple(int(x) for x in l)
     if len(l) != 3:
         raise ValueError("need three mode indices")
-    pair_key, third_key = label[:2], label[2]
-    pair = _D3_PAIRS[pair_key]
-    if third_key == "*":
-        return _cartan_wrap(l, pair, _D3_USUAL_W[pair_key])
-    if third_key == "3":
-        return _cartan_wrap(l, pair, {0: 1.0, 1: -1.0})
-    if third_key == "8":
-        s3 = 1.0 / np.sqrt(3.0)
-        return _cartan_wrap(l, pair, {0: s3, 1: s3, 2: -2.0 * s3})
-    return _root_wrap(l, pair, _D3_ROOT_THIRDS[third_key], _D3_SIGMA[pair_key])
+    return _closed_form(l, *_D3_MAPS[label])
+
+
+def singularity_class_label(label: str, l) -> bool:
+    """Origin-singularity flag of a canonical label at mode indices l.
+
+    The label catalog holds the equal-amplitude term content, so the flag
+    is that of a clean state with equal amplitudes.
+    """
+    (i, j), third = _D3_MAPS[canonical_label(label)]
+    l = tuple(int(x) for x in l)
+    return _exponent_rule(abs(l[i]) + abs(l[j]), _live_exponents(l, third))[0]
 
 
 # ---------------------------------------------------------------------------
 # canonical qutrit fields
 
-def _d3_third_matrix(label: str) -> np.ndarray:
-    basis = build_basis(3)
-    pair_key, third_key = label[:2], label[2]
-    if third_key == "*":
-        lam3, lam8 = basis[2].matrix, basis[7].matrix
-        combo = 0.5 * (lam3 + np.sqrt(3.0) * lam8)
-        if pair_key == "67":
-            combo = 0.5 * (-lam3 + np.sqrt(3.0) * lam8)
-        return combo
-    return basis[int(third_key) - 1].matrix
-
-
 def canonical_field(state: QuditState, label: str) -> UnitField:
-    """UnitField of a canonical qutrit map label for the given state."""
+    """UnitField of a canonical qutrit map label for the given state.
+
+    Plain labels are index triples.  The starred ones replace the third
+    axis with the combined diagonal that weighs the pair's own modes +1
+    and -1.
+    """
     if state.d != 3:
         raise ValueError("canonical labels are defined for d = 3")
     label = canonical_label(label)
+    pair_key = label[:2]
+    if label[2] != "*":
+        return triple_field(state, TripleSpec(tuple(int(ch) for ch in label)))
     basis = build_basis(3)
-    pair_key, third_key = label[:2], label[2]
-    sym_idx = {"12": 1, "45": 4, "67": 6}[pair_key]
-    pair = _D3_PAIRS[pair_key]
+    lam3, lam8 = basis[2].matrix, basis[7].matrix
+    sign = 1.0 if pair_key == "45" else -1.0
+    third = 0.5 * (sign * lam3 + np.sqrt(3.0) * lam8)
+    sym_idx = {"45": 4, "67": 6}[pair_key]
     terms = (term_field(state, basis[sym_idx - 1].matrix),
              term_field(state, basis[sym_idx].matrix),
-             term_field(state, _d3_third_matrix(label)))
-    if third_key in ("3", "8", "*"):
-        sigma = 0.0
-    else:
-        sigma = _D3_SIGMA[pair_key]
-    third_index = 0 if third_key == "*" else int(third_key)
-    omega = state.l[pair[0]] - state.l[pair[1]]
-    return UnitField(state.l, terms, (sym_idx, sym_idx + 1, third_index),
-                     (0, 1, 2), sigma, pair, omega)
-
-
-def singularity_class_label(label: str, l) -> bool:
-    """Origin-singularity flag for a canonical label at mode indices l."""
-    label = canonical_label(label)
-    l = tuple(int(x) for x in l)
-    pair_key, third_key = label[:2], label[2]
+             term_field(state, third))
     i, j = _D3_PAIRS[pair_key]
-    e_pair = abs(l[i]) + abs(l[j])
-    if third_key in ("3", "8", "*"):
-        if third_key == "3":
-            w = {0: 1.0, 1: -1.0}
-        elif third_key == "8":
-            w = {0: 1.0, 1: 1.0, 2: -2.0}
-        else:
-            w = _D3_USUAL_W[pair_key]
-        exps: dict[int, float] = {}
-        for mode, wt in w.items():
-            e = 2 * abs(l[mode])
-            exps[e] = exps.get(e, 0.0) + wt
-        live = [e for e, wt in exps.items() if abs(wt) > 1e-12]
-        return bool(live) and min(live) - e_pair == 1
-    m, n = _D3_ROOT_THIRDS[third_key]
-    return (abs(l[m]) + abs(l[n])) - e_pair == 1
+    return UnitField(state.l, terms, (sym_idx, sym_idx + 1, 0), (0, 1, 2), 0.0,
+                     (i, j), state.l[i] - state.l[j])
 
 
 # ---------------------------------------------------------------------------
 # accidental invariants
-
-def accidental_pairs(l, d: int | None = None) -> list[tuple[int, int]]:
-    """Extra cos/sin partners created by exact mode-index degeneracies.
-
-    When l_j == l_k the components sym(i,j) and asym(i,k) oscillate with a
-    common frequency and equal amplitudes, forming an unplanned nice pair.
-    Returns 1-based basis index pairs.
-    """
-    l = tuple(int(x) for x in l)
-    d = d or len(l)
-    basis = build_basis(d)
-    where = {}
-    for b in basis:
-        if b.modes is not None:
-            where[(b.kind, b.modes)] = b.index
-    out = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            if l[j] != l[k]:
-                continue
-            for i in range(d):
-                if i in (j, k):
-                    continue
-                sym_ij = where.get(("sym", (min(i, j), max(i, j))))
-                asym_ik = where.get(("asym", (min(i, k), max(i, k))))
-                sym_ik = where.get(("sym", (min(i, k), max(i, k))))
-                asym_ij = where.get(("asym", (min(i, j), max(i, j))))
-                out.append((sym_ij, asym_ik))
-                out.append((sym_ik, asym_ij))
-    return out
-
 
 def lissajous_winding(a: int, b: int) -> int:
     """Winding of phi -> (cos(a phi), sin(b phi)) around the origin."""
@@ -410,20 +359,11 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     ds = l[asym.modes[0]] - l[asym.modes[1]]
     if dc == 0 or ds == 0:
         return None
-    # diagonal third must dominate both radial ends
-    w = np.real(np.diag(diag.matrix))
-    exps: dict[int, float] = {}
-    for mode, wt in enumerate(w):
-        if abs(wt) > 1e-12:
-            e = 2 * abs(l[mode])
-            exps[e] = exps.get(e, 0.0) + wt
-    live = sorted((e, wt) for e, wt in exps.items() if abs(wt) > 1e-12)
-    if not live:
-        return None
+    # the diagonal third must outgrow both roots at both radial ends
+    live = _live_exponents(l, [(m, m, w) for m, w in
+                               enumerate(np.real(np.diag(diag.matrix)))])
     e_amps = [abs(l[m]) + abs(l[n]) for m, n in (sym.modes, asym.modes)]
-    e_lo, w_lo = live[0]
-    e_hi, w_hi = live[-1]
-    if e_lo >= min(e_amps) or e_hi <= max(e_amps):
+    if not live or live[0][0] >= min(e_amps) or live[-1][0] <= max(e_amps):
         return None
     wind = lissajous_winding(abs(dc), ds)
     if wind == 0:
@@ -433,7 +373,8 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     perm = [base.index(i) for i in order]
     odd = (perm in ([1, 0, 2], [0, 2, 1], [2, 1, 0]))
     eps = -1.0 if odd else 1.0
-    e0, einf = float(np.sign(w_lo)), float(np.sign(w_hi))
+    e0 = 1.0 if live[0][1] > 0 else -1.0
+    einf = 1.0 if live[-1][1] > 0 else -1.0
     return eps * wind * 0.5 * (e0 - einf)
 
 

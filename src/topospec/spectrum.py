@@ -20,7 +20,6 @@ import numpy as np
 
 from .fields import GridSpec, TripleSpec, triple_field
 from .invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
-                         singularity_class, singularity_class_label,
                          wrapping_analytic_d3, wrapping_analytic_triple,
                          wrapping_numeric)
 from .states import QuditState
@@ -87,11 +86,6 @@ def capacity(d: int, independent_only: bool = False) -> Capacity:
     return Capacity(topo, d)
 
 
-def _canonical_indices(label: str) -> tuple[int, int, int]:
-    digits = [0 if ch == "*" else int(ch) for ch in label]
-    return tuple(digits)
-
-
 def enumerate_triples(d: int, mode: str | None = None) -> list[TripleSpec]:
     """Candidate triples in deterministic order.
 
@@ -102,8 +96,8 @@ def enumerate_triples(d: int, mode: str | None = None) -> list[TripleSpec]:
     mode = normalize_mode(mode, d)
     if mode == "full":
         return [TripleSpec(c) for c in combinations(range(1, d * d), 3)]
-    return [TripleSpec(_canonical_indices(lab), canonical=lab)
-            for lab in CANONICAL_LABELS]
+    return [TripleSpec(tuple(0 if ch == "*" else int(ch) for ch in lab),
+                       canonical=lab) for lab in CANONICAL_LABELS]
 
 
 @dataclass(frozen=True)
@@ -160,41 +154,46 @@ def _is_clean(state) -> bool:
     return not np.any(off)
 
 
+def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
+                 tol: float = QUAD_TOL, max_doublings: int = 2,
+                 photon_swap: bool = False) -> SpectrumEntry:
+    """Spectrum entry of one candidate map: the one per-map code path.
+
+    The default grid has 512 radial panels for a canonical qutrit label
+    and 256 for an index triple.  The singular flag comes from the
+    field's term content (wrapping_numeric's default).  The analytic
+    column is filled only for clean (diagonal-amplitude) sources, where
+    the closed forms apply.  photon_swap negates every value.
+    """
+    if grid is None:
+        grid = GridSpec(n_r=512 if spec.canonical is not None else 256)
+    clean = _is_clean(source)
+    if spec.canonical is not None:
+        field = canonical_field(source, spec.canonical)
+        ana = wrapping_analytic_d3(spec.canonical, source.l) if clean else None
+    else:
+        field = triple_field(source, spec)
+        ana = (wrapping_analytic_triple(source.l, spec.indices, source.d)
+               if clean else None)
+    res = wrapping_numeric(field, grid, tol=tol, max_doublings=max_doublings)
+    sign = -1.0 if photon_swap else 1.0
+    glued = sign * res.glued
+    return SpectrumEntry(spec.label, res.map_class.kind, sign * res.raw, glued,
+                         None if ana is None else sign * ana.glued, res.singular,
+                         abs(glued) < TRIVIAL_THRESHOLD, res.converged,
+                         res.quadrature_error, res.n_r_used)
+
+
 _CTX: dict = {}
 
 
-def _init_worker(state, mode, grid, tol, max_doublings, sign):
-    _CTX.update(state=state, mode=mode, grid=grid, tol=tol,
-                max_doublings=max_doublings, sign=sign,
-                clean=_is_clean(state))
+def _init_worker(state, options):
+    _CTX.update(state=state, options=options)
 
 
 def _evaluate_position(item) -> tuple:
     pos, spec = item
-    state: QuditState = _CTX["state"]
-    l = state.l
-    if spec.canonical is not None:
-        field = canonical_field(state, spec.canonical)
-        # the exponent catalog assumes clean structure; mixed or perturbed
-        # sources get classified from their actual term content
-        singular = (singularity_class_label(spec.canonical, l)
-                    if _CTX["clean"] else singularity_class(field))
-        ana = wrapping_analytic_d3(spec.canonical, l) if _CTX["clean"] else None
-    else:
-        field = triple_field(state, spec)
-        singular = singularity_class(field)
-        ana = (wrapping_analytic_triple(l, spec.indices, state.d)
-               if _CTX["clean"] else None)
-    res = wrapping_numeric(field, _CTX["grid"], singular=singular,
-                           tol=_CTX["tol"], max_doublings=_CTX["max_doublings"])
-    sign = _CTX["sign"]
-    analytic = None if ana is None else sign * ana.glued
-    glued = sign * res.glued
-    return (pos, SpectrumEntry(spec.label, res.map_class.kind, sign * res.raw,
-                               glued, analytic, res.singular,
-                               abs(glued) < TRIVIAL_THRESHOLD,
-                               res.converged, res.quadrature_error,
-                               res.n_r_used))
+    return pos, evaluate_map(_CTX["state"], spec, **_CTX["options"])
 
 
 def default_workers() -> int:
@@ -211,29 +210,26 @@ def compute_spectrum(state: QuditState, mode: str | None = None,
                      photon_swap: bool = False) -> TopologicalSpectrum:
     """Evaluate every candidate map of the state, in parallel.
 
-    Entries keep enumeration order regardless of worker scheduling.  The
-    analytic column is filled only for clean (diagonal-amplitude) states,
-    where the closed forms apply.  photon_swap flips the orientation
-    convention, negating the whole spectrum.
+    Entries keep enumeration order regardless of worker scheduling; each
+    goes through evaluate_map, which also picks the default grid.
+    photon_swap flips the orientation convention, negating the whole
+    spectrum.
     """
     mode = normalize_mode(mode, state.d)
-    specs = enumerate_triples(state.d, mode)
-    if grid is None:
-        grid = GridSpec(n_r=512 if mode == "canonical18" else 256)
+    items = list(enumerate(enumerate_triples(state.d, mode)))
     workers = default_workers() if workers is None else max(1, int(workers))
-    sign = -1.0 if photon_swap else 1.0
-    items = list(enumerate(specs))
+    options = dict(grid=grid, tol=tol, max_doublings=max_doublings,
+                   photon_swap=photon_swap)
     slots: list[SpectrumEntry | None] = [None] * len(items)
     if workers == 1 or len(items) <= 2:
-        _init_worker(state, mode, grid, tol, max_doublings, sign)
-        results = map(_evaluate_position, items)
-        for pos, entry in results:
+        _init_worker(state, options)
+        for pos, entry in map(_evaluate_position, items):
             slots[pos] = entry
     else:
         ctx = get_context("fork")
         chunk = max(1, len(items) // (workers * 8))
         with ctx.Pool(workers, initializer=_init_worker,
-                      initargs=(state, mode, grid, tol, max_doublings, sign)) as pool:
+                      initargs=(state, options)) as pool:
             for pos, entry in pool.imap_unordered(_evaluate_position, items, chunk):
                 slots[pos] = entry
     return TopologicalSpectrum(state.d, mode, tuple(slots))

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from topospec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from topospec.invariants import CANONICAL_LABELS
-from topospec.spectrum import read_spectrum_values
+from topospec.spectrum import compute_spectrum, read_spectrum_values
+from topospec.states import load_state
 
 CSV_HEADER = "triple_label,map_class,raw,glued,analytic,singular,trivial"
 
@@ -112,6 +113,64 @@ def test_invariant_eval_indices(tmp_path, capsys):
                  "--grid-nr", "256", "--grid-nphi", "64"])
     assert code == EXIT_OK
     assert "singular=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("triple, mode, label", [("453", "canonical18", "453"),
+                                                 ("1,2,4", "full", "1-2-4")])
+def test_invariant_eval_matches_spectrum_entry(tmp_path, capsys, triple, mode,
+                                              label):
+    # both run on the default grid of the map's kind
+    state = _make_state(tmp_path)
+    capsys.readouterr()
+    assert main(["invariant", "eval", str(state), triple]) == EXIT_OK
+    out = capsys.readouterr().out
+    e = compute_spectrum(load_state(state), mode, workers=1).entry(label)
+    for text in (f"class={e.map_class}", f"raw={e.raw:.6f}",
+                 f"glued={e.glued:.6f}", f"singular={e.singular}",
+                 f"converged={e.converged}", f"err={e.quadrature_error:.2e}"):
+        assert text in out
+
+
+@pytest.mark.parametrize("flag", ["--mode", "--workers"])
+def test_invariant_eval_offers_no_census_flags(tmp_path, capsys, flag):
+    state = _make_state(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["invariant", "eval", str(state), "123", flag, "full"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--grid-nphi", "0"], ["--grid-nphi", "-8"],
+                                   ["--grid-nr", "0"], ["--workers", "0"],
+                                   ["--workers", "-2"]])
+def test_non_positive_grid_and_workers_are_input_errors(tmp_path, capsys, flags):
+    state = _make_state(tmp_path)
+    capsys.readouterr()
+    argv = ["spectrum", "compute", str(state), "--out", str(tmp_path / "s.csv"),
+            *flags]
+    if "--workers" not in flags:
+        argv += ["--workers", "1"]
+    assert _exit_code(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_json_records_the_workers_that_ran(tmp_path):
+    state = _make_state(tmp_path)
+    json_path = tmp_path / "spectrum.json"
+    assert main(["spectrum", "compute", str(state), "--grid-nr", "64",
+                 "--workers", "1", "--out", str(tmp_path / "s.csv"),
+                 "--json", str(json_path)]) in (EXIT_OK, EXIT_NUMERIC)
+    assert json.loads(json_path.read_text())["meta"]["workers"] == 1
 
 
 def test_invariant_eval_rejects_unknown_label(tmp_path, capsys):

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
                              UnitField, triple_field)
-from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _row_sums,
-                                 _wrap_from_limits, accidental_predict,
+from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _exponent_rule,
+                                 _row_sums, _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
                                  lissajous_winding, monopole_charge_area,
                                  monopole_charge_planar, singularity_class,
@@ -60,6 +60,17 @@ def test_wrap_from_limits():
     assert disk.kind == "disk" and disk.glued == 2.0 * disk.raw
     with pytest.raises(ValueError):
         _wrap_from_limits(1, 0.0, 0.5)
+
+
+def test_exponent_rule_ends_and_singular_flag():
+    # (singular, degenerate, e0, einf) against the pair exponent 2
+    assert _exponent_rule(2, [(0, -3.0), (4, 0.5)]) == (False, False, -1.0, 1.0)
+    assert _exponent_rule(2, [(3, -1.0)]) == (True, False, 0.0, -1.0)
+    assert _exponent_rule(2, [(1, 1.0)]) == (False, False, 1.0, 0.0)
+    _, degenerate, e0, einf = _exponent_rule(2, [(0, -1.0), (2, 1.0)])
+    assert not degenerate and e0 == -1.0 and einf == 1.0 / np.sqrt(5.0)
+    assert _exponent_rule(2, [(2, 1.0)])[:2] == (False, True)
+    assert _exponent_rule(2, [])[:2] == (False, True)
 
 
 def test_qubit_ladder_analytic():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from topospec.fields import GridSpec
-from topospec.invariants import CANONICAL_LABELS, QUAD_TOL
+from topospec.fields import GridSpec, TripleSpec
+from topospec.invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
+                                 singularity_class)
 from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS, capacity,
                                compute_spectrum, dependency_scan,
-                               enumerate_triples, independent_count,
+                               enumerate_triples, evaluate_map,
+                               independent_count,
                                normalize_mode, read_spectrum_values,
                                similarity, spectrum_to_dict, svg_bar_chart,
                                triple_count, write_spectrum_csv,
@@ -157,6 +159,28 @@ def test_spectrum_independent_of_worker_count(l, mode, grid):
     one = compute_spectrum(state, mode, grid=grid, workers=1)
     two = compute_spectrum(state, mode, grid=grid, workers=2)
     assert one.entries == two.entries
+
+
+def test_skewed_clean_state_takes_singular_flag_from_term_content():
+    # the label catalog assumes equal amplitudes: at c = (1, 2, 3) the
+    # lambda-3 thirds of 453 and 673 keep a live r^2 term, one above the
+    # pair exponent, that cancels only when c_1 = c_2
+    state = make_state((-1, 1, 0), (1, 2, 3))
+    sp = compute_spectrum(state, workers=1)
+    for e in sp.entries:
+        field = canonical_field(state, e.triple_label)
+        assert e.singular == singularity_class(field), e.triple_label
+    assert sp.entry("453").singular and sp.entry("673").singular
+
+
+def test_evaluate_map_default_grid_follows_the_spec():
+    state = make_state((-1, 0, 1), np.ones(3))
+    labelled = evaluate_map(state, enumerate_triples(3)[0])
+    indexed = evaluate_map(state, TripleSpec((1, 2, 3)))
+    assert labelled.triple_label == "123" and indexed.triple_label == "1-2-3"
+    assert labelled.n_r_used in (512, 1024, 2048)
+    assert indexed.n_r_used in (256, 512, 1024)
+    assert labelled.glued == compute_spectrum(state, workers=1).entry("123").glued
 
 
 def test_json_artifact(tmp_path):
