@@ -77,12 +77,10 @@ def _add_census_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _grid_from_args(args) -> GridSpec | None:
+    """The grid the flags ask for; an unset flag keeps the per-map default."""
     if args.grid_nr is None and args.grid_nphi is None and args.rmax is None:
         return None
-    base = GridSpec()
-    return GridSpec(base.r_min, args.rmax,
-                    args.grid_nr if args.grid_nr is not None else base.n_r,
-                    args.grid_nphi, base.tail_eps)
+    return GridSpec(r_max=args.rmax, n_r=args.grid_nr, n_phi=args.grid_nphi)
 
 
 def _parse_int_list(text: str) -> list[int]:

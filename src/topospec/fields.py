@@ -48,11 +48,13 @@ class GridSpec:
     algebraically (the Gaussian envelopes cancel inside the normalized
     field), so a finite cutoff would leave visible truncation errors on
     slowly closing maps.  r_max only anchors the classifier probes.
+    n_r None leaves the radial panel count to spectrum.evaluate_map, which
+    picks it per map.
     """
 
     r_min: float = 1e-3
     r_max: float | None = None
-    n_r: int = 4096
+    n_r: int | None = 4096
     n_phi: int | None = None
     tail_eps: float = 1e-6
 
@@ -64,7 +66,7 @@ class GridSpec:
         if n_phi is None:
             spread = max(l) - min(l)
             n_phi = 64 * max(1, int(spread))
-        if self.n_r < 1 or n_phi < 1:
+        if self.n_r is None or self.n_r < 1 or n_phi < 1:
             raise ValueError(f"grid needs n_r >= 1 and n_phi >= 1, got "
                              f"n_r={self.n_r}, n_phi={n_phi}")
         return GridSpec(self.r_min, r_max, int(self.n_r), int(n_phi), self.tail_eps)
@@ -425,8 +427,11 @@ def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
     if spec.canonical is not None:
         raise ValueError("canonical triples build through canonical_field")
     d = state.d
-    basis = build_basis(d)
     idx = spec.indices
+    if idx[-1] > d * d - 1:     # indices are sorted and 1-based
+        raise ValueError(f"basis index {idx[-1]} out of range 1..{d * d - 1} "
+                         f"for d = {d}")
+    basis = build_basis(d)
     found = detect_nice_pair(d, idx)
     if found is None:
         arrangement = (0, 1, 2)

@@ -4,6 +4,10 @@ Enumerates index triples (full census or the named qutrit list), evaluates
 every map numerically with the analytic column alongside, checks the
 dependency structure of the named qutrit maps, scores spectrum similarity,
 and serializes spectra to CSV/JSON plus a dependency-free SVG bar chart.
+
+Pooled spectra share one worker pool per process: the first call with more
+than one worker starts it (start method fork) and later calls with the same
+worker count reuse it until the interpreter exits.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
-from itertools import combinations, permutations
+import threading
+from dataclasses import dataclass, replace
+from itertools import combinations, permutations, repeat
 from multiprocessing import get_context
 
 import numpy as np
@@ -159,14 +164,16 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
                  photon_swap: bool = False) -> SpectrumEntry:
     """Spectrum entry of one candidate map: the one per-map code path.
 
-    The default grid has 512 radial panels for a canonical qutrit label
-    and 256 for an index triple.  The singular flag comes from the
+    The default radial grid has 512 panels for a canonical qutrit label
+    and 256 for an index triple; a grid whose n_r is None takes it too and
+    keeps its other settings.  The singular flag comes from the
     field's term content (wrapping_numeric's default).  The analytic
     column is filled only for clean (diagonal-amplitude) sources, where
     the closed forms apply.  photon_swap negates every value.
     """
-    if grid is None:
-        grid = GridSpec(n_r=512 if spec.canonical is not None else 256)
+    if grid is None or grid.n_r is None:
+        grid = replace(grid or GridSpec(),
+                       n_r=512 if spec.canonical is not None else 256)
     clean = _is_clean(source)
     if spec.canonical is not None:
         field = canonical_field(source, spec.canonical)
@@ -184,16 +191,76 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
                          res.quadrature_error, res.n_r_used)
 
 
-_CTX: dict = {}
+def _evaluate_chunk(source, specs, options: dict) -> list[SpectrumEntry]:
+    """Entries of a run of specs; every input comes in the arguments."""
+    return [evaluate_map(source, spec, **options) for spec in specs]
 
 
-def _init_worker(state, options):
-    _CTX.update(state=state, options=options)
+# The process's worker pool: (executor, workers, pid, close).  Pooled calls
+# take the lock, so one pool serves one call at a time.
+_pool: tuple | None = None
+_pool_lock = threading.Lock()
 
 
-def _evaluate_position(item) -> tuple:
-    pos, spec = item
-    return pos, evaluate_map(_CTX["state"], spec, **_CTX["options"])
+def _shared_pool(workers: int):
+    """The pool of this process, started on first use and kept until exit.
+
+    A pool is reused only for the same worker count and only by the process
+    that started it: a forked child starts its own and never touches its
+    parent's.
+    """
+    global _pool
+    if _pool is not None and _pool[1:3] == (workers, os.getpid()):
+        return _pool[0]
+    _close_pool()
+    # imported on first use: at module level it adds about 14 ms to
+    # `import topospec`, which one-shot commands and serial callers pay
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
+    executor = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    # The executor's own exit hook joins the workers at interpreter exit,
+    # but a multiprocessing child first joins its children and closes its
+    # queues (at exit priority 10), so it would wait on idle workers
+    # forever.  This finalizer runs before both and stops them.
+    close = Finalize(None, executor.shutdown, kwargs={"cancel_futures": True},
+                     exitpriority=20)
+    _pool = (executor, workers, os.getpid(), close)
+    return executor
+
+
+def _close_pool() -> None:
+    """Shut this process's pool down; a parent's pool is only forgotten."""
+    global _pool
+    if _pool is not None and _pool[2] == os.getpid():
+        _pool[3]()
+    _pool = None
+
+
+def _evaluate_pooled(source, specs, options: dict, workers: int) -> list[SpectrumEntry]:
+    """Entries in enumeration order, chunks spread over the shared pool.
+
+    Any exception shuts the pool down before it propagates, so the next
+    call starts a fresh one.  A pool that broke (a worker died, perhaps
+    between calls) is replaced and the call runs once more on the new one.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+    size = max(1, len(specs) // (workers * 8))
+    chunks = [specs[k:k + size] for k in range(0, len(specs), size)]
+    with _pool_lock:
+        for last in (False, True):
+            pool = _shared_pool(workers)
+            try:
+                parts = list(pool.map(_evaluate_chunk, repeat(source), chunks,
+                                      repeat(options)))
+            except BrokenProcessPool:
+                _close_pool()
+                if last:
+                    raise
+            except BaseException:
+                _close_pool()
+                raise
+            else:
+                return [e for part in parts for e in part]
 
 
 def default_workers() -> int:
@@ -214,25 +281,25 @@ def compute_spectrum(state: QuditState, mode: str | None = None,
     goes through evaluate_map, which also picks the default grid.
     photon_swap flips the orientation convention, negating the whole
     spectrum.
+
+    With more than one worker the maps run on the process's shared pool.
+    The first such call starts it with the fork start method; later calls
+    reuse it.  It is replaced when the worker count differs, when the
+    caller is a forked child of the process that started it, or after a
+    call that raised; a call that finds its pool broken (a worker died)
+    runs once more on a fresh one.  Each task carries the source, the
+    options and a chunk of specs, so workers keep no state between calls.
     """
     mode = normalize_mode(mode, state.d)
-    items = list(enumerate(enumerate_triples(state.d, mode)))
+    specs = enumerate_triples(state.d, mode)
     workers = default_workers() if workers is None else max(1, int(workers))
     options = dict(grid=grid, tol=tol, max_doublings=max_doublings,
                    photon_swap=photon_swap)
-    slots: list[SpectrumEntry | None] = [None] * len(items)
-    if workers == 1 or len(items) <= 2:
-        _init_worker(state, options)
-        for pos, entry in map(_evaluate_position, items):
-            slots[pos] = entry
+    if workers == 1 or len(specs) <= 2:
+        entries = _evaluate_chunk(state, specs, options)
     else:
-        ctx = get_context("fork")
-        chunk = max(1, len(items) // (workers * 8))
-        with ctx.Pool(workers, initializer=_init_worker,
-                      initargs=(state, options)) as pool:
-            for pos, entry in pool.imap_unordered(_evaluate_position, items, chunk):
-                slots[pos] = entry
-    return TopologicalSpectrum(state.d, mode, tuple(slots))
+        entries = _evaluate_pooled(state, specs, options, workers)
+    return TopologicalSpectrum(state.d, mode, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

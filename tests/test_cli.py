@@ -1,11 +1,16 @@
 """End-to-end command-line workflows against golden artifact shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import topospec
 from topospec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from topospec.invariants import CANONICAL_LABELS
 from topospec.spectrum import compute_spectrum, read_spectrum_values
@@ -171,6 +176,30 @@ def test_json_records_the_workers_that_ran(tmp_path):
                  "--workers", "1", "--out", str(tmp_path / "s.csv"),
                  "--json", str(json_path)]) in (EXIT_OK, EXIT_NUMERIC)
     assert json.loads(json_path.read_text())["meta"]["workers"] == 1
+
+
+def test_grid_flag_without_grid_nr_keeps_the_radial_default(tmp_path):
+    # 512 radial panels for canonical labels, doubled at most twice
+    state = _make_state(tmp_path)
+    json_path = tmp_path / "spectrum.json"
+    assert main(["spectrum", "compute", str(state), "--grid-nphi", "64",
+                 "--out", str(tmp_path / "s.csv"),
+                 "--json", str(json_path)]) in (EXIT_OK, EXIT_NUMERIC)
+    entries = json.loads(json_path.read_text())["entries"]
+    assert len(entries) == 18
+    assert all(e["n_r_used"] <= 2048 for e in entries)
+
+
+def test_invariant_eval_rejects_an_index_beyond_the_basis(tmp_path):
+    state = _make_state(tmp_path)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "topospec.cli", "invariant",
+                           "eval", str(state), "1,2,20"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INPUT
+    assert "basis index 20 out of range 1..8" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_invariant_eval_rejects_unknown_label(tmp_path, capsys):

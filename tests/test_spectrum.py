@@ -1,12 +1,18 @@
 """Census enumeration, spectrum assembly, dependences, and serialization."""
 
+import faulthandler
 import json
+import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from topospec import spectrum
 from topospec.fields import GridSpec, TripleSpec
 from topospec.invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
                                  singularity_class)
@@ -159,6 +165,112 @@ def test_spectrum_independent_of_worker_count(l, mode, grid):
     one = compute_spectrum(state, mode, grid=grid, workers=1)
     two = compute_spectrum(state, mode, grid=grid, workers=2)
     assert one.entries == two.entries
+
+
+POOL_TIMEOUT = 60       # seconds; every pool test finishes in a few
+
+
+@pytest.fixture
+def deadline():
+    """Ends the test run with a traceback dump if a pool test hangs."""
+    faulthandler.dump_traceback_later(2 * POOL_TIMEOUT, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _qutrit_and_reference(l=(-1, 0, 1)):
+    state = make_state(l, np.ones(3))
+    return state, compute_spectrum(state, grid=SMALL_GRID, workers=1).entries
+
+
+def test_pooled_calls_reuse_one_pool_and_its_workers(deadline):
+    state, one = _qutrit_and_reference()
+    first = compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    pool, pids = spectrum._pool[0], _worker_pids()
+    second = compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    assert len(pids) == 2
+    assert spectrum._pool[0] is pool and _worker_pids() == pids
+    assert first.entries == second.entries == one
+
+
+def test_another_worker_count_replaces_the_pool(deadline):
+    state, one = _qutrit_and_reference()
+    compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    pool, pids = spectrum._pool[0], _worker_pids()
+    three = compute_spectrum(state, grid=SMALL_GRID, workers=3)
+    assert spectrum._pool[0] is not pool and spectrum._pool[1] == 3
+    assert len(_worker_pids()) == 3 and not pids & _worker_pids()
+    assert three.entries == one
+
+
+@pytest.mark.parametrize("when", ["between", "during"])
+def test_a_killed_worker_leaves_the_next_call_correct(deadline, when):
+    state, one = _qutrit_and_reference((-4, -3, 4))
+    compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    victim = min(_worker_pids())
+    if when == "between":
+        os.kill(victim, signal.SIGKILL)
+    else:
+        census = make_state((-2, -1, 1, 0), np.ones(4))
+        grid = GridSpec(n_r=64)
+        ref = compute_spectrum(census, "full", grid=grid, workers=1).entries
+        # the pooled census takes about 0.4 s on two cores
+        timer = threading.Timer(0.1, os.kill, (victim, signal.SIGKILL))
+        timer.start()
+        try:
+            hit = compute_spectrum(census, "full", grid=grid, workers=2)
+        finally:
+            timer.join(POOL_TIMEOUT)
+        assert not timer.is_alive()
+        assert hit.entries == ref
+    after = compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    assert after.entries == one
+    assert victim not in _worker_pids() and len(_worker_pids()) == 2
+
+
+def test_a_call_that_raised_replaces_the_pool(deadline):
+    state, one = _qutrit_and_reference()
+    compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    pool, pids = spectrum._pool[0], _worker_pids()
+    with pytest.raises(ValueError, match="n_phi"):
+        compute_spectrum(state, grid=GridSpec(n_r=64, n_phi=0), workers=2)
+    assert spectrum._pool is None and not pids & _worker_pids()
+    again = compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    assert spectrum._pool[0] is not pool and again.entries == one
+
+
+def _send_pooled_spectrum(state, conn):
+    conn.send(compute_spectrum(state, grid=SMALL_GRID, workers=2).entries)
+    conn.close()
+
+
+# the test forks on purpose while the pool's manager thread runs
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_forked_child_runs_its_own_pool_and_exits(deadline):
+    state, one = _qutrit_and_reference()
+    compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    pool, pids = spectrum._pool[0], _worker_pids()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_pooled_spectrum, args=(state, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(POOL_TIMEOUT)
+        got = recv.recv()
+        child.join(POOL_TIMEOUT)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+        recv.close()
+    assert got == one
+    assert spectrum._pool[0] is pool and _worker_pids() == pids
+    assert compute_spectrum(state, grid=SMALL_GRID, workers=2).entries == one
 
 
 def test_skewed_clean_state_takes_singular_flag_from_term_content():
