@@ -24,10 +24,9 @@ from .spectrum import (compute_spectrum, default_workers, dependency_scan,
                        write_spectrum_json)
 from .states import (load_state, make_state, sample_perturbation, save_state,
                      inject_subspace)
-from .tomography import (NoiseModel, epsilon_from_crosstalk, metrics,
-                         projection_set, reconstruct, save_density,
-                         simulate_coincidences, spectrum_from_density,
-                         write_coincidences_csv)
+from .tomography import (epsilon_from_crosstalk, metrics, projection_set,
+                         reconstruct, save_density, simulate_coincidences,
+                         spectrum_from_density, write_coincidences_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 1

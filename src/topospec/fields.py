@@ -5,7 +5,11 @@ of pair terms f_j(r) f_j'(r) (alpha cos(D phi) + beta sin(D phi)) with
 D = l_j' - l_j, which gives exact radial and azimuthal derivatives for
 free.  A UnitField bundles the three components of a triple in canonical
 arrangement (cos-like, sin-like, third) together with the origin-fix
-policy that repairs wedge discontinuities of root-type thirds.  Its area
+policy that repairs wedge discontinuities of root-type thirds.  The
+layout of an index triple (its nice pair and arrangement, the orientation
+gauge of a root-type third, and the third axis's terms at unit
+amplitudes) is decided once, in map_layout; triple_field, the closed
+forms and the qutrit label catalogue in invariants all read it.  Its area
 density det[m, m_r, m_phi] / |m|^3 is taken straight from the unnormalized
 field; the normalized map and its tangent derivatives (``unit``) serve the
 boundary classifier and stand as the reference for the density.  With the
@@ -23,11 +27,11 @@ azimuthal resolution.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisElement, build_basis, nice_pairs
+from .basis import build_basis, nice_pairs
 from .states import QuditState, radial_profile
 
 # Points per block of area-density rows: wrapping_numeric streams its radial
@@ -99,7 +103,7 @@ class TermField:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def evaluate(self, r, phi, profiles=None, scaled=False):
+    def evaluate(self, r, phi, scaled=False):
         """Return (m, dm/dr, dm/dphi) on the outer-product grid.
 
         scaled=True drops the common Gaussian envelope from every term
@@ -109,8 +113,7 @@ class TermField:
         """
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        if profiles is None:
-            profiles = _profiles(self.l, set(self.js) | set(self.jps), r, scaled)
+        profiles = _profiles(self.l, set(self.js) | set(self.jps), r, scaled)
         m = np.zeros((r.size, phi.size))
         mr = np.zeros_like(m)
         mp = np.zeros_like(m)
@@ -214,11 +217,9 @@ class UnitField:
 
     l: tuple[int, ...]
     terms: tuple[TermField, TermField, TermField]
-    indices: tuple[int, int, int]
     arrangement: tuple[int, int, int]
     sigma: float
     pair_modes: tuple[int, int] | None
-    omega: int
 
     def evaluate(self, r, phi, fix: bool = True, scaled: bool = False):
         """Stacked S-tilde and partials, shape (3, nr, nphi) each."""
@@ -412,45 +413,49 @@ def _workspace(rows: int, n_phi: int) -> np.ndarray:
     return buf[:size].reshape(3, rows, n_phi)
 
 
-def detect_nice_pair(d: int, indices: tuple[int, int, int]):
-    """Positions (cos, sin, third) of a nice pair inside the triple, or None."""
+def map_layout(d: int, indices: tuple[int, int, int]):
+    """Layout of the map on a sorted 1-based index triple, read off the basis.
+
+    Returns (arrangement, pair_modes, sigma, third).  A nice pair sits at
+    two adjacent sorted positions (partners hold adjacent indices), so the
+    arrangement (cos-like, sin-like, third) is an even rotation of the
+    sorted triple; without a pair it is the sorted order, pair_modes is
+    None and sigma 0.  sigma is the orientation gauge of a root-type third,
+    -1 for the qutrit (4,5) family and +1 otherwise, and 0 for a diagonal
+    third.  third lists the third axis's terms (m, n, weight) at unit
+    amplitudes: the nonzero diagonal entries (m = n), or the single term
+    (m, n, sigma) of a root-type third.
+    """
+    if indices[0] < 1 or indices[-1] > d * d - 1:
+        bad = indices[0] if indices[0] < 1 else indices[-1]
+        raise ValueError(f"basis index {bad} out of range 1..{d * d - 1} "
+                         f"for d = {d}")
+    basis = build_basis(d)
     pairs = set(nice_pairs(d))
-    for a in range(3):
-        for b in range(3):
-            if a != b and (indices[a], indices[b]) in pairs:
-                return (a, b, 3 - a - b)
-    return None
+    a = next((a for a in (0, 1) if (indices[a], indices[a + 1]) in pairs), None)
+    if a is None:
+        return (0, 1, 2), None, 0.0, ()
+    arrangement = (a, a + 1, 2 - 2 * a)
+    pair_modes = basis[indices[a] - 1].modes
+    third = basis[indices[2 - 2 * a] - 1]
+    if third.kind == "diag":
+        diag = np.real(np.diag(third.matrix))
+        return arrangement, pair_modes, 0.0, tuple(
+            (m, m, float(x)) for m, x in enumerate(diag) if abs(x) > 1e-12)
+    # the orientation gauge of the qutrit (4,5) family
+    sigma = -1.0 if d == 3 and indices[a] == 4 else 1.0
+    return arrangement, pair_modes, sigma, ((*third.modes, sigma),)
 
 
 def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
     """Build the arranged unit-field for a basis-index triple."""
     if spec.canonical is not None:
         raise ValueError("canonical triples build through canonical_field")
-    d = state.d
-    idx = spec.indices
-    if idx[-1] > d * d - 1:     # indices are sorted and 1-based
-        raise ValueError(f"basis index {idx[-1]} out of range 1..{d * d - 1} "
-                         f"for d = {d}")
-    basis = build_basis(d)
-    found = detect_nice_pair(d, idx)
-    if found is None:
-        arrangement = (0, 1, 2)
-        sigma = 0.0
-        pair_modes = None
-        omega = 0
-    else:
-        arrangement = found
-        third_el = basis[idx[found[2]] - 1]
-        pair_modes = basis[idx[found[0]] - 1].modes
-        omega = state.l[pair_modes[0]] - state.l[pair_modes[1]]
-        if third_el.kind == "diag":
-            sigma = 0.0
-        elif d == 3 and idx[found[0]] == 4:
-            sigma = -1.0   # (4,5)-family orientation gauge
-        else:
-            sigma = 1.0
-    terms = tuple(term_field(state, basis[idx[k] - 1].matrix) for k in arrangement)
-    return UnitField(state.l, terms, idx, arrangement, sigma, pair_modes, omega)
+    arrangement, pair_modes, sigma, _ = map_layout(state.d, spec.indices)
+    basis = build_basis(state.d)
+    terms = tuple(term_field(state, basis[spec.indices[k] - 1].matrix)
+                  for k in arrangement)
+    return UnitField(state.l, terms, arrangement, sigma, pair_modes)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,11 @@ W / sqrt(W^2 + 4), a lone live exponent equal to the pair's leaves a
 degenerate map, and a lowest live exponent one above the pair's makes the
 planar density diverge like 1/r at the origin (the singular flag).  The
 closed forms, the singular flag of a field or of a canonical label, and
-the accidental predictor all read the same list.  Disk-like maps (one
+the accidental predictor all read the same list.  A nice-pair triple
+takes its pair and third-axis terms from fields.map_layout, and so does
+the catalogue of canonical qutrit labels, built once at import: a plain
+label is the index triple it spells, a starred one its pair's usual map
+(third axis the pair's own commutator).  Disk-like maps (one
 boundary end mapping to a trace instead of a point) are glued, doubling
 the raw integral.
 """
@@ -32,7 +36,7 @@ import numpy as np
 
 from .basis import build_basis
 from .fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec, UnitField,
-                     classify_map, detect_nice_pair, term_field, triple_field)
+                     classify_map, map_layout, term_field, triple_field)
 from .states import QuditState
 
 QUAD_TOL = 5e-3
@@ -193,36 +197,33 @@ def _closed_form(l, pair: tuple[int, int], third) -> AnalyticWrap:
     return AnalyticWrap(0.0, 0.0, "degenerate")
 
 
+def _usual_map(i: int, j: int):
+    """Pair modes and third-axis terms of the root pair on modes i, j with
+    its own commutator third."""
+    return (i, j), ((i, i, 1.0), (j, j, -1.0))
+
+
 def wrapping_analytic_usual(l, modes: tuple[int, int]) -> AnalyticWrap:
     """Root-pair map with its own commutator third, any dimension."""
-    i, j = modes
-    return _closed_form(tuple(l), (i, j), ((i, i, 1.0), (j, j, -1.0)))
+    return _closed_form(tuple(l), *_usual_map(*modes))
 
 
 def wrapping_analytic_triple(l, indices: tuple[int, int, int],
                              d: int | None = None) -> AnalyticWrap | None:
     """Closed-form value of a pure-index triple for an equal-amplitude state.
 
-    Nice-pair triples evaluate through the exponent rule (diagonal or
-    root-type third); mixed cos/diagonal/sin triples go through the
+    Nice-pair triples evaluate through the exponent rule on the third-axis
+    terms of their layout; mixed cos/diagonal/sin triples go through the
     accidental predictor.  Anything else has no closed form here.
     """
     l = tuple(int(x) for x in l)
     d = d or len(l)
-    basis = build_basis(d)
     idx = tuple(sorted(int(i) for i in indices))
-    found = detect_nice_pair(d, idx)
-    if found is None:
+    _, pair, _, third = map_layout(d, idx)
+    if pair is None:
         v = accidental_predict(l, idx, d)
         return None if v is None else AnalyticWrap(v, v, "accidental")
-    a, _, t = found
-    third = basis[idx[t] - 1]
-    if third.kind == "diag":
-        terms = tuple((m, m, float(x)) for m, x in
-                      enumerate(np.real(np.diag(third.matrix))) if abs(x) > 1e-12)
-    else:
-        terms = ((*third.modes, -1.0 if d == 3 and idx[a] == 4 else 1.0),)
-    return _closed_form(l, basis[idx[a] - 1].modes, terms)
+    return _closed_form(l, pair, third)
 
 
 CANONICAL_LABELS = ["123", "45*", "67*",
@@ -232,26 +233,14 @@ CANONICAL_LABELS = ["123", "45*", "67*",
 
 _ALIASES = {"45s": "45*", "67s": "67*", "458": "45*", "678": "67*"}
 
-_D3_PAIRS = {"12": (0, 1), "45": (0, 2), "67": (1, 2)}
-_S3 = 1.0 / np.sqrt(3.0)
 
-
-def _d3_map(label: str):
-    """Pair modes and third-axis terms (m, n, weight) of a canonical label."""
-    i, j = pair = _D3_PAIRS[label[:2]]
-    third = label[2]
-    if third == "*":
-        return pair, ((i, i, 1.0), (j, j, -1.0))
-    if third == "3":
-        return pair, ((0, 0, 1.0), (1, 1, -1.0))
-    if third == "8":
-        return pair, ((0, 0, _S3), (1, 1, _S3), (2, 2, -2.0 * _S3))
-    # a root-type third, with the orientation gauge of the (4,5) family
-    m, n = build_basis(3)[int(third) - 1].modes
-    return pair, ((m, n, -1.0 if label[:2] == "45" else 1.0),)
-
-
-_D3_MAPS = {label: _d3_map(label) for label in CANONICAL_LABELS}
+# Pair modes and third-axis terms of every canonical label: a plain label
+# is the index triple it spells (map_layout's pair modes and third terms),
+# a starred one its pair's usual map.
+_D3_MAPS = {label: (_usual_map(*build_basis(3)[int(label[0]) - 1].modes)
+                    if label[2] == "*" else
+                    map_layout(3, tuple(sorted(int(ch) for ch in label)))[1::2])
+            for label in CANONICAL_LABELS}
 
 
 def canonical_label(label: str) -> str:
@@ -294,39 +283,42 @@ def canonical_field(state: QuditState, label: str) -> UnitField:
     if state.d != 3:
         raise ValueError("canonical labels are defined for d = 3")
     label = canonical_label(label)
-    pair_key = label[:2]
     if label[2] != "*":
         return triple_field(state, TripleSpec(tuple(int(ch) for ch in label)))
     basis = build_basis(3)
     lam3, lam8 = basis[2].matrix, basis[7].matrix
-    sign = 1.0 if pair_key == "45" else -1.0
+    sign = 1.0 if label[:2] == "45" else -1.0
     third = 0.5 * (sign * lam3 + np.sqrt(3.0) * lam8)
-    sym_idx = {"45": 4, "67": 6}[pair_key]
+    sym_idx = int(label[0])
     terms = (term_field(state, basis[sym_idx - 1].matrix),
              term_field(state, basis[sym_idx].matrix),
              term_field(state, third))
-    i, j = _D3_PAIRS[pair_key]
-    return UnitField(state.l, terms, (sym_idx, sym_idx + 1, 0), (0, 1, 2), 0.0,
-                     (i, j), state.l[i] - state.l[j])
+    return UnitField(state.l, terms, (0, 1, 2), 0.0, _D3_MAPS[label][0])
 
 
 # ---------------------------------------------------------------------------
 # accidental invariants
 
 def lissajous_winding(a: int, b: int) -> int:
-    """Winding of phi -> (cos(a phi), sin(b phi)) around the origin."""
-    if a == 0 or b == 0:
-        return 0
-    n = 512 * max(abs(a), abs(b))
-    while True:
-        phi = np.linspace(0.0, 2.0 * np.pi, n + 1)
-        ang = np.unwrap(np.arctan2(np.sin(b * phi), np.cos(a * phi)))
-        w = (ang[-1] - ang[0]) / (2.0 * np.pi)
-        if abs(w - round(w)) < 1e-6:
-            return int(round(w))
-        if n > 2_000_000:
-            raise RuntimeError("winding did not settle")
-        n *= 4
+    """Winding of phi -> (cos(a phi), sin(b phi)) around the origin.
+
+    Counted exactly over the 2|b| zeros phi_k = k pi / |b| of sin(b phi),
+    where the curve crosses the x-axis with dy/dphi = b (-1)^k: the
+    crossings on the positive half add up to the winding.  With
+    q = a k mod 2|b|, cos(a phi_k) has the sign of cos(q pi / |b|), which
+    is positive for 2q < |b| or 2q > 3|b|.  A curve through the origin
+    (2q = |b| or 3|b| at some k) has no winding number, and 0 is returned
+    for it, as for b = 0.
+    """
+    n = 2 * abs(b)
+    wind = 0
+    for k in range(n):
+        q2 = 2 * (a * k % n)
+        if q2 in (abs(b), 3 * abs(b)):
+            return 0
+        if q2 < abs(b) or q2 > 3 * abs(b):
+            wind += (1 if b > 0 else -1) * (-1) ** k
+    return wind
 
 
 def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -> float | None:

@@ -7,7 +7,8 @@ and serializes spectra to CSV/JSON plus a dependency-free SVG bar chart.
 
 Pooled spectra share one worker pool per process: the first call with more
 than one worker starts it (start method fork) and later calls with the same
-worker count reuse it until the interpreter exits.
+worker count reuse it until the interpreter exits.  A worker whose owner
+dies without shutting the pool down (SIGKILL) exits on its own.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, repeat
 from multiprocessing import get_context
@@ -217,7 +219,9 @@ def _shared_pool(workers: int):
     # `import topospec`, which one-shot commands and serial callers pay
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing.util import Finalize
-    executor = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    executor = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                   initializer=_exit_with_parent,
+                                   initargs=(os.getpid(),))
     # The executor's own exit hook joins the workers at interpreter exit,
     # but a multiprocessing child first joins its children and closes its
     # queues (at exit priority 10), so it would wait on idle workers
@@ -226,6 +230,21 @@ def _shared_pool(workers: int):
                      exitpriority=20)
     _pool = (executor, workers, os.getpid(), close)
     return executor
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once parent is no longer its parent.
+
+    A worker holds its queues' write ends itself, so an owner killed
+    outright (SIGKILL) would leave it waiting for tasks forever; a daemon
+    thread polls the parent pid and exits the worker when it changes.
+    """
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _close_pool() -> None:

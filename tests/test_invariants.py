@@ -23,6 +23,9 @@ from topospec.tomography import DensityCoeffs
 
 st_l3 = st.lists(st.integers(-4, 4), min_size=3, max_size=3, unique=True)
 
+# mode pairs of the starred canonical labels
+STARRED_PAIRS = {"45*": (0, 2), "67*": (1, 2)}
+
 # closed-form values of every canonical map at mode charges (-1, 0, 1)
 FROZEN_M101 = {
     "123": -1.0, "45*": 0.0, "67*": 1.0,
@@ -221,13 +224,31 @@ def test_singularity_catalog_matches_field_content(l, label):
 @given(st_l3)
 @settings(max_examples=30, deadline=None)
 def test_pure_index_triples_agree_with_labels(l):
-    # the starred labels aside, canonical maps are plain index triples
-    for label, idx in (("123", (1, 2, 3)), ("451", (4, 5, 1)),
-                       ("128", (1, 2, 8)), ("673", (6, 7, 3))):
-        got = wrapping_analytic_triple(l, idx)
+    # plain canonical labels are index triples; a starred one is the usual
+    # map of its pair
+    for label in CANONICAL_LABELS:
         want = wrapping_analytic_d3(label, l)
-        assert got is not None
-        assert_allclose(got.glued, want.glued, atol=1e-12)
+        if label[2] == "*":
+            got = wrapping_analytic_usual(l, STARRED_PAIRS[label])
+        else:
+            got = wrapping_analytic_triple(l, tuple(int(ch) for ch in label))
+        assert got == want, label
+
+
+def test_index_triple_beyond_the_basis_is_rejected():
+    with pytest.raises(ValueError, match="basis index 20 out of range 1..8"):
+        wrapping_analytic_triple((-1, 0, 1), (1, 2, 20), 3)
+    with pytest.raises(ValueError, match="basis index 0 out of range 1..8"):
+        wrapping_analytic_triple((-1, 0, 1), (0, 1, 2), 3)
+
+
+def _sampled_winding(a, b, n=20000):
+    """Winding of phi -> (cos(a phi), sin(b phi)) by angle unwrapping, and
+    the curve's least distance from the origin."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    x, y = np.cos(a * phi), np.sin(b * phi)
+    ang = np.unwrap(np.arctan2(y, x))
+    return (ang[-1] - ang[0]) / (2.0 * np.pi), float(np.min(np.hypot(x, y)))
 
 
 def test_lissajous_winding_basics():
@@ -235,6 +256,25 @@ def test_lissajous_winding_basics():
     assert lissajous_winding(3, 3) == 3
     assert lissajous_winding(1, -1) == -1
     assert lissajous_winding(2, 0) == 0
+
+
+def test_lissajous_winding_is_exact_and_zero_through_the_origin():
+    for a in range(8):
+        for b in range(-8, 9):
+            wind, gap = _sampled_winding(a, b)
+            if gap < 1e-6:
+                # the curve runs through the origin: no winding number
+                assert lissajous_winding(a, b) == 0, (a, b)
+            else:
+                assert gap > 1e-2 and lissajous_winding(a, b) == round(wind), (a, b)
+                assert abs(wind - round(wind)) < 1e-6
+
+
+def test_accidental_prediction_skips_curves_through_the_origin():
+    # the Lissajous curve (cos 5 phi, sin -6 phi) meets the origin at
+    # phi = pi / 2; the converged numeric wrapping of this map is 0
+    assert accidental_predict((-4, -3, 2), (5, 6, 8)) is None
+    assert wrapping_analytic_triple((-4, -3, 2), (5, 6, 8)) is None
 
 
 def test_accidental_prediction_exists_only_under_degeneracy():

@@ -1,11 +1,13 @@
 """Census enumeration, spectrum assembly, dependences, and serialization."""
 
+import contextlib
 import faulthandler
 import json
 import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -271,6 +273,54 @@ def test_forked_child_runs_its_own_pool_and_exits(deadline):
     assert got == one
     assert spectrum._pool[0] is pool and _worker_pids() == pids
     assert compute_spectrum(state, grid=SMALL_GRID, workers=2).entries == one
+
+
+def _send_worker_pids_then_wait(state, conn):
+    compute_spectrum(state, grid=SMALL_GRID, workers=2)
+    conn.send(_worker_pids())
+    conn.close()
+    threading.Event().wait(POOL_TIMEOUT)
+
+
+def _running(pid: int) -> bool:
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="reads process states from /proc")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_workers_exit_when_their_owner_is_killed(deadline):
+    state = make_state((-1, 0, 1), np.ones(3))
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    owner = ctx.Process(target=_send_worker_pids_then_wait, args=(state, send))
+    owner.start()
+    send.close()
+    pids = set()
+    try:
+        assert recv.poll(POOL_TIMEOUT)
+        pids = recv.recv()
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        owner.kill()
+        give_up = time.monotonic() + 10.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < give_up:
+            time.sleep(0.05)
+        assert not any(_running(pid) for pid in pids)
+    finally:
+        owner.kill()
+        for pid in pids:
+            if _running(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        # the workers hold the owner's sentinel open, so join after them
+        owner.join(POOL_TIMEOUT)
+        recv.close()
+    assert owner.exitcode == -signal.SIGKILL
 
 
 def test_skewed_clean_state_takes_singular_flag_from_term_content():
