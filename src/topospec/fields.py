@@ -9,19 +9,22 @@ policy that repairs wedge discontinuities of root-type thirds.  The
 layout of an index triple (its nice pair and arrangement, the orientation
 gauge of a root-type third, and the third axis's terms at unit
 amplitudes) is decided once, in map_layout; triple_field, the closed
-forms and the qutrit label catalogue in invariants all read it.  Its area
-density det[m, m_r, m_phi] / |m|^3 is taken straight from the unnormalized
-field; the normalized map and its tangent derivatives (``unit``) serve the
-boundary classifier and stand as the reference for the density.  With the
-Gaussian envelope dropped, each pair term is r^e times an angular factor,
-so the density expands separably: the determinant and |m|^2 are short sums
-of radial monomials times tables in phi, built once per (field, phi) and
-kept per thread.  A block of radii then costs one small matrix-vector
-product per radius and table, scaled per radius by a power of r that
-keeps every factor in range and cancels in the quotient; its
-intermediates live in a three-view per-thread workspace, and blocks of up
-to BLOCK_POINTS points keep that workspace a few megabytes at any
-azimuthal resolution.
+forms and the qutrit label catalogue in invariants all read it.
+
+With the Gaussian envelope dropped, each pair term is r^e times an
+angular factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's
+terms per exponent into one table row each, and every evaluator reads
+those rows: the reference TermField.evaluate, the envelope-free stacks
+behind the normalized map (``unit``) that the boundary classifier reads,
+and the area density det[m, m_r, m_phi] / |m|^3, taken straight from the
+unnormalized field.  The density expands separably: the determinant and
+|m|^2 are short sums of radial monomials times tables in phi, which
+UnitField.expansion builds once per map and azimuthal grid.  A block of
+radii then costs one small matrix-vector product per radius and table,
+scaled per radius by a power of r that keeps every factor in range and
+cancels in the quotient; its intermediates live in a three-view
+per-thread workspace, and blocks of up to BLOCK_POINTS points keep that
+workspace a few megabytes at any azimuthal resolution.
 """
 
 from __future__ import annotations
@@ -32,14 +35,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import build_basis, nice_pairs
-from .states import QuditState, radial_profile
+from .states import QuditState
 
 # Points per block of area-density rows: wrapping_numeric streams its radial
 # nodes in blocks of this many (r, phi) points, and the workspace keeps
 # buffers up to this size between calls.
 BLOCK_POINTS = 2 ** 16
 
-# the area-density workspace and the last expansion, one per thread
+# Pair terms with both amplitudes at most this drop out of a term field.
+TERM_TOL = 1e-14
+
+# Azimuthal probe points per ring of the boundary classifier.
+N_PROBE = 256
+
+# the area-density workspace, one per thread
 _LOCAL = threading.local()
 
 
@@ -103,67 +112,70 @@ class TermField:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def evaluate(self, r, phi, scaled=False):
-        """Return (m, dm/dr, dm/dphi) on the outer-product grid.
+    def rows(self, phi):
+        """Pair terms summed per envelope-free radial exponent, in term order.
 
-        scaled=True drops the common Gaussian envelope from every term
-        (and from the radial derivative).  Normalized quantities built
-        through the tangent-projection quotient rule are unaffected, and
-        the scaled fields stay representable at any radius.
+        Returns (p, dp), each of shape (2 max|l| + 1, n_phi): row e sums the
+        angular factors alpha cos(D phi) + beta sin(D phi) of the terms with
+        |l_j| + |l_j'| = e, and dp their phi-derivatives, so that without the
+        Gaussian envelope m = sum_e r^e p[e].  Amplitudes that cancel (the
+        lambda-3 third of equal-weight |l| pairs) leave exact zeros.
         """
-        r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        profiles = _profiles(self.l, set(self.js) | set(self.jps), r, scaled)
-        m = np.zeros((r.size, phi.size))
-        mr = np.zeros_like(m)
-        mp = np.zeros_like(m)
-        self._accumulate(r, phi, profiles, scaled, m, mr, mp, np.empty_like(m))
-        return m, mr, mp
-
-    def _accumulate(self, r, phi, profiles, scaled, m, mr, mp, tmp):
-        """Add every pair term into the caller's m, mr, mp; tmp is scratch."""
-        envelope = 0.0 if scaled else 4.0
-        for j, jp, (e, ang, dang) in zip(self.js, self.jps, self._angular(phi)):
-            prod = profiles[j] * profiles[jp]
-            dprod = (e / r - envelope * r) * prod
-            m += np.multiply.outer(prod, ang, out=tmp)
-            mr += np.multiply.outer(dprod, ang, out=tmp)
-            mp += np.multiply.outer(prod, dang, out=tmp)
-
-    def _angular(self, phi):
-        """Per pair term, in order: its envelope-free radial exponent
-        |l_j| + |l_j'| and its angular factor with that factor's phi-derivative."""
+        p = np.zeros((1 + 2 * max(abs(x) for x in self.l), phi.size))
+        dp = np.zeros_like(p)
         for j, jp, a, b in zip(self.js, self.jps, self.alpha, self.beta):
             delta = self.l[jp] - self.l[j]
             c, s = np.cos(delta * phi), np.sin(delta * phi)
-            yield (abs(self.l[j]) + abs(self.l[jp]), a * c + b * s,
-                   delta * (-a * s + b * c))
+            e = abs(self.l[j]) + abs(self.l[jp])
+            p[e] += a * c + b * s
+            dp[e] += delta * (-a * s + b * c)
+        return p, dp
+
+    def evaluate(self, r, phi, scaled=False):
+        """Return (m, dm/dr, dm/dphi) on the outer-product grid.
+
+        scaled=True drops the common Gaussian envelope exp(-2 r^2) from
+        every term (and from the radial derivative).  Normalized quantities
+        built through the tangent-projection quotient rule are unaffected,
+        and the scaled fields stay representable at any radius.
+        """
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        m, mr, mp = _on_radii(*self.rows(phi), r)
+        if not scaled:
+            env = np.exp(-2.0 * r * r)[:, None]
+            mr = (mr - 4.0 * r[:, None] * m) * env
+            m *= env
+            mp *= env
+        return m, mr, mp
 
 
-def _profiles(l, modes, r, scaled):
-    """Radial profile of each mode, without the Gaussian envelope if scaled."""
-    if scaled:
-        return {j: r ** abs(l[j]) for j in modes}
-    return {j: radial_profile(l[j], r) for j in modes}
+def _on_radii(p, dp, r):
+    """Envelope-free field and partials (m, dm/dr, dm/dphi) from exponent
+    rows p, dp (rows on the second-to-last axis) at each radius of r."""
+    e = np.arange(p.shape[-2])
+    powers = r[:, None] ** e
+    return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
 
 
-def term_field(source, matrix: np.ndarray, tol: float = 1e-14) -> TermField:
+def term_field(source, matrix: np.ndarray) -> TermField:
     """Pair-term representation of the generator expectation.
 
     source is a QuditState or anything exposing l and coeff(matrix); the
     density-matrix route plugs in through the same coefficient contract.
+    Terms with amplitudes at most TERM_TOL drop out.
     """
     coeff = source.coeff(matrix)
     d = len(source.l)
     js, jps, alpha, beta = [], [], [], []
     for j in range(d):
-        if abs(coeff[j, j].real) > tol:
+        if abs(coeff[j, j].real) > TERM_TOL:
             js.append(j); jps.append(j)
             alpha.append(coeff[j, j].real); beta.append(0.0)
         for jp in range(j + 1, d):
             a = 2.0 * coeff[j, jp].real
             b = -2.0 * coeff[j, jp].imag
-            if abs(a) > tol or abs(b) > tol:
+            if abs(a) > TERM_TOL or abs(b) > TERM_TOL:
                 js.append(j); jps.append(jp)
                 alpha.append(a); beta.append(b)
     return TermField(tuple(source.l), np.array(js, dtype=int),
@@ -221,24 +233,18 @@ class UnitField:
     sigma: float
     pair_modes: tuple[int, int] | None
 
-    def evaluate(self, r, phi, fix: bool = True, scaled: bool = False):
-        """Stacked S-tilde and partials, shape (3, nr, nphi) each."""
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        modes = set()
-        for t in self.terms:
-            modes |= set(t.js) | set(t.jps)
-        profiles = _profiles(self.l, modes, r, scaled)
-        m = np.zeros((3, r.size, phi.size))
-        mr = np.zeros_like(m)
-        mp = np.zeros_like(m)
-        tmp = np.empty_like(m[0])
-        for k, t in enumerate(self.terms):
-            t._accumulate(r, phi, profiles, scaled, m[k], mr[k], mp[k], tmp)
+    def _rows(self, phi):
+        """The three components' exponent rows, stacked: (3, E, n_phi) each."""
+        p, dp = zip(*(t.rows(phi) for t in self.terms))
+        return np.stack(p), np.stack(dp)
+
+    def evaluate(self, r, phi, fix: bool = True):
+        """Stacked envelope-free S-tilde and partials, shape (3, nr, nphi) each."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        m, mr, mp = _on_radii(*self._rows(phi), r)
         if fix and self.sigma != 0.0:
-            sgn = np.sign(m[2], out=tmp)
-            sgn[sgn == 0.0] = 1.0
-            sgn *= self.sigma
+            # sign(+-0) = +1
+            sgn = np.where(m[2] < 0.0, -self.sigma, self.sigma)
             m[2] *= sgn
             mr[2] *= sgn
             mp[2] *= sgn
@@ -252,7 +258,7 @@ class UnitField:
         drop out of S while every intermediate stays in floating-point
         range at any radius.
         """
-        m, mr, mp = self.evaluate(r, phi, fix, scaled=True)
+        m, mr, mp = self.evaluate(r, phi, fix)
         peak = np.abs(m).max(axis=(0, 2))
         peak[peak == 0.0] = 1.0
         peak = peak[None, :, None]
@@ -266,60 +272,49 @@ class UnitField:
         sp = (mp - s * np.sum(s * mp, axis=0)) / nrm
         return s, sr, sp
 
+    def expansion(self, phi) -> "_Expansion":
+        """The area density on phi as radial monomials times phi tables."""
+        p, dp = self._rows(phi)
+        live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
+        e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
+        p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
+        q = p * np.arange(e_lo, e_hi + 1)[:, None]      # r * d_r
+        det = (_poly_mul(p[0], _poly_mul(q[1], dp[2]) - _poly_mul(q[2], dp[1]))
+               + _poly_mul(p[1], _poly_mul(q[2], dp[0]) - _poly_mul(q[0], dp[2]))
+               + _poly_mul(p[2], _poly_mul(q[0], dp[1]) - _poly_mul(q[1], dp[0])))
+        nrm = _poly_mul(p[0], p[0]) + _poly_mul(p[1], p[1]) + _poly_mul(p[2], p[2])
+        # the determinant carries one 1/r from m_r
+        return _Expansion(self.sigma, p.shape[-1], e_lo, e_hi,
+                          *_live_rows(det, 3 * e_lo - 1),
+                          *_live_rows(nrm, 2 * e_lo), *_live_rows(p[2], e_lo))
+
     def area_density(self, r, phi, fix: bool = True) -> np.ndarray:
         """Pullback area density S . (dS/dr x dS/dphi), shape (nr, nphi).
 
         Equals det[m, m_r, m_phi] / |m|^3 of the unnormalized field: the
         parts of m_r and m_phi along m drop out of the determinant, and any
-        positive per-radius scale cancels.  Both the determinant and |m|^2
-        are short sums of radial monomials times tables in phi (see
-        ``_Expansion``), so a block costs one matrix-vector product per
-        radius and table, then a square root and a guarded divide; 0 where
-        |m| = 0.  The origin fix flips the sign of the third row, and the
-        determinant is linear in it, so the fixed density is
-        sigma * sign(m_3) * det with sign(+-0) = +1.  The tables of the
-        last (field, phi) pair are kept per thread, and the block's
-        intermediates live in a reused per-thread workspace, so the
-        returned density is the only block-sized float array allocated per
-        call.
+        positive per-radius scale cancels.  A caller that evaluates many
+        blocks on one phi grid builds self.expansion(phi) once instead.
         """
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        ex = _expansion(self, phi)
-        det, nrm2, third = _workspace(r.size, phi.size)
-        # per-radius scale r^-e_ref: with e_ref the largest live exponent
-        # for r >= 1 and the smallest below, every radial factor is at
-        # most 1/r, and the scale cancels in det / |m|^3
-        e_ref = np.where(r >= 1.0, ex.e_hi, ex.e_lo)
-        _radial_sum(r, ex.det_exps, 3 * e_ref, ex.det_tables, det)
-        _radial_sum(r, ex.nrm_exps, 2 * e_ref, ex.nrm_tables, nrm2)
-        if fix and self.sigma != 0.0:
-            _radial_sum(r, ex.third_exps, e_ref, ex.third_tables, third)
-            flip = third < 0.0 if self.sigma > 0.0 else third >= 0.0
-            np.negative(det, out=det, where=flip)
-        # the expanded sum can round below 0 where |m| is about 0
-        np.maximum(nrm2, 0.0, out=nrm2)
-        cube = np.sqrt(nrm2)
-        cube *= nrm2
-        # an infinite cube gives the density 0 where |m| = 0
-        cube[cube == 0.0] = np.inf
-        return np.divide(det, cube, out=cube)
+        return self.expansion(phi).density(np.asarray(r, dtype=float), fix)
 
 
 @dataclass(frozen=True)
 class _Expansion:
     """Area density of one field on one phi grid as radial monomials.
 
-    Grouping each component's pair terms by envelope-free radial exponent
-    e = |l_j| + |l_j'| gives m_k = sum_e r^e a_ke(phi), d_r m_k =
-    sum_e e r^(e-1) a_ke and d_phi m_k = sum_e r^e a'_ke.  The determinant
-    is multilinear in the components, so det[m, m_r, m_phi] =
+    With m_k = sum_e r^e a_ke(phi) (the components' exponent rows),
+    d_r m_k = sum_e e r^(e-1) a_ke and d_phi m_k = sum_e r^e a'_ke.  The
+    determinant is multilinear in the components, so det[m, m_r, m_phi] =
     sum_E r^(E-1) G_E(phi), and |m|^2 = sum_F r^F H_F(phi).  Each table
     row pairs with the power of r in the matching ``*_exps`` entry; the
-    third component's own rows give the sign for the origin fix.  e_lo and
-    e_hi are the smallest and largest live exponents.
+    third component's own rows give the sign for the origin fix of
+    orientation gauge sigma.  e_lo and e_hi are the smallest and largest
+    live exponents.
     """
 
+    sigma: float
+    n_phi: int
     e_lo: int
     e_hi: int
     det_exps: np.ndarray
@@ -329,44 +324,35 @@ class _Expansion:
     third_exps: np.ndarray
     third_tables: np.ndarray
 
+    def density(self, r: np.ndarray, fix: bool = True) -> np.ndarray:
+        """Area density at the radii r on the expansion's phi grid.
 
-def _expansion(field: UnitField, phi: np.ndarray) -> _Expansion:
-    """The expansion of field on phi, kept per thread for the next call.
-
-    Every block and every doubling of one map asks for the same pair, so
-    the cache holds only the last one; field is matched by identity.
-    """
-    cached = getattr(_LOCAL, "expansion", None)
-    if cached is not None and cached[0] is field and np.array_equal(cached[1], phi):
-        return cached[2]
-    ex = _build_expansion(field, phi)
-    _LOCAL.expansion = (field, phi.copy(), ex)
-    return ex
-
-
-def _build_expansion(field: UnitField, phi: np.ndarray) -> _Expansion:
-    terms = [list(t._angular(phi)) for t in field.terms]
-    size = 1 + max((e for ts in terms for e, _, _ in ts), default=0)
-    # polynomials in r with phi-table coefficients, row e at exponent e;
-    # each row sums its terms in term order, so amplitudes that cancel (the
-    # lambda-3 third of equal-weight |l| pairs) leave exact zeros
-    p = np.zeros((3, size, phi.size))
-    dp = np.zeros_like(p)
-    for k, ts in enumerate(terms):
-        for e, ang, dang in ts:
-            p[k, e] += ang
-            dp[k, e] += dang
-    live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
-    e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
-    p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
-    q = p * np.arange(e_lo, e_hi + 1)[:, None]      # r * d_r
-    det = (_poly_mul(p[0], _poly_mul(q[1], dp[2]) - _poly_mul(q[2], dp[1]))
-           + _poly_mul(p[1], _poly_mul(q[2], dp[0]) - _poly_mul(q[0], dp[2]))
-           + _poly_mul(p[2], _poly_mul(q[0], dp[1]) - _poly_mul(q[1], dp[0])))
-    nrm = _poly_mul(p[0], p[0]) + _poly_mul(p[1], p[1]) + _poly_mul(p[2], p[2])
-    # the determinant carries one 1/r from m_r
-    return _Expansion(e_lo, e_hi, *_live_rows(det, 3 * e_lo - 1),
-                      *_live_rows(nrm, 2 * e_lo), *_live_rows(p[2], e_lo))
+        A block costs one matrix-vector product per radius and table, then
+        a square root and a guarded divide; 0 where |m| = 0.  The origin fix
+        flips the sign of the third row, and the determinant is linear in
+        it, so the fixed density is sigma * sign(m_3) * det with
+        sign(+-0) = +1.  The block's intermediates live in a reused
+        per-thread workspace, so the returned density is the only
+        block-sized float array allocated per call.
+        """
+        det, nrm2, third = _workspace(r.size, self.n_phi)
+        # per-radius scale r^-e_ref: with e_ref the largest live exponent
+        # for r >= 1 and the smallest below, every radial factor is at
+        # most 1/r, and the scale cancels in det / |m|^3
+        e_ref = np.where(r >= 1.0, self.e_hi, self.e_lo)
+        _radial_sum(r, self.det_exps, 3 * e_ref, self.det_tables, det)
+        _radial_sum(r, self.nrm_exps, 2 * e_ref, self.nrm_tables, nrm2)
+        if fix and self.sigma != 0.0:
+            _radial_sum(r, self.third_exps, e_ref, self.third_tables, third)
+            flip = third < 0.0 if self.sigma > 0.0 else third >= 0.0
+            np.negative(det, out=det, where=flip)
+        # the expanded sum can round below 0 where |m| is about 0
+        np.maximum(nrm2, 0.0, out=nrm2)
+        cube = np.sqrt(nrm2)
+        cube *= nrm2
+        # an infinite cube gives the density 0 where |m| = 0
+        cube[cube == 0.0] = np.inf
+        return np.divide(det, cube, out=cube)
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -426,6 +412,8 @@ def map_layout(d: int, indices: tuple[int, int, int]):
     amplitudes: the nonzero diagonal entries (m = n), or the single term
     (m, n, sigma) of a root-type third.
     """
+    if len(set(indices)) != 3:
+        raise ValueError("triple needs three distinct indices")
     if indices[0] < 1 or indices[-1] > d * d - 1:
         bad = indices[0] if indices[0] < 1 else indices[-1]
         raise ValueError(f"basis index {bad} out of range 1..{d * d - 1} "
@@ -469,7 +457,7 @@ class MapClass:
     outer_point: bool
 
 
-def classify_map(field: UnitField, grid: GridSpec, n_probe: int = 256) -> MapClass:
+def classify_map(field: UnitField, grid: GridSpec) -> MapClass:
     """Trend-based boundary classification.
 
     A radial end maps to a point when the phi-variance of S decays toward
@@ -478,7 +466,7 @@ def classify_map(field: UnitField, grid: GridSpec, n_probe: int = 256) -> MapCla
     at all (phi-independent, or r-independent) is degenerate.
     """
     g = grid.resolve(field.l)
-    phi = (np.arange(n_probe) + 0.5) * (2.0 * np.pi / n_probe)
+    phi = (np.arange(N_PROBE) + 0.5) * (2.0 * np.pi / N_PROBE)
     radii = {"in0": g.r_min, "in1": 2.0 * g.r_min,
              "mid0": 0.25 * g.r_max, "mid1": 0.5 * g.r_max, "out": g.r_max}
     # one evaluation for all rings: unit() treats every radius on its own

@@ -3,12 +3,12 @@
 The numeric route integrates the area density S . (dS/dr x dS/dphi) / 4pi
 over the annulus with Simpson weights in r and midpoints in phi.  The
 radial grid doubles until two successive estimates agree within the
-tolerance; the rule is nested, so each doubling evaluates only the new odd
-nodes and reuses the phi-summed density kept at the old ones.  Nodes are
-streamed in blocks of about BLOCK_POINTS (r, phi) points; every block and
-every doubling of a map reuses the field's radial-monomial tables of the
-density, built once per map, and its three-view per-thread workspace.  No
-extrapolation is applied: the finer estimate is reported as it stands.
+tolerance QUAD_TOL; the rule is nested, so each doubling evaluates only the
+new odd nodes and reuses the phi-summed density kept at the old ones.  The
+field's density expansion is built once per map; every block of about
+BLOCK_POINTS (r, phi) points of every doubling streams through it and its
+three-view per-thread workspace.  No extrapolation is applied: the finer
+estimate is reported as it stands.
 The analytic route rests on one exponent rule.  With the Gaussian envelope
 dropped, every pair term of a component grows like r^e with
 e = |l_j| + |l_j'|; the third axis's terms, summed per exponent, leave a
@@ -36,7 +36,8 @@ import numpy as np
 
 from .basis import build_basis
 from .fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec, UnitField,
-                     classify_map, map_layout, term_field, triple_field)
+                     _Expansion, classify_map, map_layout, term_field,
+                     triple_field)
 from .states import QuditState
 
 QUAD_TOL = 5e-3
@@ -60,14 +61,14 @@ class AnalyticWrap:
     kind: str
 
 
-def _row_sums(field: UnitField, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _row_sums(ex: _Expansion, r: np.ndarray) -> np.ndarray:
     """Phi-summed area density at each radial node, streamed over blocks.
 
     A block holds about BLOCK_POINTS (r, phi) points (at least one row), so
-    the field's workspace stays the same size at every n_phi.
+    the workspace stays the same size at every n_phi.
     """
-    block = max(1, BLOCK_POINTS // phi.size)
-    return np.concatenate([field.area_density(r[lo:lo + block], phi).sum(axis=1)
+    block = max(1, BLOCK_POINTS // ex.n_phi)
+    return np.concatenate([ex.density(r[lo:lo + block]).sum(axis=1)
                            for lo in range(0, r.size, block)])
 
 
@@ -91,7 +92,7 @@ def singularity_class(field: UnitField) -> bool:
 
 
 def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
-                     singular: bool | None = None, tol: float = QUAD_TOL,
+                     singular: bool | None = None,
                      max_doublings: int = 2) -> WrappingResult:
     """Adaptive wrapping integral with trend classification and gluing."""
     g = (grid or GridSpec()).resolve(field.l)
@@ -99,10 +100,10 @@ def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
         singular = singularity_class(field)
     if singular:
         g = replace(g, n_phi=4 * g.n_phi)
-    phi = g.phi_nodes()
-    dphi = 2.0 * np.pi / phi.size
+    ex = field.expansion(g.phi_nodes())
+    dphi = 2.0 * np.pi / g.n_phi
     r, w = g.radial_rule(0)
-    rows = _row_sums(field, r, phi)
+    rows = _row_sums(ex, r)
     vals = [float(w @ rows) * dphi / (4.0 * np.pi)]
     err = np.inf
     for level in range(1, max_doublings + 1):
@@ -110,15 +111,15 @@ def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
         r, w = g.radial_rule(level)
         fine = np.empty(r.size)
         fine[0::2] = rows
-        fine[1::2] = _row_sums(field, r[1::2], phi)
+        fine[1::2] = _row_sums(ex, r[1::2])
         rows = fine
         vals.append(float(w @ rows) * dphi / (4.0 * np.pi))
         err = abs(vals[-1] - vals[-2])
-        if err <= tol:
+        if err <= QUAD_TOL:
             break
     raw = vals[-1]
     cls = classify_map(field, g)
-    return WrappingResult(raw, glue(raw, cls), cls, err, err <= tol,
+    return WrappingResult(raw, glue(raw, cls), cls, err, err <= QUAD_TOL,
                           bool(singular), g.n_r * 2 ** (len(vals) - 1))
 
 

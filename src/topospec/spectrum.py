@@ -26,7 +26,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .fields import GridSpec, TripleSpec, triple_field
-from .invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
+from .invariants import (CANONICAL_LABELS, canonical_field,
                          wrapping_analytic_d3, wrapping_analytic_triple,
                          wrapping_numeric)
 from .states import QuditState
@@ -162,7 +162,7 @@ def _is_clean(state) -> bool:
 
 
 def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
-                 tol: float = QUAD_TOL, max_doublings: int = 2,
+                 max_doublings: int = 2,
                  photon_swap: bool = False) -> SpectrumEntry:
     """Spectrum entry of one candidate map: the one per-map code path.
 
@@ -184,7 +184,7 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
         field = triple_field(source, spec)
         ana = (wrapping_analytic_triple(source.l, spec.indices, source.d)
                if clean else None)
-    res = wrapping_numeric(field, grid, tol=tol, max_doublings=max_doublings)
+    res = wrapping_numeric(field, grid, max_doublings=max_doublings)
     sign = -1.0 if photon_swap else 1.0
     glued = sign * res.glued
     return SpectrumEntry(spec.label, res.map_class.kind, sign * res.raw, glued,
@@ -292,7 +292,7 @@ def default_workers() -> int:
 
 def compute_spectrum(state: QuditState, mode: str | None = None,
                      grid: GridSpec | None = None, workers: int | None = None,
-                     tol: float = QUAD_TOL, max_doublings: int = 2,
+                     max_doublings: int = 2,
                      photon_swap: bool = False) -> TopologicalSpectrum:
     """Evaluate every candidate map of the state, in parallel.
 
@@ -312,7 +312,7 @@ def compute_spectrum(state: QuditState, mode: str | None = None,
     mode = normalize_mode(mode, state.d)
     specs = enumerate_triples(state.d, mode)
     workers = default_workers() if workers is None else max(1, int(workers))
-    options = dict(grid=grid, tol=tol, max_doublings=max_doublings,
+    options = dict(grid=grid, max_doublings=max_doublings,
                    photon_swap=photon_swap)
     if workers == 1 or len(specs) <= 2:
         entries = _evaluate_chunk(state, specs, options)

@@ -120,23 +120,29 @@ def state_to_json(state: QuditState, pert: SubspacePerturbation | None = None) -
 
 
 def state_from_json(doc: dict) -> QuditState:
-    """Parse the state document, rejecting unknown keys."""
+    """Parse the state document, rejecting unknown keys and malformed values."""
+    if not isinstance(doc, dict):
+        raise ValueError("state document must be a JSON object")
     unknown = set(doc) - _STATE_KEYS
     if unknown:
         raise ValueError(f"unknown state keys: {sorted(unknown)}")
     for key in ("d", "l", "c"):
         if key not in doc:
             raise ValueError(f"missing state key: {key}")
-    d = int(doc["d"])
-    l = [int(x) for x in doc["l"]]
+    try:
+        d = int(doc["d"])
+        l = [int(x) for x in doc["l"]]
+        c = [complex(re, im) for re, im in doc["c"]]
+        delta = (np.asarray(doc["perturbation"], dtype=float)
+                 if "perturbation" in doc else None)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed state document: {exc}") from None
     if len(l) != d:
         raise ValueError("l length must equal d")
-    c = [complex(re, im) for re, im in doc["c"]]
     if len(c) != d:
         raise ValueError("c length must equal d")
     state = make_state(l, c)
-    if "perturbation" in doc:
-        delta = np.asarray(doc["perturbation"], dtype=float)
+    if delta is not None:
         if delta.shape != (d, d):
             raise ValueError("perturbation must be d x d")
         state = inject_subspace(state, SubspacePerturbation(delta))

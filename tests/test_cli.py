@@ -202,6 +202,26 @@ def test_invariant_eval_rejects_an_index_beyond_the_basis(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("bad", [{"c": [1, 1, 1]}, {"d": None},
+                                 {"perturbation": {"a": 1}}],
+                         ids=["c-not-pairs", "d-null", "perturbation-not-numbers"])
+@pytest.mark.parametrize("command", [["spectrum", "compute"],
+                                     ["invariant", "eval"]])
+def test_malformed_state_document_is_input_error(tmp_path, bad, command):
+    doc = {"d": 3, "l": [-1, 0, 1], "c": [[1, 0], [1, 0], [1, 0]], **bad}
+    state = tmp_path / "bad.json"
+    state.write_text(json.dumps(doc))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
+    extra = ["123"] if command[0] == "invariant" else []
+    proc = subprocess.run([sys.executable, "-m", "topospec.cli", *command,
+                           str(state), *extra], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INPUT
+    assert "topospec: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_invariant_eval_rejects_unknown_label(tmp_path, capsys):
     state = _make_state(tmp_path)
     assert main(["invariant", "eval", str(state), "garbage"]) == EXIT_INPUT

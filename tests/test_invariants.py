@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
-                             UnitField, triple_field)
+                             UnitField, _Expansion, map_layout, triple_field)
 from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _exponent_rule,
                                  _row_sums, _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
@@ -139,13 +139,13 @@ def test_nested_radial_rule_evaluates_each_node_once(monkeypatch):
         return float(w @ dens) * (2.0 * np.pi / phi.size) / (4.0 * np.pi)
 
     nodes = []
-    inner = UnitField.area_density
+    inner = _Expansion.density
 
-    def counting(self, r, phi, fix=True):
+    def counting(self, r, fix=True):
         nodes.append(np.asarray(r).size)
-        return inner(self, r, phi, fix)
+        return inner(self, r, fix)
 
-    monkeypatch.setattr(UnitField, "area_density", counting)
+    monkeypatch.setattr(_Expansion, "density", counting)
     res = wrapping_numeric(field, grid)
     assert res.singular and res.converged and res.n_r_used == 2 * g.n_r
     assert sum(nodes) == 2 * g.n_r + 1
@@ -154,13 +154,29 @@ def test_nested_radial_rule_evaluates_each_node_once(monkeypatch):
     assert abs(wrapping_numeric(field, grid, max_doublings=0).raw - direct(0)) <= 1e-12
 
 
+def test_density_expansion_is_built_once_per_map(monkeypatch):
+    calls = []
+    inner = UnitField.expansion
+
+    def counting(self, phi):
+        calls.append(np.asarray(phi).size)
+        return inner(self, phi)
+
+    monkeypatch.setattr(UnitField, "expansion", counting)
+    # map 451 of (-1, 0, 1) on 16 panels doubles twice
+    field = canonical_field(make_state((-1, 0, 1), np.ones(3)), "451")
+    res = wrapping_numeric(field, GridSpec(n_r=16))
+    assert res.n_r_used == 4 * 16
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n_r, n_phi", [(300, 512), (5, BLOCK_POINTS + 3)])
 def test_row_sums_equal_one_shot_density(n_r, n_phi):
     # 301 rows at 128 rows per block; one row per block above BLOCK_POINTS
     field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
     r, _ = GridSpec(n_r=n_r).radial_rule(0)
     phi = GridSpec(n_phi=n_phi).phi_nodes()
-    assert np.array_equal(_row_sums(field, r, phi),
+    assert np.array_equal(_row_sums(field.expansion(phi), r),
                           field.area_density(r, phi).sum(axis=1))
 
 
@@ -186,7 +202,23 @@ def test_level0_integral_matches_unit_triple_product(l, label, kind, seed):
     s, sr, sp = field.unit(r, phi)
     reference = np.sum(s * np.cross(sr, sp, axis=0), axis=0).sum(axis=1)
     scale = (2.0 * np.pi / phi.size) / (4.0 * np.pi)
-    assert abs(w @ _row_sums(field, r, phi) - w @ reference) * scale <= 1e-9
+    assert abs(w @ _row_sums(field.expansion(phi), r) - w @ reference) * scale <= 1e-9
+
+
+@given(st_l3, st.sampled_from(CANONICAL_LABELS),
+       st.sampled_from(["clean", "complex", "mixed"]), st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_unit_field_stacks_its_reference_components(l, label, kind, seed):
+    # the production stacks against TermField.evaluate, the reference that
+    # test_term_field_matches_direct_expectation ties to QuditState.fields
+    field = canonical_field(_source(kind, l, np.random.default_rng(seed)), label)
+    r = np.array([1e-3, 0.4, 1.0, 2.5, 9.0])
+    phi = GridSpec(n_phi=24).phi_nodes()
+    got = field.evaluate(r, phi, fix=False)
+    for k, term in enumerate(field.terms):
+        for g, want in zip(got, term.evaluate(r, phi, scaled=True)):
+            assert_allclose(g[k], want, rtol=1e-12,
+                            atol=1e-12 * np.max(np.abs(want), initial=0.0))
 
 
 def test_row_sums_of_mixed_source_equal_one_shot_density():
@@ -195,7 +227,7 @@ def test_row_sums_of_mixed_source_equal_one_shot_density():
     field = canonical_field(_source("mixed", l, np.random.default_rng(7)), "451")
     r, _ = GridSpec(n_r=4).radial_rule(0)
     phi = GridSpec(n_phi=BLOCK_POINTS // 2 + 1).phi_nodes()
-    assert np.array_equal(_row_sums(field, r, phi),
+    assert np.array_equal(_row_sums(field.expansion(phi), r),
                           field.area_density(r, phi).sum(axis=1))
 
 
@@ -240,6 +272,14 @@ def test_index_triple_beyond_the_basis_is_rejected():
         wrapping_analytic_triple((-1, 0, 1), (1, 2, 20), 3)
     with pytest.raises(ValueError, match="basis index 0 out of range 1..8"):
         wrapping_analytic_triple((-1, 0, 1), (0, 1, 2), 3)
+
+
+@pytest.mark.parametrize("indices", [(4, 5, 5), (1, 1, 2)])
+def test_index_triple_with_a_repeated_index_is_rejected(indices):
+    with pytest.raises(ValueError, match="triple needs three distinct indices"):
+        wrapping_analytic_triple((-1, 0, 1), indices, 3)
+    with pytest.raises(ValueError, match="triple needs three distinct indices"):
+        map_layout(3, indices)
 
 
 def _sampled_winding(a, b, n=20000):

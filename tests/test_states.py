@@ -116,6 +116,12 @@ def test_json_rejects_unknown_keys():
         state_from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [5, "state", None])
+def test_json_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        state_from_json(doc)
+
+
 def test_save_load(tmp_path):
     path = tmp_path / "state.json"
     state = make_state((-1, 0, 1), [1, 2j, -1])
