@@ -22,14 +22,13 @@ class BasisElement:
 
     index is 1-based (printed convention).  kind is "sym", "asym" or "diag".
     modes holds the (i, j) mode pair for root-type elements, None for
-    diagonal ones.  level is the diagonal depth k for "diag" elements.
+    diagonal ones.
     """
 
     index: int
     kind: str
     matrix: np.ndarray = field(repr=False)
     modes: tuple[int, int] | None = None
-    level: int | None = None
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def build_basis(d: int) -> tuple[BasisElement, ...]:
         order += [("diag", k) for k in range(1, d)]
     for idx, (kind, info) in enumerate(order, start=1):
         if kind == "diag":
-            out.append(BasisElement(idx, kind, _diag(d, info), None, info))
+            out.append(BasisElement(idx, kind, _diag(d, info)))
         elif kind == "sym":
             out.append(BasisElement(idx, kind, _sym(d, *info), info))
         else:

@@ -190,9 +190,8 @@ def _cmd_tomo_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     pset = projection_set(state.d, state.l)
-    noise = None if args.noise == "none" else args.noise
     C = simulate_coincidences(state, pset, total_counts=args.counts,
-                              noise=noise, rng=rng)
+                              noise=args.noise, rng=rng)
     C.meta["seed"] = args.seed
     write_coincidences_csv(C, out / "coincidences.csv")
 

@@ -351,7 +351,7 @@ class DependencyReport:
     pairwise: tuple[RelationCheck, ...]
 
 
-def dependency_scan(l_range: int, d: int = 3) -> DependencyReport:
+def dependency_scan(l_range: int) -> DependencyReport:
     """Rank of the canonical-map value vectors over an index box.
 
     Builds the 18-vector of closed-form values for every distinct mode
@@ -359,8 +359,6 @@ def dependency_scan(l_range: int, d: int = 3) -> DependencyReport:
     the three linear dependences and six cos/sin equalities on every
     sample.
     """
-    if d != 3:
-        raise ValueError("the dependency scan is defined on the qutrit maps")
     if l_range < 3:
         raise ValueError("need l_range >= 3")
     pos = {lab: k for k, lab in enumerate(CANONICAL_LABELS)}
@@ -384,7 +382,7 @@ def dependency_scan(l_range: int, d: int = 3) -> DependencyReport:
     pairwise = tuple(RelationCheck(f"{a} = {b}", pair_worst[k],
                                    pair_worst[k] == 0.0)
                      for k, (a, b) in enumerate(PAIRWISE_IDENTITIES))
-    return DependencyReport(d, l_range, len(rows), rank, relations, pairwise)
+    return DependencyReport(3, l_range, len(rows), rank, relations, pairwise)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ class SubspacePerturbation:
         d = np.asarray(self.delta, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("delta must be square")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("delta must be finite")
         if np.any(np.abs(np.diag(d)) > 0):
             raise ValueError("delta diagonal must be zero")
         object.__setattr__(self, "delta", d)
@@ -74,11 +76,16 @@ class SubspacePerturbation:
 
 
 def make_state(l, c) -> QuditState:
-    """Build a clean superposition with unit-norm coefficients."""
-    l = tuple(int(x) for x in l)
+    """Clean superposition of whole-number charges l, finite c normalized."""
+    charges = np.asarray(l, dtype=float)
+    if not np.all(np.isfinite(charges) & (charges == np.round(charges))):
+        raise ValueError(f"mode charges must be whole numbers, got {charges.tolist()}")
+    l = tuple(int(x) for x in charges)
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 1 or len(c) != len(l):
         raise ValueError("c must be a vector matching l")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("c must be finite")
     nrm = np.linalg.norm(c)
     if nrm == 0:
         raise ValueError("c must not be all zero")
@@ -98,9 +105,11 @@ def inject_subspace(state: QuditState, pert: SubspacePerturbation) -> QuditState
     return QuditState(state.l, amps / nrm)
 
 
-def sample_perturbation(d: int, rng: np.random.Generator,
-                        lo: float = 0.025, hi: float = 0.051) -> SubspacePerturbation:
-    delta = rng.uniform(lo, hi, size=(d, d))
+PERTURB_LO, PERTURB_HI = 0.025, 0.051   # range of sampled injection weights
+
+
+def sample_perturbation(d: int, rng: np.random.Generator) -> SubspacePerturbation:
+    delta = rng.uniform(PERTURB_LO, PERTURB_HI, size=(d, d))
     np.fill_diagonal(delta, 0.0)
     return SubspacePerturbation(delta)
 
@@ -131,11 +140,11 @@ def state_from_json(doc: dict) -> QuditState:
             raise ValueError(f"missing state key: {key}")
     try:
         d = int(doc["d"])
-        l = [int(x) for x in doc["l"]]
+        l = [float(x) for x in doc["l"]]
         c = [complex(re, im) for re, im in doc["c"]]
         delta = (np.asarray(doc["perturbation"], dtype=float)
                  if "perturbation" in doc else None)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from None
     if len(l) != d:
         raise ValueError("l length must equal d")

@@ -1,10 +1,11 @@
 """Projective coincidence tomography for biphoton mode states.
 
-Simulates the per-photon projector censuses (basis kets plus four-phase
-two-mode superpositions), reconstructs the joint density matrix by
-factorized chi-square descent with optional entry thresholding, scores
-the reconstruction, and feeds the density matrix back into the spectrum
-pipeline through the shared coefficient contract.
+Simulation and fit share one settings matrix V of joint projectors over
+the per-photon census (basis kets plus four-phase two-mode superpositions)
+and read rates |V^H psi|^2 or Re diag(V^H rho V) under a named noise model
+(none, poisson, crosstalk).  The density is fit by factorized chi-square
+descent with optional entry thresholding, scored, and fed back into the
+spectrum pipeline through the shared coefficient contract.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from .fields import GridSpec
 from .spectrum import TopologicalSpectrum, compute_spectrum
 
 THETAS = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
+
+# noise name -> (Poisson sampling, crosstalk width in mode-charge units)
+NOISE_MODELS = {"none": (False, None), "poisson": (True, None),
+                "crosstalk": (True, 2.0)}
+CROSSTALK_AMP = 0.01      # leak peak, as a fraction of the mean basis rate
+GRAD_TOL = 1e-8           # chi-square gradient norm that ends the descent
 
 
 @dataclass(frozen=True)
@@ -72,17 +79,11 @@ def projection_set(d: int, subspace_l) -> ProjectionSet:
     return ProjectionSet(d, subspace_l, proj, tuple(labels))
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Counting-noise description for the forward model."""
-
-    poisson: bool = True
-    crosstalk_sigma: float | None = None
-    crosstalk_amp: float = 0.01
-
-
-def _joint_vector(state) -> np.ndarray:
-    return np.asarray(state.amps, dtype=complex).reshape(-1)
+def _settings_matrix(pset: ProjectionSet) -> np.ndarray:
+    """Joint projector columns kron(p_m, p_n): V[a*d + b, m*K + n] = P[m, a] P[n, b]."""
+    P = pset.projectors.T
+    d, K = P.shape
+    return (P[:, None, :, None] * P[None, :, None, :]).reshape(d * d, K * K)
 
 
 @dataclass(frozen=True)
@@ -103,60 +104,46 @@ class CoincidenceMatrix:
 
 
 def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4,
-                          noise: NoiseModel | str | None = None,
+                          noise: str | None = None,
                           rng: np.random.Generator | None = None) -> CoincidenceMatrix:
     """Forward-model coincidence counts for a state or density matrix.
 
-    The ideal rate of setting (m, n) is the squared overlap of projector
-    m on the first photon and n on the second with the joint state, times
-    total_counts.  Optional crosstalk adds a Gaussian mode-distance leak
-    inside the basis block; Poisson noise then samples every entry.
+    The ideal rate of setting (m, n) is the squared overlap of the joint
+    projector p_m x p_n (a column of the settings matrix V) with the joint
+    state, times total_counts.  noise names a NOISE_MODELS entry (None is
+    "none"): "crosstalk" adds a Gaussian mode-distance leak inside the
+    basis block, and "poisson" and "crosstalk" then sample every entry.
     """
-    if isinstance(noise, str):
-        key = noise.lower()
-        if key in ("none", ""):
-            noise = None
-        elif key == "poisson":
-            noise = NoiseModel()
-        elif key == "crosstalk":
-            noise = NoiseModel(crosstalk_sigma=2.0)
-        else:
-            raise ValueError(f"unknown noise model: {noise!r}")
-    P = pset.projectors
+    try:
+        poisson, sigma = NOISE_MODELS[noise or "none"]
+    except KeyError:
+        raise ValueError(f"unknown noise model: {noise!r}") from None
+    V = _settings_matrix(pset)
     if hasattr(source, "amps"):
-        psi = np.asarray(source.amps, dtype=complex)
-        amp = P.conj() @ psi @ P.conj().T
-        rates = np.abs(amp) ** 2
+        psi = np.asarray(source.amps, dtype=complex).reshape(-1)
+        rates = np.abs(V.conj().T @ psi) ** 2
     else:
         rho = source.rho if isinstance(source, BiphotonDensity) \
             else np.asarray(source, dtype=complex)
-        d = pset.d
-        if rho.shape != (d * d, d * d):
+        if rho.shape != (V.shape[0], V.shape[0]):
             raise ValueError("density matrix size does not match the census")
-        rho4 = rho.reshape(d, d, d, d)
-        # rate[m, n] = (p_m x p_n)^dag rho (p_m x p_n)
-        rates = np.real(np.einsum("ma,nb,abcd,mc,nd->mn",
-                                  P.conj(), P.conj(), rho4, P, P))
-        rates = np.clip(rates, 0.0, None)
+        rates = np.clip(np.real(np.sum(V.conj() * (rho @ V), axis=0)), 0.0, None)
+    rates = rates.reshape(pset.K, pset.K)
     meta = {"total_counts": float(total_counts), "noise": "none"}
-    if noise is not None and noise.crosstalk_sigma:
+    if sigma:
         d = pset.d
         ls = np.array(pset.subspace_l, dtype=float)
-        base = noise.crosstalk_amp * float(np.mean(np.diag(rates[:d, :d])))
+        base = CROSSTALK_AMP * float(np.mean(np.diag(rates[:d, :d])))
         dl = ls[:, None] - ls[None, :]
-        leak = base * np.exp(-dl ** 2 / (2.0 * noise.crosstalk_sigma ** 2))
+        leak = base * np.exp(-dl ** 2 / (2.0 * sigma ** 2))
         np.fill_diagonal(leak, 0.0)
-        rates = rates.copy()
         rates[:d, :d] += leak
-        meta["crosstalk_sigma"] = noise.crosstalk_sigma
+        meta["crosstalk_sigma"] = sigma
     counts = rates * float(total_counts)
-    if noise is not None and noise.poisson:
+    if poisson:
         rng = rng or np.random.default_rng()
         counts = rng.poisson(counts).astype(float)
-        meta["noise"] = ("poisson+crosstalk" if noise.crosstalk_sigma
-                         else "poisson")
-    elif noise is not None and noise.crosstalk_sigma:
-        meta["noise"] = "crosstalk"
+        meta["noise"] = "poisson+crosstalk" if sigma else "poisson"
     return CoincidenceMatrix(counts, pset.labels, meta)
 
 
@@ -218,17 +205,6 @@ class ReconstructionResult:
     converged: bool
 
 
-def _settings_matrix(pset: ProjectionSet) -> np.ndarray:
-    """Columns are the joint projector vectors, settings in row-major order."""
-    P = pset.projectors
-    K, d = P.shape
-    V = np.empty((d * d, K * K), dtype=complex)
-    for m in range(K):
-        for n in range(K):
-            V[:, m * K + n] = np.kron(P[m], P[n])
-    return V
-
-
 def _linear_inversion(V: np.ndarray, y: np.ndarray, d2: int) -> np.ndarray:
     design = np.einsum("ai,bi->iab", V.conj(), V).reshape(len(y), d2 * d2)
     x, *_ = np.linalg.lstsq(design, y.astype(complex), rcond=None)
@@ -236,16 +212,18 @@ def _linear_inversion(V: np.ndarray, y: np.ndarray, d2: int) -> np.ndarray:
 
 
 def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
-                max_iters: int = 10_000, grad_tol: float = 1e-8) -> ReconstructionResult:
+                max_iters: int = 10_000) -> ReconstructionResult:
     """Chi-square fit of a PSD unit-trace density to measured coincidences.
 
-    The density is parameterized as G^dag G / Tr(G^dag G), descended along
-    the exact chi-square gradient with an adaptive step (halved whenever a
-    step would increase chi-square, so accepted values never increase).
-    The descent counts as converged at a small gradient, when no step of
-    any size improves the fit, or when the fit value has stalled at
-    relative machine precision for many consecutive iterations; only a
-    budget exhausted while still making progress reports non-convergence.
+    The density is parameterized as G^dag G / Tr(G^dag G), its rates are
+    read through the settings matrix V that simulation uses, and G is
+    descended along the exact chi-square gradient with an adaptive step
+    (halved whenever a step would increase chi-square, so accepted values
+    never increase).  The descent counts as converged at a gradient norm
+    below GRAD_TOL, when no step of any size improves the fit, or when the
+    fit value has stalled at relative machine precision for many
+    consecutive iterations; only a budget exhausted while still making
+    progress reports non-convergence.
     Afterwards entries at or below epsilon are zeroed and the matrix is
     projected back to the physical set; epsilon = 0 leaves the optimizer
     output untouched.
@@ -293,7 +271,7 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
         q = (g - float(g @ p)) / S
         grad = 2.0 * (G @ ((V * q) @ V.conj().T))
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < grad_tol:
+        if gnorm < GRAD_TOL:
             break
         accepted = False
         chi_prev = chi
@@ -320,7 +298,7 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     if epsilon > 0.0:
         rho = np.where(np.abs(rho) <= epsilon, 0.0, rho)
         rho = _psd_project(rho)
-    converged = gnorm < grad_tol or stalled or it < max_iters
+    converged = gnorm < GRAD_TOL or stalled or it < max_iters
     return ReconstructionResult(BiphotonDensity(rho), chi * total, it, gnorm,
                                 converged)
 
@@ -404,26 +382,22 @@ class DensityCoeffs:
         return np.einsum("ab,cbda->dc", matrix, rho4)
 
 
-def spectrum_from_density(rho, l, l_b=None, mode: str | None = None,
+def spectrum_from_density(rho, l, mode: str | None = None,
                           grid: GridSpec | None = None,
-                          workers: int | None = 1, **kwargs) -> TopologicalSpectrum:
+                          workers: int | None = 1) -> TopologicalSpectrum:
     """Topological spectrum carried by a joint density matrix.
 
-    The spatial profiles follow the first photon's mode charges l; the
-    second photon's charges l_b only label the conjugate kets and must
-    simply match in count when given.
+    The spatial profiles follow the first photon's mode charges l, and
+    rho must be d^2 x d^2 for d = len(l); its Hermitian part is used.
     """
     rho = rho.rho if isinstance(rho, BiphotonDensity) else np.asarray(rho, dtype=complex)
     l = tuple(int(x) for x in l)
-    if l_b is not None and len(l_b) != len(l):
-        raise ValueError("per-photon mode lists differ in length")
     d = len(l)
     if rho.shape != (d * d, d * d):
         raise ValueError("density matrix size does not match l")
     rho = 0.5 * (rho + rho.conj().T)
-    source = DensityCoeffs(l, rho)
-    return compute_spectrum(source, mode=mode, grid=grid, workers=workers,
-                            **kwargs)
+    return compute_spectrum(DensityCoeffs(l, rho), mode=mode, grid=grid,
+                            workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,28 @@ def test_malformed_state_document_is_input_error(tmp_path, bad, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("doc", [
+    '{"d": 3, "l": [-1, 0, 1], "c": [[1, 0], [1, 0], [1, 0]], '
+    '"perturbation": [[0, null, 0], [0, 0, 0], [0, 0, 0]]}',
+    '{"d": 3, "l": [-1, 0, 1], "c": [[1, 0], [NaN, 0], [1, 0]]}',
+    '{"d": 3, "l": [-1, 0, 1], "c": [[1, 0], [Infinity, 0], [1, 0]]}',
+    '{"d": 3, "l": [-1.7, 0, 1], "c": [[1, 0], [1, 0], [1, 0]]}',
+    '{"d": Infinity, "l": [-1, 0, 1], "c": [[1, 0], [1, 0], [1, 0]]}',
+], ids=["perturbation-null", "c-nan", "c-infinity", "l-fractional", "d-infinity"])
+def test_bad_number_in_state_document_is_input_error(tmp_path, doc):
+    state = tmp_path / "bad.json"
+    state.write_text(doc)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "topospec.cli", "invariant",
+                           "eval", str(state), "123"], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INPUT
+    assert "topospec: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "converged=True" not in proc.stdout
+
+
 def test_invariant_eval_rejects_unknown_label(tmp_path, capsys):
     state = _make_state(tmp_path)
     assert main(["invariant", "eval", str(state), "garbage"]) == EXIT_INPUT

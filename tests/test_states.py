@@ -36,6 +36,22 @@ def test_make_state_rejects_bad_input():
         make_state((1, 2), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("c", [[1.0, np.nan], [np.inf, 1.0], [1.0, complex(0, np.inf)]])
+def test_make_state_rejects_non_finite_coefficients(c):
+    with pytest.raises(ValueError, match="finite"):
+        make_state((0, 1), c)
+
+
+@pytest.mark.parametrize("l", [(-1.7, 0, 1), (0.5, 1, 2), (np.inf, 0, 1), (np.nan, 0, 1)])
+def test_make_state_rejects_charges_that_are_not_whole(l):
+    with pytest.raises(ValueError, match="whole numbers"):
+        make_state(l, np.ones(3))
+
+
+def test_make_state_accepts_whole_float_charges():
+    assert make_state((-1.0, 0.0, 2.0), np.ones(3)).l == (-1, 0, 2)
+
+
 def test_fields_single_mode():
     state = make_state((3,), [1.0])
     r = np.array([0.5, 1.0, 2.0])
@@ -77,6 +93,14 @@ def test_inject_populates_off_diagonal_and_normalizes():
     out = inject_subspace(state, SubspacePerturbation(delta))
     assert out.amps[1, 0] != 0.0
     assert_allclose(np.linalg.norm(out.amps), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_perturbation_rejects_non_finite_weights(bad):
+    delta = np.zeros((3, 3))
+    delta[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SubspacePerturbation(delta)
 
 
 def test_perturbation_rejects_nonzero_diagonal():

@@ -9,7 +9,7 @@ from topospec.fields import GridSpec
 from topospec.spectrum import compute_spectrum
 from topospec.states import make_state
 from topospec.tomography import (BiphotonDensity, CoincidenceMatrix,
-                                 NoiseModel, _settings_matrix, concurrence,
+                                 _settings_matrix, concurrence,
                                  density_from_json, density_to_json,
                                  epsilon_from_crosstalk, fidelity,
                                  load_density, metrics, projection_count,
@@ -74,11 +74,53 @@ def test_crosstalk_populates_forbidden_settings():
     state = make_state((-1, 0, 1), np.ones(3))
     pset = projection_set(3, state.l)
     clean = simulate_coincidences(state, pset, noise=None)
-    leaky = simulate_coincidences(state, pset,
-                                  noise=NoiseModel(poisson=False,
-                                                   crosstalk_sigma=2.0))
+    leaky = simulate_coincidences(state, pset, noise="crosstalk",
+                                  rng=np.random.default_rng(1))
     assert epsilon_from_crosstalk(clean, pset) == 0.0
     assert epsilon_from_crosstalk(leaky, pset) > 0.0
+
+
+def test_unknown_noise_name_is_rejected():
+    state = make_state((0, 1), [1, 1])
+    pset = projection_set(2, state.l)
+    with pytest.raises(ValueError, match="unknown noise model"):
+        simulate_coincidences(state, pset, noise="gaussian")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_settings_matrix_equals_the_kron_loop_bitwise(d):
+    pset = projection_set(d, tuple(range(d)))
+    P, K = pset.projectors, pset.K
+    ref = np.empty((d * d, K * K), dtype=complex)
+    for m in range(K):
+        for n in range(K):
+            ref[:, m * K + n] = np.kron(P[m], P[n])
+    V = _settings_matrix(pset)
+    assert V.shape == ref.shape and V.dtype == ref.dtype
+    assert V.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_noiseless_counts_read_the_settings_matrix(d):
+    # simulation and fit share one measurement model: the columns of V
+    rng = np.random.default_rng(40 + d)
+    pset = projection_set(d, tuple(range(d)))
+    V = _settings_matrix(pset)
+    total = 1e4
+    for _ in range(3):
+        state = _haar_state(d, rng)
+        psi = np.asarray(state.amps, dtype=complex).reshape(-1)
+        want = total * np.abs(np.einsum("ik,i->k", V.conj(), psi)) ** 2
+        got = simulate_coincidences(state, pset, total_counts=total).counts
+        assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
+
+        A = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        rho = A @ A.conj().T
+        rho /= np.trace(rho).real
+        want = total * np.einsum("ik,ij,jk->k", V.conj(), rho, V).real
+        got = simulate_coincidences(BiphotonDensity(rho), pset,
+                                    total_counts=total).counts
+        assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
 
 
 def test_coincidence_matrix_validation():
@@ -219,8 +261,6 @@ def test_spectrum_from_density_matches_state_route():
 def test_spectrum_from_density_validates_shape():
     with pytest.raises(ValueError):
         spectrum_from_density(np.eye(4) / 4, (-1, 0, 1))
-    with pytest.raises(ValueError):
-        spectrum_from_density(np.eye(9) / 9, (-1, 0, 1), l_b=(1, 0))
 
 
 def test_coincidence_csv_round_trip(tmp_path):
