@@ -14,22 +14,20 @@ forms and the qutrit label catalogue in invariants all read it.
 With the Gaussian envelope dropped, each pair term is r^e times an
 angular factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's
 terms per exponent into one table row each, and every evaluator reads
-those rows: the reference TermField.evaluate, the envelope-free stacks
-behind the normalized map (``unit``) that the boundary classifier reads,
-and the area density det[m, m_r, m_phi] / |m|^3, taken straight from the
-unnormalized field.  The density expands separably: the determinant and
-|m|^2 are short sums of radial monomials times tables in phi, which
-UnitField.expansion builds once per map and azimuthal grid.  A block of
-radii then costs one small matrix-vector product per radius and table,
-scaled per radius by a power of r that keeps every factor in range and
-cancels in the quotient; its intermediates live in a three-view
-per-thread workspace, and blocks of up to BLOCK_POINTS points keep that
-workspace a few megabytes at any azimuthal resolution.
+those rows: TermField.evaluate, whose envelope-free values UnitField
+stacks into the normalized map (``unit``) that the boundary classifier
+reads, and the area density det[m, m_r, m_phi] / |m|^3, taken straight
+from the unnormalized field.  The density expands separably: the
+determinant and |m|^2 are short sums of radial monomials times tables in
+phi, which UnitField.expansion builds once per map and azimuthal grid.
+A block of radii then costs one small matrix-vector product per radius
+and table, scaled per radius by a power of r that keeps every factor in
+range and cancels in the quotient; blocks of up to BLOCK_POINTS points
+keep its intermediates a few megabytes at any azimuthal resolution.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +36,7 @@ from .basis import build_basis, nice_pairs
 from .states import QuditState
 
 # Points per block of area-density rows: wrapping_numeric streams its radial
-# nodes in blocks of this many (r, phi) points, and the workspace keeps
-# buffers up to this size between calls.
+# nodes in blocks of this many (r, phi) points.
 BLOCK_POINTS = 2 ** 16
 
 # Pair terms with both amplitudes at most this drop out of a term field.
@@ -48,15 +45,18 @@ TERM_TOL = 1e-14
 # Azimuthal probe points per ring of the boundary classifier.
 N_PROBE = 256
 
-# the area-density workspace, one per thread
-_LOCAL = threading.local()
+# Inner radius of the radial integral and of the classifier's inner rings.
+R_MIN = 1e-3
+
+# The radial rule's last node sits this far below u = 1 (r = infinity).
+TAIL_EPS = 1e-6
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Integration grid.  n_r counts Simpson panels, phi uses midpoints.
 
-    The radial integral runs over the full annulus [r_min, inf) through the
+    The radial integral runs over the full annulus [R_MIN, inf) through the
     compactification u = r / (1 + r); boundary limits are approached only
     algebraically (the Gaussian envelopes cancel inside the normalized
     field), so a finite cutoff would leave visible truncation errors on
@@ -65,11 +65,9 @@ class GridSpec:
     picks it per map.
     """
 
-    r_min: float = 1e-3
     r_max: float | None = None
     n_r: int | None = 4096
     n_phi: int | None = None
-    tail_eps: float = 1e-6
 
     def resolve(self, l) -> "GridSpec":
         r_max = self.r_max
@@ -82,13 +80,12 @@ class GridSpec:
         if self.n_r is None or self.n_r < 1 or n_phi < 1:
             raise ValueError(f"grid needs n_r >= 1 and n_phi >= 1, got "
                              f"n_r={self.n_r}, n_phi={n_phi}")
-        return GridSpec(self.r_min, r_max, int(self.n_r), int(n_phi), self.tail_eps)
+        return GridSpec(r_max, int(self.n_r), int(n_phi))
 
     def radial_rule(self, doublings: int = 0):
         """Simpson nodes r and weights (jacobian included) on the u-line."""
         n = self.n_r * (2 ** doublings)
-        u0 = self.r_min / (1.0 + self.r_min)
-        u = np.linspace(u0, 1.0 - self.tail_eps, n + 1)
+        u = np.linspace(R_MIN / (1.0 + R_MIN), 1.0 - TAIL_EPS, n + 1)
         h = (u[-1] - u[0]) / n
         w = np.full(n + 1, 2.0)
         w[1::2] = 4.0
@@ -141,21 +138,16 @@ class TermField:
         and the scaled fields stay representable at any radius.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        m, mr, mp = _on_radii(*self.rows(phi), r)
+        p, dp = self.rows(phi)
+        e = np.arange(len(p))
+        powers = r[:, None] ** e
+        m, mr, mp = powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
         if not scaled:
             env = np.exp(-2.0 * r * r)[:, None]
             mr = (mr - 4.0 * r[:, None] * m) * env
             m *= env
             mp *= env
         return m, mr, mp
-
-
-def _on_radii(p, dp, r):
-    """Envelope-free field and partials (m, dm/dr, dm/dphi) from exponent
-    rows p, dp (rows on the second-to-last axis) at each radius of r."""
-    e = np.arange(p.shape[-2])
-    powers = r[:, None] ** e
-    return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
 
 
 def term_field(source, matrix: np.ndarray) -> TermField:
@@ -233,15 +225,10 @@ class UnitField:
     sigma: float
     pair_modes: tuple[int, int] | None
 
-    def _rows(self, phi):
-        """The three components' exponent rows, stacked: (3, E, n_phi) each."""
-        p, dp = zip(*(t.rows(phi) for t in self.terms))
-        return np.stack(p), np.stack(dp)
-
     def evaluate(self, r, phi, fix: bool = True):
         """Stacked envelope-free S-tilde and partials, shape (3, nr, nphi) each."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        m, mr, mp = _on_radii(*self._rows(phi), r)
+        m, mr, mp = map(np.stack, zip(*(t.evaluate(r, phi, scaled=True)
+                                        for t in self.terms)))
         if fix and self.sigma != 0.0:
             # sign(+-0) = +1
             sgn = np.where(m[2] < 0.0, -self.sigma, self.sigma)
@@ -274,7 +261,7 @@ class UnitField:
 
     def expansion(self, phi) -> "_Expansion":
         """The area density on phi as radial monomials times phi tables."""
-        p, dp = self._rows(phi)
+        p, dp = map(np.stack, zip(*(t.rows(phi) for t in self.terms)))
         live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
         e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
         p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
@@ -331,11 +318,10 @@ class _Expansion:
         a square root and a guarded divide; 0 where |m| = 0.  The origin fix
         flips the sign of the third row, and the determinant is linear in
         it, so the fixed density is sigma * sign(m_3) * det with
-        sign(+-0) = +1.  The block's intermediates live in a reused
-        per-thread workspace, so the returned density is the only
-        block-sized float array allocated per call.
+        sign(+-0) = +1.  The three intermediates are views of one fresh
+        buffer, and the density is written over the cube.
         """
-        det, nrm2, third = _workspace(r.size, self.n_phi)
+        det, nrm2, third = np.empty((3, r.size, self.n_phi))
         # per-radius scale r^-e_ref: with e_ref the largest live exponent
         # for r >= 1 and the smallest below, every radial factor is at
         # most 1/r, and the scale cancels in det / |m|^3
@@ -381,22 +367,6 @@ def _radial_sum(r, exps, scale, tables, out) -> None:
         np.multiply(powers, tables[0], out=out)
     else:
         np.matmul(powers[:, None, :], tables, out=out[:, None, :])
-
-
-def _workspace(rows: int, n_phi: int) -> np.ndarray:
-    """Three (rows, n_phi) float64 views of one flat per-thread buffer.
-
-    The buffer grows on demand and is kept for the next call while it
-    holds at most BLOCK_POINTS points per view; larger requests get a
-    buffer of their own.
-    """
-    size = 3 * rows * n_phi
-    buf = getattr(_LOCAL, "buf", None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size)
-        if rows * n_phi <= BLOCK_POINTS:
-            _LOCAL.buf = buf
-    return buf[:size].reshape(3, rows, n_phi)
 
 
 def map_layout(d: int, indices: tuple[int, int, int]):
@@ -467,7 +437,7 @@ def classify_map(field: UnitField, grid: GridSpec) -> MapClass:
     """
     g = grid.resolve(field.l)
     phi = (np.arange(N_PROBE) + 0.5) * (2.0 * np.pi / N_PROBE)
-    radii = {"in0": g.r_min, "in1": 2.0 * g.r_min,
+    radii = {"in0": R_MIN, "in1": 2.0 * R_MIN,
              "mid0": 0.25 * g.r_max, "mid1": 0.5 * g.r_max, "out": g.r_max}
     # one evaluation for all rings: unit() treats every radius on its own
     s, _, _ = field.unit(np.array(list(radii.values())), phi)

@@ -6,9 +6,8 @@ radial grid doubles until two successive estimates agree within the
 tolerance QUAD_TOL; the rule is nested, so each doubling evaluates only the
 new odd nodes and reuses the phi-summed density kept at the old ones.  The
 field's density expansion is built once per map; every block of about
-BLOCK_POINTS (r, phi) points of every doubling streams through it and its
-three-view per-thread workspace.  No extrapolation is applied: the finer
-estimate is reported as it stands.
+BLOCK_POINTS (r, phi) points of every doubling streams through it.  No
+extrapolation is applied: the finer estimate is reported as it stands.
 The analytic route rests on one exponent rule.  With the Gaussian envelope
 dropped, every pair term of a component grows like r^e with
 e = |l_j| + |l_j'|; the third axis's terms, summed per exponent, leave a
@@ -65,7 +64,7 @@ def _row_sums(ex: _Expansion, r: np.ndarray) -> np.ndarray:
     """Phi-summed area density at each radial node, streamed over blocks.
 
     A block holds about BLOCK_POINTS (r, phi) points (at least one row), so
-    the workspace stays the same size at every n_phi.
+    its intermediates stay the same size at every n_phi.
     """
     block = max(1, BLOCK_POINTS // ex.n_phi)
     return np.concatenate([ex.density(r[lo:lo + block]).sum(axis=1)

@@ -33,19 +33,16 @@ from .states import QuditState
 
 TRIVIAL_THRESHOLD = 0.1
 
-_MODE_ALIASES = {"full": "full", "canonical18": "canonical18",
-                 "canonical": "canonical18", "reduced": "canonical18"}
-
 
 def normalize_mode(mode: str | None, d: int) -> str:
+    """The census mode, full or canonical18; None picks canonical18 at d = 3."""
     if mode is None:
-        mode = "canonical18" if d == 3 else "full"
-    key = _MODE_ALIASES.get(str(mode).lower())
-    if key is None:
+        return "canonical18" if d == 3 else "full"
+    if mode not in ("full", "canonical18"):
         raise ValueError(f"unknown mode: {mode!r}")
-    if key == "canonical18" and d != 3:
+    if mode == "canonical18" and d != 3:
         raise ValueError("canonical18 mode needs d = 3")
-    return key
+    return mode
 
 
 def triple_count(d: int) -> int:
@@ -343,7 +340,6 @@ class RelationCheck:
 
 @dataclass(frozen=True)
 class DependencyReport:
-    d: int
     l_range: int
     n_samples: int
     rank: int
@@ -382,7 +378,7 @@ def dependency_scan(l_range: int) -> DependencyReport:
     pairwise = tuple(RelationCheck(f"{a} = {b}", pair_worst[k],
                                    pair_worst[k] == 0.0)
                      for k, (a, b) in enumerate(PAIRWISE_IDENTITIES))
-    return DependencyReport(3, l_range, len(rows), rank, relations, pairwise)
+    return DependencyReport(l_range, len(rows), rank, relations, pairwise)
 
 
 # ---------------------------------------------------------------------------

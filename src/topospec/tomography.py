@@ -113,7 +113,11 @@ def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4
     state, times total_counts.  noise names a NOISE_MODELS entry (None is
     "none"): "crosstalk" adds a Gaussian mode-distance leak inside the
     basis block, and "poisson" and "crosstalk" then sample every entry.
+    total_counts must be finite and positive.
     """
+    if not (np.isfinite(total_counts) and total_counts > 0):
+        raise ValueError(f"count budget must be finite and > 0, "
+                         f"got {total_counts}")
     try:
         poisson, sigma = NOISE_MODELS[noise or "none"]
     except KeyError:

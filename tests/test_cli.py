@@ -288,6 +288,23 @@ def test_tomo_run_round_trip(tmp_path, capsys):
     assert density["meta"]["seed"] == 3
 
 
+@pytest.mark.parametrize("counts", ["nan", "inf", "-1", "0"])
+def test_tomo_run_rejects_a_bad_count_budget(tmp_path, counts):
+    state = _make_state(tmp_path, l="0,1", c="1,1")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "topospec.cli", "tomo", "run",
+                           str(state), "--counts", counts,
+                           "--noise", "poisson",
+                           "--out-dir", str(tmp_path / "x")], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == EXIT_INPUT
+    assert ("topospec: error: count budget must be finite and > 0"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
 def test_tomo_run_epsilon_validation(tmp_path, capsys):
     state = _make_state(tmp_path, l="0,1", c="1,1")
     assert main(["tomo", "run", str(state), "--epsilon", "-0.5",

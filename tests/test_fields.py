@@ -1,5 +1,6 @@
 """Component-field evaluation, unit maps, and boundary classification tests."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_area_density_equals_unit_triple_product():
 
 
 def test_area_density_results_are_independent():
-    # area_density reuses one workspace; the arrays it returns stay the caller's
+    # the arrays area_density returns stay the caller's
     first_field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
     other_field = canonical_field(make_state((-1, 0, 1), np.ones(3)), "453")
     r = np.linspace(0.2, 3.0, 9)
@@ -108,6 +109,38 @@ def test_area_density_results_are_independent():
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
     assert np.array_equal(first_field.area_density(r, phi), kept)
+
+
+def test_area_density_in_two_threads_matches_serial():
+    # two threads interleave densities of different fields on different phi
+    # grids; shared scratch state in the kernel would mix their blocks
+    fields = [canonical_field(make_state((-4, -3, 4), np.ones(3)), "124"),
+              canonical_field(make_state((-3, 1, 4), [1.0, 2.0, 3.0]), "453")]
+    grids = [GridSpec(n_phi=96).phi_nodes(), GridSpec(n_phi=160).phi_nodes()]
+    blocks = [np.linspace(0.05, 4.0, 40), np.linspace(0.5, 9.0, 25)]
+    serial = [[f.area_density(r, phi) for r in blocks]
+              for f, phi in zip(fields, grids)]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def run(k):
+        ex = fields[k].expansion(grids[k])
+        start.wait()
+        for _ in range(40):
+            for r in blocks:
+                got[k].append(ex.density(r))
+            got[k].append(fields[k].area_density(blocks[0], grids[k]))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for k in range(2):
+        want = serial[k] + serial[k][:1]
+        assert len(got[k]) == 40 * len(want)
+        for i, a in enumerate(got[k]):
+            assert np.array_equal(a, want[i % len(want)]), (k, i)
 
 
 def test_area_density_cache_never_serves_a_stale_expansion():
@@ -198,7 +231,7 @@ def test_classify_map_probes_all_rings_in_one_call(monkeypatch):
 
 
 def test_radial_rule_integrates_known_integral():
-    g = GridSpec(r_min=1e-3, r_max=8.0, n_r=512, n_phi=64)
+    g = GridSpec(r_max=8.0, n_r=512, n_phi=64)
     r, w = g.radial_rule()
     # integral of r^3 exp(-r^2) over the half line is 1/2
     assert_allclose(w @ (r**3 * np.exp(-r * r)), 0.5, atol=1e-6)

@@ -102,15 +102,15 @@ def test_singular_map_raw_is_half_integer():
     assert_allclose(res.glued, -1.0, atol=0.05)
 
 
-def test_singular_regrid_keeps_tail_eps():
-    # the 4x azimuthal regrid of singular maps must keep the radial cutoff
+def test_singular_regrid_matches_an_explicit_grid():
+    # the 4x azimuthal regrid of singular maps must change n_phi alone
     state = make_state((-1, 0, 1), np.ones(3))
     field = canonical_field(state, "124")
-    grid = GridSpec(n_r=64, tail_eps=1e-4)
+    grid = GridSpec(n_r=64)
     n_phi = grid.resolve(field.l).n_phi
     auto = wrapping_numeric(field, grid, singular=True)
-    explicit = wrapping_numeric(field, GridSpec(n_r=64, n_phi=4 * n_phi,
-                                                tail_eps=1e-4), singular=False)
+    explicit = wrapping_numeric(field, GridSpec(n_r=64, n_phi=4 * n_phi),
+                                singular=False)
     assert auto.raw == explicit.raw
 
 

@@ -58,7 +58,10 @@ def test_capacity_levels():
 def test_normalize_mode():
     assert normalize_mode(None, 3) == "canonical18"
     assert normalize_mode(None, 5) == "full"
-    assert normalize_mode("Canonical", 3) == "canonical18"
+    assert normalize_mode("canonical18", 3) == "canonical18"
+    assert normalize_mode("full", 3) == "full"
+    with pytest.raises(ValueError):
+        normalize_mode("Canonical", 3)
     with pytest.raises(ValueError):
         normalize_mode("canonical18", 5)
     with pytest.raises(ValueError):
