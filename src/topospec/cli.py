@@ -208,7 +208,8 @@ def _cmd_tomo_run(args) -> int:
     save_density(out / "density.json", res.rho,
                  {"seed": args.seed, "noise": C.meta["noise"],
                   "epsilon": eps, "chi2": res.chi2, "n_iter": res.n_iter,
-                  "converged": res.converged})
+                  "converged": res.converged, "stop": res.stop,
+                  "chi2_trace": list(res.chi2_trace)})
     with open(out / "metrics.json", "w") as fh:
         json.dump({"fidelity": score.fidelity, "purity": score.purity,
                    "concurrence": score.concurrence, "chi2": res.chi2,

@@ -265,10 +265,18 @@ class UnitField:
         live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
         e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
         p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
-        q = p * np.arange(e_lo, e_hi + 1)[:, None]      # r * d_r
-        det = (_poly_mul(p[0], _poly_mul(q[1], dp[2]) - _poly_mul(q[2], dp[1]))
-               + _poly_mul(p[1], _poly_mul(q[2], dp[0]) - _poly_mul(q[0], dp[2]))
-               + _poly_mul(p[2], _poly_mul(q[0], dp[1]) - _poly_mul(q[1], dp[0])))
+        # det = sum over rows a < b and c of (b - a) (P_a x P_b) . P'_c,
+        # P_e the components' row e: the a = b terms cancel, and are left
+        # out rather than summed to 0 in rounded arithmetic
+        n = p.shape[1]
+        rows = np.flatnonzero(np.any(p, axis=(0, 2)))
+        a, b = (rows[i] for i in np.triu_indices(rows.size, 1))
+        cross = np.cross(p[:, a], p[:, b], axis=0) * (b - a)[:, None]
+        det = np.zeros((3 * n - 2, p.shape[-1]))
+        # per phi node, (pairs x 3) @ (3 x rows c)
+        terms = np.matmul(cross.transpose(2, 1, 0), dp.transpose(2, 0, 1))
+        for s, pair in zip(a + b, terms.transpose(1, 2, 0)):
+            det[s:s + n] += pair
         nrm = _poly_mul(p[0], p[0]) + _poly_mul(p[1], p[1]) + _poly_mul(p[2], p[2])
         # the determinant carries one 1/r from m_r
         return _Expansion(self.sigma, p.shape[-1], e_lo, e_hi,

@@ -3,9 +3,10 @@
 Simulation and fit share one settings matrix V of joint projectors over
 the per-photon census (basis kets plus four-phase two-mode superpositions)
 and read rates |V^H psi|^2 or Re diag(V^H rho V) under a named noise model
-(none, poisson, crosstalk).  The density is fit by factorized chi-square
-descent with optional entry thresholding, scored, and fed back into the
-spectrum pipeline through the shared coefficient contract.
+(none, poisson, crosstalk).  The density is fit in factorized form,
+rho = G^dag G / Tr, by chi-square minimization along an L-BFGS direction,
+with optional entry thresholding, scored, and fed back into the spectrum
+pipeline through the shared coefficient contract.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,8 @@ THETAS = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 NOISE_MODELS = {"none": (False, None), "poisson": (True, None),
                 "crosstalk": (True, 2.0)}
 CROSSTALK_AMP = 0.01      # leak peak, as a fraction of the mean basis rate
-GRAD_TOL = 1e-8           # chi-square gradient norm that ends the descent
+GRAD_TOL = 1e-8           # chi-square gradient norm that ends the fit
+LBFGS_MEMORY = 8          # (s, y) step pairs the L-BFGS direction is built from
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,13 @@ class ReconstructionResult:
     chi2: float
     n_iter: int
     grad_norm: float
-    converged: bool
+    stop: str                     # "gradient", "stall", "no_step" or "budget"
+    chi2_trace: tuple[float, ...]  # accepted chi-square values, first to last
+
+    @property
+    def converged(self) -> bool:
+        """Only a budget spent while the fit still improved is unconverged."""
+        return self.stop != "budget"
 
 
 def _linear_inversion(V: np.ndarray, y: np.ndarray, d2: int) -> np.ndarray:
@@ -215,19 +224,46 @@ def _linear_inversion(V: np.ndarray, y: np.ndarray, d2: int) -> np.ndarray:
     return x.reshape(d2, d2)
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """Two-loop recursion: minus the inverse-Hessian estimate times grad.
+
+    grad and the steps are real views of complex matrices, so a dot product
+    is Re<a, b>.  pairs holds (s, y, 1 / s.y) oldest first, each with
+    s.y > 0; with none the direction is the starting step -0.1 grad.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    else:
+        q *= 0.1
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return -q
+
+
 def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
                 max_iters: int = 10_000) -> ReconstructionResult:
     """Chi-square fit of a PSD unit-trace density to measured coincidences.
 
     The density is parameterized as G^dag G / Tr(G^dag G), its rates are
-    read through the settings matrix V that simulation uses, and G is
-    descended along the exact chi-square gradient with an adaptive step
-    (halved whenever a step would increase chi-square, so accepted values
-    never increase).  The descent counts as converged at a gradient norm
-    below GRAD_TOL, when no step of any size improves the fit, or when the
-    fit value has stalled at relative machine precision for many
-    consecutive iterations; only a budget exhausted while still making
-    progress reports non-convergence.
+    read through the settings matrix V that simulation uses, and G moves
+    along an L-BFGS direction (Liu & Nocedal, Math. Prog. 45, 503 (1989))
+    built from the exact chi-square gradient and the last LBFGS_MEMORY
+    steps, with Re<a, b> as the inner product on complex G.  The first
+    step, and any step whose direction is not downhill, is -0.1 grad with
+    the memory cleared.  Each line search starts at the full step and
+    halves it until chi-square does not increase, so accepted values never
+    increase.  The fit stops ("stop") at a gradient norm below GRAD_TOL,
+    when no step of any size improves the fit, when the fit value has
+    stalled at relative machine precision for many consecutive iterations,
+    or when max_iters runs out; only that last, a budget exhausted while
+    still making progress, reports non-convergence.
     Afterwards entries at or below epsilon are zeroed and the matrix is
     projected back to the physical set; epsilon = 0 leaves the optimizer
     output untouched.
@@ -262,11 +298,13 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
         return t, S, p, pc, chi
 
     t, S, p, pc, chi = forward(G)
-    step = 0.1
+    trace = [chi]
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    G_prev = grad_prev = None
     gnorm = np.inf
+    stop = "budget"
     it = 0
     stall = 0
-    stalled = False
     for it in range(1, max_iters + 1):
         resid = y - p
         g = np.where(p > floor,
@@ -276,24 +314,38 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
         grad = 2.0 * (G @ ((V * q) @ V.conj().T))
         gnorm = float(np.linalg.norm(grad))
         if gnorm < GRAD_TOL:
+            stop = "gradient"
             break
-        accepted = False
+        grad = grad.view(np.float64).reshape(-1)
+        if G_prev is not None:
+            s_k = (G - G_prev).view(np.float64).reshape(-1)
+            y_k = grad - grad_prev
+            sy = float(s_k @ y_k)
+            if sy > 0.0:
+                pairs.append((s_k, y_k, 1.0 / sy))
+        direction = _lbfgs_direction(grad, pairs)
+        if float(grad @ direction) >= 0.0:
+            pairs.clear()
+            direction = -0.1 * grad
+        direction = direction.view(complex).reshape(G.shape)
+        G_prev, grad_prev = G, grad
         chi_prev = chi
+        step = 1.0
         while step > 1e-16:
-            cand = G - step * grad
+            cand = G + step * direction
             t2, S2, p2, pc2, chi2 = forward(cand)
             if chi2 <= chi:
                 G, t, S, p, pc, chi = cand, t2, S2, p2, pc2, chi2
-                step *= 1.2
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
+            stop = "no_step"
             break
+        trace.append(chi)
         if chi_prev - chi <= 1e-12 * max(chi, 1e-30):
             stall += 1
             if stall >= 25:
-                stalled = True
+                stop = "stall"
                 break
         else:
             stall = 0
@@ -302,9 +354,8 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     if epsilon > 0.0:
         rho = np.where(np.abs(rho) <= epsilon, 0.0, rho)
         rho = _psd_project(rho)
-    converged = gnorm < GRAD_TOL or stalled or it < max_iters
     return ReconstructionResult(BiphotonDensity(rho), chi * total, it, gnorm,
-                                converged)
+                                stop, tuple(c * total for c in trace))
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,12 @@ def test_tomo_run_round_trip(tmp_path, capsys):
     assert scores["concurrence"] is not None
     out = capsys.readouterr().out
     assert "fidelity=" in out
-    density = json.loads((out_dir / "density.json").read_text())
-    assert density["meta"]["seed"] == 3
+    meta = json.loads((out_dir / "density.json").read_text())["meta"]
+    assert meta["seed"] == 3
+    assert meta["stop"] in ("gradient", "stall", "no_step") and meta["converged"]
+    trace = meta["chi2_trace"]
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    assert trace[-1] == meta["chi2"]
 
 
 @pytest.mark.parametrize("counts", ["nan", "inf", "-1", "0"])

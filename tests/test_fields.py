@@ -2,6 +2,7 @@
 
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,39 @@ def test_area_density_equals_unit_triple_product():
     assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * np.max(np.abs(expected)))
 
 
+def _rational_density(field, r, phi):
+    """det[m, m_r, m_phi] and |m|^2 in exact arithmetic on the float rows."""
+    rows = [t.rows(phi) for t in field.terms]
+    r = Fraction(float(r))
+    out = []
+    for k in range(phi.size):
+        cols = []
+        for p, dp in rows:
+            e = range(len(p))
+            cols.append([sum(r ** i * Fraction(p[i, k]) for i in e),
+                         sum(i * r ** (i - 1) * Fraction(p[i, k]) for i in e),
+                         sum(r ** i * Fraction(dp[i, k]) for i in e)])
+        if field.sigma != 0.0 and (cols[2][0] < 0) == (field.sigma > 0.0):
+            cols[2] = [-x for x in cols[2]]
+        (a, ar, ap), (b, br, bp), (c, cr, cp) = cols
+        det = a * (br * cp - cr * bp) + b * (cr * ap - ar * cp) + c * (ar * bp - br * ap)
+        out.append(float(det) / float(a * a + b * b + c * c) ** 1.5)
+    return np.array(out)
+
+
+def test_area_density_keeps_relative_accuracy_where_the_third_vanishes():
+    # at r = 1e6 the third axis dominates |m| except at its zeros, where the
+    # determinant shrinks with it; its a = b terms cancel only exactly
+    rng = np.random.default_rng(1464)
+    state = make_state((-1, -2, 3), rng.normal(size=3) + 1j * rng.normal(size=3))
+    field = canonical_field(state, "124")
+    g = GridSpec(n_r=16).resolve(field.l)
+    r = g.radial_rule(0)[0][-1:]
+    phi = g.phi_nodes()
+    assert_allclose(field.area_density(r, phi)[0],
+                    _rational_density(field, r[0], phi), rtol=1e-12, atol=0.0)
+
+
 def test_area_density_results_are_independent():
     # the arrays area_density returns stay the caller's
     first_field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
@@ -143,17 +177,17 @@ def test_area_density_in_two_threads_matches_serial():
             assert np.array_equal(a, want[i % len(want)]), (k, i)
 
 
-def test_area_density_cache_never_serves_a_stale_expansion():
-    # the expansion is cached per (field, phi); interleaving two fields of the
-    # same charges, two phi grids of the same size and both fix settings
-    # must reproduce every first evaluation exactly
+def test_area_density_interleaved_evaluations_reproduce_every_first_evaluation():
+    # interleaving two fields of the same charges, two phi grids of the same
+    # size and both fix settings must reproduce every first evaluation
+    # exactly: no evaluation leaves state behind that changes the next one
     state = make_state((-4, -3, 4), np.ones(3))
     fields = [canonical_field(state, "124"), canonical_field(state, "125")]
     base = GridSpec(n_phi=64).phi_nodes()
     grids = [base, base + 0.1]
     r = np.linspace(0.05, 4.0, 7)
     combos = [(f, p, fix) for f in range(2) for p in range(2) for fix in (True, False)]
-    # a copy of the field has a new identity, so each reference is built fresh
+    # each reference comes from its own copy of the field and of the phi grid
     fresh = {c: replace(fields[c[0]]).area_density(r, grids[c[1]].copy(), c[2])
              for c in combos}
     for _ in range(2):

@@ -7,9 +7,10 @@ from numpy.testing import assert_allclose
 
 from topospec.fields import GridSpec
 from topospec.spectrum import compute_spectrum
-from topospec.states import make_state
-from topospec.tomography import (BiphotonDensity, CoincidenceMatrix,
-                                 _settings_matrix, concurrence,
+from topospec.states import inject_subspace, make_state, sample_perturbation
+from topospec.tomography import (GRAD_TOL, BiphotonDensity,
+                                 CoincidenceMatrix, _settings_matrix,
+                                 concurrence,
                                  density_from_json, density_to_json,
                                  epsilon_from_crosstalk, fidelity,
                                  load_density, metrics, projection_count,
@@ -193,6 +194,76 @@ def test_descent_never_worsens_chi_square():
     coarse = reconstruct(C, pset, max_iters=0)
     fine = reconstruct(C, pset, max_iters=300)
     assert fine.chi2 <= coarse.chi2 + 1e-9
+
+
+def _tomo_anchor_counts(seed):
+    # tomo run's order on one rng: perturb (-1,0,1), then simulate 1e4 counts
+    rng = np.random.default_rng(seed)
+    state = make_state((-1, 0, 1), np.ones(3))
+    state = inject_subspace(state, sample_perturbation(state.d, rng))
+    pset = projection_set(state.d, state.l)
+    return state, pset, simulate_coincidences(state, pset, total_counts=1e4,
+                                              noise="poisson", rng=rng)
+
+
+def test_tomo_anchor_fit_converges_in_few_iterations():
+    # steepest descent needed 6760 iterations here and stopped on a stall
+    state, pset, C = _tomo_anchor_counts(0)
+    result = reconstruct(C, pset, epsilon=0.02)
+    assert result.n_iter <= 500
+    assert result.chi2 <= 185.907914997 + 1e-6
+    assert_allclose(metrics(_pure_density(state), result.rho).fidelity,
+                    0.9973639, atol=1e-6)
+
+
+def _qutrit_counts(total_counts, seed):
+    state = make_state((-1, 0, 1), np.ones(3))
+    pset = projection_set(3, state.l)
+    noise = "poisson" if seed is not None else None
+    return pset, simulate_coincidences(state, pset, total_counts, noise=noise,
+                                       rng=np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("total_counts, seed, max_iters, stop", [
+    (1e4, None, 10_000, "gradient"),  # exact rates: chi-square goes to 0
+    (30, 2, 10_000, "stall"),         # sparse counts stall near |grad| 4e-7
+    (1e4, 0, 5, "budget"),
+    (1e4, 0, 0, "budget"),
+])
+def test_fit_reports_why_it_stopped(total_counts, seed, max_iters, stop):
+    pset, C = _qutrit_counts(total_counts, seed)
+    result = reconstruct(C, pset, max_iters=max_iters)
+    assert result.stop == stop
+    assert result.converged is (stop != "budget")
+    if stop == "gradient":
+        assert result.grad_norm < GRAD_TOL
+    else:
+        assert result.grad_norm >= GRAD_TOL
+    if stop == "budget":
+        assert result.n_iter == max_iters
+
+
+def test_no_usable_step_on_the_last_iteration_is_converged(monkeypatch):
+    # a direction too long for every halved step leaves no improving step;
+    # spending the last allowed iteration on that is not a budget stop
+    monkeypatch.setattr("topospec.tomography._lbfgs_direction",
+                        lambda grad, pairs: -1e40 * grad)
+    _, pset, C = _tomo_anchor_counts(0)
+    result = reconstruct(C, pset, max_iters=1)
+    assert (result.stop, result.n_iter, result.converged) == ("no_step", 1, True)
+    assert result.chi2_trace == (result.chi2,)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chi_square_trace_never_increases_and_ends_at_chi2(seed):
+    _, pset, C = _tomo_anchor_counts(seed)
+    result = reconstruct(C, pset)
+    trace = np.array(result.chi2_trace)
+    # the start plus one value per accepted step; a gradient or no-step
+    # stop ends its iteration without a step
+    assert trace.size == result.n_iter + (result.stop in ("stall", "budget"))
+    assert np.all(np.diff(trace) <= 0.0)
+    assert trace[-1] == result.chi2
 
 
 def test_epsilon_zero_keeps_optimizer_output():
