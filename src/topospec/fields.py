@@ -24,11 +24,19 @@ A block of radii then costs one small matrix-vector product per radius
 and table, scaled per radius by a power of r that keeps every factor in
 range and cancels in the quotient; blocks of up to BLOCK_POINTS points
 keep its intermediates a few megabytes at any azimuthal resolution.
+
+Only the triple's cross and determinant tables, the density blocks and the
+classifier's normalization are per map.  The rest is shared: a
+SharedSource builds each component's TermField once for all the maps of
+one call, a TermField keeps its exponent rows per phi grid (grid_rows),
+and the Simpson rule of each panel count is built once and kept.  Shared
+arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -50,6 +58,12 @@ R_MIN = 1e-3
 
 # The radial rule's last node sits this far below u = 1 (r = infinity).
 TAIL_EPS = 1e-6
+
+# Radial rules kept at once, one per panel count (GridSpec.radial_rule).
+RULE_CACHE = 8
+
+# Phi grids whose exponent rows a term field keeps (TermField.grid_rows).
+ROW_GRIDS = 4
 
 
 @dataclass(frozen=True)
@@ -83,31 +97,50 @@ class GridSpec:
         return GridSpec(r_max, int(self.n_r), int(n_phi))
 
     def radial_rule(self, doublings: int = 0):
-        """Simpson nodes r and weights (jacobian included) on the u-line."""
-        n = self.n_r * (2 ** doublings)
-        u = np.linspace(R_MIN / (1.0 + R_MIN), 1.0 - TAIL_EPS, n + 1)
-        h = (u[-1] - u[0]) / n
-        w = np.full(n + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= h / 3.0
-        r = u / (1.0 - u)
-        return r, w / (1.0 - u) ** 2
+        """Simpson nodes r and weights (jacobian included) on the u-line.
+
+        Built once per panel count and shared, so both arrays are read-only.
+        """
+        return _simpson_rule(self.n_r * (2 ** doublings))
 
     def phi_nodes(self) -> np.ndarray:
         n = self.n_phi
         return (np.arange(n) + 0.5) * (2.0 * np.pi / n)
 
 
+@lru_cache(maxsize=RULE_CACHE)
+def _simpson_rule(n: int):
+    u = np.linspace(R_MIN / (1.0 + R_MIN), 1.0 - TAIL_EPS, n + 1)
+    h = (u[-1] - u[0]) / n
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= h / 3.0
+    r = u / (1.0 - u)
+    w /= (1.0 - u) ** 2
+    r.setflags(write=False)
+    w.setflags(write=False)
+    return r, w
+
+
 @dataclass(frozen=True)
 class TermField:
-    """One component as pair terms over mode indices (j <= jp)."""
+    """One component as pair terms over mode indices (j <= jp).
+
+    The field keeps the exponent rows of the last few phi grids it was
+    evaluated on (grid_rows), so maps that share it share them too.
+    """
 
     l: tuple[int, ...]
     js: np.ndarray
     jps: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
+
+    def __post_init__(self):
+        # phi grid bytes -> read-only (p, dp); not a dataclass field, so
+        # replace() and == ignore it
+        object.__setattr__(self, "_kept", {})
 
     def rows(self, phi):
         """Pair terms summed per envelope-free radial exponent, in term order.
@@ -129,6 +162,28 @@ class TermField:
             dp[e] += delta * (-a * s + b * c)
         return p, dp
 
+    def grid_rows(self, phi):
+        """rows(phi), built once per phi grid and then shared read-only.
+
+        The memo holds the rows of at most ROW_GRIDS grids; a further grid
+        starts it over.  It is never changed in place, only replaced by a
+        new dict, so threads sharing the field need no lock: two of them
+        may both build a grid's rows, and one may drop an entry the other
+        stored, but each gets equal rows.
+        """
+        phi = np.asarray(phi, dtype=float)
+        key = phi.tobytes()
+        kept = self._kept
+        rows = kept.get(key)
+        if rows is None:
+            rows = self.rows(phi)
+            for table in rows:
+                table.setflags(write=False)
+            kept = dict(kept) if len(kept) < ROW_GRIDS else {}
+            kept[key] = rows
+            object.__setattr__(self, "_kept", kept)
+        return rows
+
     def evaluate(self, r, phi, scaled=False):
         """Return (m, dm/dr, dm/dphi) on the outer-product grid.
 
@@ -138,7 +193,7 @@ class TermField:
         and the scaled fields stay representable at any radius.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        p, dp = self.rows(phi)
+        p, dp = self.grid_rows(phi)
         e = np.arange(len(p))
         powers = r[:, None] ** e
         m, mr, mp = powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
@@ -172,6 +227,37 @@ def term_field(source, matrix: np.ndarray) -> TermField:
                 alpha.append(a); beta.append(b)
     return TermField(tuple(source.l), np.array(js, dtype=int),
                      np.array(jps, dtype=int), np.array(alpha), np.array(beta))
+
+
+class SharedSource:
+    """A coefficient source that builds each component's term field once.
+
+    Stands in for the QuditState or DensityCoeffs it wraps (l, d, coeff
+    and every other attribute read through) while the maps of one call or
+    pool chunk are built from it: triple_field and canonical_field take
+    each component's TermField from it, and with the field the exponent
+    rows it keeps per phi grid.  It holds the source's tables, so it lives
+    only as long as the call that made it.
+    """
+
+    def __init__(self, source):
+        self.source = source
+        self.terms: dict = {}
+
+    def __getattr__(self, name):
+        return getattr(self.source, name)
+
+    @classmethod
+    def of(cls, source) -> "SharedSource":
+        """source itself when it is shared already, else a new wrapper."""
+        return source if isinstance(source, cls) else cls(source)
+
+    def term(self, key, matrix: np.ndarray) -> TermField:
+        """Term field of matrix, built on the first request for key."""
+        t = self.terms.get(key)
+        if t is None:
+            t = self.terms.setdefault(key, term_field(self.source, matrix))
+        return t
 
 
 def component_field(state: QuditState, index: int) -> TermField:
@@ -261,7 +347,7 @@ class UnitField:
 
     def expansion(self, phi) -> "_Expansion":
         """The area density on phi as radial monomials times phi tables."""
-        p, dp = map(np.stack, zip(*(t.rows(phi) for t in self.terms)))
+        p, dp = map(np.stack, zip(*(t.grid_rows(phi) for t in self.terms)))
         live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
         e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
         p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
@@ -397,7 +483,7 @@ def map_layout(d: int, indices: tuple[int, int, int]):
         raise ValueError(f"basis index {bad} out of range 1..{d * d - 1} "
                          f"for d = {d}")
     basis = build_basis(d)
-    pairs = set(nice_pairs(d))
+    pairs = _nice_pair_set(d)
     a = next((a for a in (0, 1) if (indices[a], indices[a + 1]) in pairs), None)
     if a is None:
         return (0, 1, 2), None, 0.0, ()
@@ -413,14 +499,22 @@ def map_layout(d: int, indices: tuple[int, int, int]):
     return arrangement, pair_modes, sigma, ((*third.modes, sigma),)
 
 
+@cache
+def _nice_pair_set(d: int) -> frozenset:
+    return frozenset(nice_pairs(d))
+
+
 def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
-    """Build the arranged unit-field for a basis-index triple."""
+    """Build the arranged unit-field for a basis-index triple.
+
+    A SharedSource state lends its components' term fields.
+    """
     if spec.canonical is not None:
         raise ValueError("canonical triples build through canonical_field")
     arrangement, pair_modes, sigma, _ = map_layout(state.d, spec.indices)
-    basis = build_basis(state.d)
-    terms = tuple(term_field(state, basis[spec.indices[k] - 1].matrix)
-                  for k in arrangement)
+    basis, source = build_basis(state.d), SharedSource.of(state)
+    terms = tuple(source.term(i, basis[i - 1].matrix)
+                  for i in (spec.indices[k] for k in arrangement))
     return UnitField(state.l, terms, arrangement, sigma, pair_modes)
 
 

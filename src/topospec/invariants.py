@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import build_basis
-from .fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec, UnitField,
-                     _Expansion, classify_map, map_layout, term_field,
+from .fields import (BLOCK_POINTS, GridSpec, MapClass, SharedSource, TripleSpec,
+                     UnitField, _Expansion, classify_map, map_layout,
                      triple_field)
 from .states import QuditState
 
@@ -278,21 +278,22 @@ def canonical_field(state: QuditState, label: str) -> UnitField:
 
     Plain labels are index triples.  The starred ones replace the third
     axis with the combined diagonal that weighs the pair's own modes +1
-    and -1.
+    and -1.  A SharedSource state lends its components' term fields, the
+    combined diagonal included.
     """
     if state.d != 3:
         raise ValueError("canonical labels are defined for d = 3")
     label = canonical_label(label)
     if label[2] != "*":
         return triple_field(state, TripleSpec(tuple(int(ch) for ch in label)))
-    basis = build_basis(3)
+    basis, source = build_basis(3), SharedSource.of(state)
     lam3, lam8 = basis[2].matrix, basis[7].matrix
     sign = 1.0 if label[:2] == "45" else -1.0
     third = 0.5 * (sign * lam3 + np.sqrt(3.0) * lam8)
     sym_idx = int(label[0])
-    terms = (term_field(state, basis[sym_idx - 1].matrix),
-             term_field(state, basis[sym_idx].matrix),
-             term_field(state, third))
+    terms = (source.term(sym_idx, basis[sym_idx - 1].matrix),
+             source.term(sym_idx + 1, basis[sym_idx].matrix),
+             source.term(label, third))
     return UnitField(state.l, terms, (0, 1, 2), 0.0, _D3_MAPS[label][0])
 
 

@@ -5,6 +5,13 @@ every map numerically with the analytic column alongside, checks the
 dependency structure of the named qutrit maps, scores spectrum similarity,
 and serializes spectra to CSV/JSON plus a dependency-free SVG bar chart.
 
+The maps of one census share what does not depend on the map: a serial
+call, or each chunk of maps a pool worker takes, evaluates its maps
+through one SharedSource, so each component's term field and its exponent
+rows per phi grid are built once there, and dropped with the call or chunk.
+Each map still builds its own cross and determinant tables, density blocks
+and classifier normalization through evaluate_map.
+
 Pooled spectra share one worker pool per process: the first call with more
 than one worker starts it (start method fork) and later calls with the same
 worker count reuse it until the interpreter exits.  A worker whose owner
@@ -25,7 +32,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .fields import GridSpec, TripleSpec, triple_field
+from .fields import GridSpec, SharedSource, TripleSpec, triple_field
 from .invariants import (CANONICAL_LABELS, canonical_field,
                          wrapping_analytic_d3, wrapping_analytic_triple,
                          wrapping_numeric)
@@ -51,11 +58,16 @@ def triple_count(d: int) -> int:
 
 
 def independent_count(d: int) -> int:
-    """Linearly independent invariants among the nice-pair maps.
+    """The paper's count of linearly independent invariants, d(d-1)(d-2)(d+3)/4.
 
-    The product formula vanishes at d = 2 through its (d-2) factor, yet
-    the qubit map is a genuine invariant, so that dimension is counted
-    by hand.
+    It is checked only at d = 3, as the rank 9 of the canonical-18 closed
+    forms (dependency_scan).  The rank of the closed-form values of every
+    nice-pair index triple over all distinct charges in a box reads 41 at
+    d = 4 in [-3,3]^4 and [-5,5]^4 (the formula gives 42), and 109 at d = 5
+    in [-3,3]^5 (the formula gives 120), so beyond d = 3 the count is the
+    paper's claim, not a measured rank.  The product formula vanishes at
+    d = 2 through its (d-2) factor, yet the qubit map is a genuine
+    invariant, so that dimension is counted by hand.
     """
     if d < 2:
         raise ValueError("need d >= 2")
@@ -163,6 +175,8 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
                  photon_swap: bool = False) -> SpectrumEntry:
     """Spectrum entry of one candidate map: the one per-map code path.
 
+    source is a QuditState or DensityCoeffs, or a fields.SharedSource of
+    one, through which the maps of a census share their component tables.
     The default radial grid has 512 panels for a canonical qutrit label
     and 256 for an index triple; a grid whose n_r is None takes it too and
     keeps its other settings.  The singular flag comes from the
@@ -191,7 +205,12 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
 
 
 def _evaluate_chunk(source, specs, options: dict) -> list[SpectrumEntry]:
-    """Entries of a run of specs; every input comes in the arguments."""
+    """Entries of a run of specs; every input comes in the arguments.
+
+    The specs' maps share each component's term field and exponent rows
+    through one SharedSource, dropped when the chunk is done.
+    """
+    source = SharedSource(source)
     return [evaluate_map(source, spec, **options) for spec in specs]
 
 

@@ -99,10 +99,16 @@ class CoincidenceMatrix:
         c = np.asarray(self.counts, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("counts must be a square matrix")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
         if len(self.labels) != c.shape[0]:
             raise ValueError("one label per measurement setting is required")
+        # NaN fails every comparison, so it is caught here, not below
+        bad = np.argwhere(~np.isfinite(c))
+        if bad.size:
+            m, n = bad[0]
+            raise ValueError(f"counts must be finite, got {c[m, n]} at setting "
+                             f"({self.labels[m]}, {self.labels[n]})")
+        if np.any(c < 0):
+            raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", c)
 
 

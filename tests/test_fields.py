@@ -1,15 +1,18 @@
 """Component-field evaluation, unit maps, and boundary classification tests."""
 
+import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.basis import build_basis
-from topospec.fields import (GridSpec, TripleSpec, UnitField, classify_map,
+from topospec.fields import (ROW_GRIDS, RULE_CACHE, GridSpec, SharedSource,
+                             TripleSpec, UnitField, _simpson_rule, classify_map,
                              component_field, term_field, triple_field)
 from topospec.invariants import canonical_field
 from topospec.states import inject_subspace, make_state, sample_perturbation
@@ -262,6 +265,85 @@ def test_classify_map_probes_all_rings_in_one_call(monkeypatch):
     monkeypatch.setattr(UnitField, "unit", counting)
     assert classify_map(canonical_field(state, "123"), GridSpec()).kind == "sphere"
     assert calls == [5]
+
+
+def test_shared_tables_are_read_only_and_bounded():
+    # radial rules and exponent rows are shared across maps, so no caller
+    # may write into them, and neither memo grows without bound
+    r, w = GridSpec(n_r=64).radial_rule(1)
+    assert r is GridSpec(n_r=128).radial_rule(0)[0]
+    assert _simpson_rule.cache_info().maxsize == RULE_CACHE
+    term = canonical_field(make_state((-1, 0, 1), np.ones(3)), "124").terms[0]
+    phi = GridSpec(n_phi=32).phi_nodes()
+    p, dp = term.grid_rows(phi)
+    assert term.grid_rows(phi.copy())[0] is p
+    for table in (r, w, p, dp):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    for n_phi in range(33, 33 + 2 * ROW_GRIDS):
+        term.grid_rows(GridSpec(n_phi=n_phi).phi_nodes())
+        assert len(term._kept) <= ROW_GRIDS
+    assert np.array_equal(term.grid_rows(phi)[0], p)
+
+
+def test_shared_tables_in_four_threads_match_serial():
+    # four threads (more than cores) share one source and its term fields,
+    # cycling through more phi grids than a field keeps, with a short
+    # switch interval: every row table and density must equal the serial one
+    state = make_state((-3, 1, 4), [1.0, 2.0, 3.0])
+    grids = [GridSpec(n_phi=n).phi_nodes() for n in range(40, 40 + ROW_GRIDS + 2)]
+    want_rows = [term_field(state, build_basis(3)[3].matrix).rows(phi)
+                 for phi in grids]
+    r = np.linspace(0.1, 3.0, 5)
+    want_dens = [canonical_field(state, "453").area_density(r, phi)
+                 for phi in grids]
+    shared = SharedSource(state)
+    bad, sizes = [], []
+    start = threading.Barrier(4)
+
+    def run(k):
+        start.wait()
+        for i in range(60):
+            j = (i + k) % len(grids)
+            term = shared.term(4, build_basis(3)[3].matrix)
+            p, dp = term.grid_rows(grids[j])
+            sizes.append(len(term._kept))
+            dens = canonical_field(shared, "453").area_density(r, grids[j])
+            if not (np.array_equal(p, want_rows[j][0])
+                    and np.array_equal(dp, want_rows[j][1])
+                    and np.array_equal(dens, want_dens[j])):
+                bad.append((k, i))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad and len(sizes) == 240
+    assert max(sizes) <= ROW_GRIDS
+    assert len(shared.terms) == 3
+
+
+def test_shared_source_fields_classify_like_fresh_ones():
+    # classify_map's ring variances read the shared rows of the probe grid
+    state = inject_subspace(make_state((-3, 1, 4), np.ones(3)),
+                            sample_perturbation(3, np.random.default_rng(0)))
+    shared = SharedSource(state)
+    grid = GridSpec()
+    for label in ("123", "45*", "453", "674"):
+        assert (classify_map(canonical_field(shared, label), grid)
+                == classify_map(canonical_field(state, label), grid)), label
+    for k in range(1, 7):
+        spec = TripleSpec((k, k + 1, 8))
+        assert (classify_map(triple_field(shared, spec), grid)
+                == classify_map(triple_field(state, spec), grid)), spec.label
+    assert shared.terms[4] is canonical_field(shared, "457").terms[0]
 
 
 def test_radial_rule_integrates_known_integral():

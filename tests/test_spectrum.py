@@ -8,14 +8,15 @@ import os
 import signal
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from topospec import spectrum
-from topospec.fields import GridSpec, TripleSpec
+from topospec import fields, spectrum
+from topospec.fields import GridSpec, TermField, TripleSpec
 from topospec.invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
                                  singularity_class)
 from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS, capacity,
@@ -26,7 +27,8 @@ from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS, capacity,
                                similarity, spectrum_to_dict, svg_bar_chart,
                                triple_count, write_spectrum_csv,
                                write_spectrum_json)
-from topospec.states import make_state
+from topospec.states import inject_subspace, make_state, sample_perturbation
+from topospec.tomography import DensityCoeffs
 
 SMALL_GRID = GridSpec(n_r=256, n_phi=64)
 
@@ -170,6 +172,65 @@ def test_spectrum_independent_of_worker_count(l, mode, grid):
     one = compute_spectrum(state, mode, grid=grid, workers=1)
     two = compute_spectrum(state, mode, grid=grid, workers=2)
     assert one.entries == two.entries
+
+
+def _table_source(kind, l):
+    d = len(l)
+    rng = np.random.default_rng(17)
+    if kind == "clean":
+        return make_state(l, np.ones(d))
+    if kind == "complex":
+        return make_state(l, rng.normal(size=d) + 1j * rng.normal(size=d))
+    if kind == "perturbed":
+        return inject_subspace(make_state(l, np.ones(d)),
+                               sample_perturbation(d, rng))
+    a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    rho = a @ a.conj().T
+    return DensityCoeffs(tuple(l), rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("kind", ["clean", "complex", "perturbed", "density"])
+@pytest.mark.parametrize("l, mode, grid", [
+    ((-3, 1, 4), "canonical18", None),
+    ((-3, 1, 4), "full", None),
+    ((-2, -1, 1, 2), "full", GridSpec(n_r=64)),
+])
+def test_shared_component_tables_equal_fresh_per_map_entries(kind, l, mode,
+                                                             grid, deadline):
+    # a census shares each component's term field and exponent rows across
+    # its maps (per chunk when pooled); every entry must equal the one
+    # evaluate_map builds from scratch for that map alone
+    source = _table_source(kind, l)
+    fresh = [evaluate_map(source, spec, grid)
+             for spec in enumerate_triples(len(l), mode)]
+    for workers in (1, 2):
+        got = compute_spectrum(source, mode, grid=grid, workers=workers).entries
+        assert len(got) == len(fresh)
+        for g, f in zip(got, fresh):
+            assert g == f, (workers, f.triple_label)
+
+
+def test_census_builds_each_component_table_once(monkeypatch):
+    # one term field per component and one exponent-row table per
+    # component and phi grid over a whole serial d = 4 census (455 maps;
+    # built per map, these were 1365 term fields and 2730 tables)
+    terms, tables = Counter(), Counter()
+    term_field, rows = fields.term_field, TermField.rows
+
+    def counting_term_field(source, matrix):
+        terms[matrix.tobytes()] += 1
+        return term_field(source, matrix)
+
+    def counting_rows(self, phi):
+        tables[id(self), np.asarray(phi, dtype=float).tobytes()] += 1
+        return rows(self, phi)
+
+    monkeypatch.setattr(fields, "term_field", counting_term_field)
+    monkeypatch.setattr(TermField, "rows", counting_rows)
+    compute_spectrum(make_state((-2, -1, 1, 2), np.ones(4)), "full", workers=1)
+    assert len(terms) == 15 and set(terms.values()) == {1}
+    assert set(tables.values()) == {1}
+    assert len({key[0] for key in tables}) == 15
 
 
 POOL_TIMEOUT = 60       # seconds; every pool test finishes in a few

@@ -132,6 +132,22 @@ def test_coincidence_matrix_validation():
         CoincidenceMatrix(np.ones((3, 3)), labels)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coincidence_matrix_rejects_a_non_finite_count(bad):
+    counts = np.ones((2, 2))
+    counts[1, 0] = bad
+    with pytest.raises(ValueError, match=rf"counts must be finite, got {bad} "
+                                         r"at setting \(b, a\)"):
+        CoincidenceMatrix(counts, ("a", "b"))
+
+
+def test_reading_a_nan_count_names_it(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("setting,a,b\na,1,2\nb,3,nan\n")
+    with pytest.raises(ValueError, match=r"got nan at setting \(b, b\)"):
+        read_coincidences_csv(path)
+
+
 def test_density_route_equals_pure_route():
     state = make_state((-1, 0, 1), np.ones(3))
     pset = projection_set(3, state.l)
