@@ -1,11 +1,11 @@
-"""Generalized Gell-Mann basis of su(d) and its Cartan-Weyl structure.
+"""Generalized Gell-Mann basis of su(d) and its nice (cos, sin) pairs.
 
 All basis elements are Hermitian, traceless, and normalized to
 Tr(T_a T_b) = 2 delta_ab.  For d=2 the basis is the Pauli triple, for d=3
 the standard printed lambda_1..lambda_8 ordering is used.  For d >= 4 the
 off-diagonal elements are grouped mode-pair by mode-pair (symmetric then
 antisymmetric, consecutively) followed by the diagonal elements, so that
-every cos/sin partner sits at adjacent indices.
+every cos/sin partner sits at adjacent indices; nice_pairs lists them.
 """
 
 from __future__ import annotations
@@ -29,20 +29,6 @@ class BasisElement:
     kind: str
     matrix: np.ndarray = field(repr=False)
     modes: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class RootPair:
-    """Cartan-Weyl root operator E = |i><j| with its Hermitian combinations.
-
-    sym_index/asym_index are the 1-based positions of (E + E^dag) and
-    -i(E - E^dag) inside build_basis(d).
-    """
-
-    modes: tuple[int, int]
-    raising: np.ndarray = field(repr=False)
-    sym_index: int = 0
-    asym_index: int = 0
 
 
 def _sym(d, i, j):
@@ -112,15 +98,3 @@ def nice_pairs(d: int) -> list[tuple[int, int]]:
             by_modes.setdefault(b.modes, {})[b.kind] = b.index
     return [(v["sym"], v["asym"]) for _, v in sorted(by_modes.items())]
 
-
-def cartan_weyl(d: int):
-    """Split the basis into Cartan (diagonal) matrices and root pairs."""
-    basis = build_basis(d)
-    cartans = [b.matrix for b in basis if b.kind == "diag"]
-    pairs = []
-    for sym_idx, asym_idx in nice_pairs(d):
-        i, j = basis[sym_idx - 1].modes
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[i, j] = 1.0
-        pairs.append(RootPair((i, j), e, sym_idx, asym_idx))
-    return cartans, pairs

@@ -199,8 +199,6 @@ def _cmd_tomo_run(args) -> int:
         eps = epsilon_from_crosstalk(C, pset)
     else:
         eps = float(args.epsilon)
-        if eps < 0:
-            raise ValueError("epsilon must be nonnegative")
     res = reconstruct(C, pset, epsilon=eps)
     psi = state.amps.reshape(-1)
     rho_t = np.outer(psi, psi.conj())

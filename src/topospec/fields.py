@@ -87,6 +87,10 @@ class GridSpec:
         r_max = self.r_max
         if r_max is None:
             r_max = float(np.sqrt(max(abs(x) for x in l)) + 6.0) if any(l) else 6.0
+        elif not 8 * R_MIN < r_max < np.inf:
+            # the probe ring at r_max / 4 must lie outside the inner rings
+            raise ValueError(f"r_max must be finite and above {8 * R_MIN:g}, "
+                             f"got {r_max}")
         n_phi = self.n_phi
         if n_phi is None:
             spread = max(l) - min(l)
@@ -258,12 +262,6 @@ class SharedSource:
         if t is None:
             t = self.terms.setdefault(key, term_field(self.source, matrix))
         return t
-
-
-def component_field(state: QuditState, index: int) -> TermField:
-    """Field of the 1-based basis component index."""
-    basis = build_basis(state.d)
-    return term_field(state, basis[index - 1].matrix)
 
 
 @dataclass(frozen=True)

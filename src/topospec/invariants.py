@@ -8,21 +8,23 @@ new odd nodes and reuses the phi-summed density kept at the old ones.  The
 field's density expansion is built once per map; every block of about
 BLOCK_POINTS (r, phi) points of every doubling streams through it.  No
 extrapolation is applied: the finer estimate is reported as it stands.
-The analytic route rests on one exponent rule.  With the Gaussian envelope
-dropped, every pair term of a component grows like r^e with
-e = |l_j| + |l_j'|; the third axis's terms, summed per exponent, leave a
-sorted list of live (exponent, weight) entries, and the rule compares it
-with the pair exponent.  The lowest live exponent wins as r -> 0 and the
-highest as r -> infinity, exponent ties land on intermediate latitudes
-W / sqrt(W^2 + 4), a lone live exponent equal to the pair's leaves a
-degenerate map, and a lowest live exponent one above the pair's makes the
-planar density diverge like 1/r at the origin (the singular flag).  The
-closed forms, the singular flag of a field or of a canonical label, and
-the accidental predictor all read the same list.  A nice-pair triple
-takes its pair and third-axis terms from fields.map_layout, and so does
-the catalogue of canonical qutrit labels, built once at import: a plain
-label is the index triple it spells, a starred one its pair's usual map
-(third axis the pair's own commutator).  Disk-like maps (one
+The analytic route rests on one end analysis of a map's term content
+(_end_analysis).  With the Gaussian envelope dropped, the pair amplitude
+grows like r^e with e = |l_j| + |l_j'|; the third axis's terms, summed per
+exponent, leave a sorted list of live (exponent, weight) entries.  The
+lowest live exponent decides the end r -> 0 and the highest the end
+r -> infinity, each in the same way: the third axis's pole when it
+outgrows the pair, the equator when the pair outgrows it, the latitude
+W / sqrt(W^2 + 4) on a tie.  A lone live exponent equal to the pair's
+leaves a degenerate map, and a lowest live exponent one above the pair's
+makes the planar density diverge like 1/r at the origin (the singular
+flag).  The closed forms and the singular flag of a field or of a
+canonical label read it for the pair; the accidental predictor reads it
+for both of its roots and needs a pole at both ends of each.  A nice-pair
+triple takes its pair and third-axis terms from fields.map_layout, and so
+does the catalogue of canonical qutrit labels, built once at import: a
+plain label is the index triple it spells, a starred one its pair's usual
+map (third axis the pair's own commutator).  Disk-like maps (one
 boundary end mapping to a trace instead of a point) are glued, doubling
 the raw integral.
 """
@@ -84,10 +86,10 @@ def singularity_class(field: UnitField) -> bool:
     """
     if field.pair_modes is None:
         return False
-    (i, j), l, third = field.pair_modes, field.l, field.terms[2]
+    third = field.terms[2]
     terms = [(m, n, a if m == n else np.hypot(a, b))
              for m, n, a, b in zip(third.js, third.jps, third.alpha, third.beta)]
-    return _exponent_rule(abs(l[i]) + abs(l[j]), _live_exponents(l, terms))[0]
+    return _end_analysis(field.l, field.pair_modes, terms)[0]
 
 
 def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
@@ -123,55 +125,44 @@ def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
 
 
 # ---------------------------------------------------------------------------
-# the exponent rule and the closed forms
+# the end analysis and the closed forms
 
-def _live_exponents(l, terms) -> list[tuple[int, float]]:
-    """Third-axis terms (m, n, weight) as ascending live (exponent, weight).
+def _end_latitude(gap: int, w: float) -> float:
+    """Third-axis latitude at one radial end, where its leading term of
+    weight w outgrows the pair amplitude by gap powers of r: its pole (sign
+    of w) for gap > 0, the equator for gap < 0, W / sqrt(W^2 + 4) on a tie."""
+    if gap > 0:
+        return 1.0 if w > 0 else -1.0
+    if gap < 0:
+        return 0.0
+    return w / np.hypot(w, 2.0)
 
-    A term grows like r^(|l_m| + |l_n|) once the common Gaussian envelope
-    is dropped: a diagonal term has m = n, a root-type third is one term.
-    Weights of one exponent add up, and sums within 1e-12 of zero drop out.
+
+def _end_analysis(l, pair: tuple[int, int],
+                  terms) -> tuple[bool, bool, float, float]:
+    """(singular, degenerate, e0, einf) of a map from its term content.
+
+    pair holds the pair amplitude's modes, terms the third axis as
+    (m, n, weight), m = n for a diagonal term; the radial ends are decided
+    as the module docstring says.  Weights of one exponent add up, and
+    sums within 1e-12 of zero drop out.
     """
+    e_pair = abs(l[pair[0]]) + abs(l[pair[1]])
     if len(terms) == 1:
         (m, n, w), = terms
-        return [(abs(l[m]) + abs(l[n]), w)] if abs(w) > 1e-12 else []
-    exps: dict[int, float] = {}
-    for m, n, w in terms:
-        e = abs(l[m]) + abs(l[n])
-        exps[e] = exps.get(e, 0.0) + w
-    return sorted((e, w) for e, w in exps.items() if abs(w) > 1e-12)
-
-
-def _exponent_rule(e_pair: int, live) -> tuple[bool, bool, float, float]:
-    """(singular, degenerate, e0, einf) of a map from its radial exponents.
-
-    live is the third axis's ascending list of live (exponent, weight)
-    entries and e_pair the pair amplitude's exponent.  At each radial end
-    the third axis's leading entry reaches its pole (sign of its weight)
-    when it outgrows the pair, the equator when the pair outgrows it, and
-    the latitude W / sqrt(W^2 + 4) on a tie.  A map with no live entry, or
-    a single one at the pair exponent, is degenerate.
-    """
-    if not live:
-        return False, True, 0.0, 0.0
-    e_lo, w_lo = live[0]
-    e_hi, w_hi = live[-1]
-    if e_lo == e_hi == e_pair:
-        # third stays proportional to the pair amplitude at every radius
-        return False, True, 0.0, 0.0
-    if e_lo < e_pair:
-        e0 = 1.0 if w_lo > 0 else -1.0
-    elif e_lo > e_pair:
-        e0 = 0.0
+        live = [(abs(l[m]) + abs(l[n]), w)] if abs(w) > 1e-12 else []
     else:
-        e0 = w_lo / np.hypot(w_lo, 2.0)
-    if e_hi > e_pair:
-        einf = 1.0 if w_hi > 0 else -1.0
-    elif e_hi < e_pair:
-        einf = 0.0
-    else:
-        einf = w_hi / np.hypot(w_hi, 2.0)
-    return e_lo - e_pair == 1, False, e0, einf
+        exps: dict[int, float] = {}
+        for m, n, w in terms:
+            e = abs(l[m]) + abs(l[n])
+            exps[e] = exps.get(e, 0.0) + w
+        live = sorted((e, w) for e, w in exps.items() if abs(w) > 1e-12)
+    if not live or live[0][0] == live[-1][0] == e_pair:
+        # no live term, or a third proportional to the pair at every radius
+        return False, True, 0.0, 0.0
+    (e_lo, w_lo), (e_hi, w_hi) = live[0], live[-1]
+    return (e_lo - e_pair == 1, False, _end_latitude(e_pair - e_lo, w_lo),
+            _end_latitude(e_hi - e_pair, w_hi))
 
 
 def _wrap_from_limits(omega: int, e0: float, einf: float) -> AnalyticWrap:
@@ -186,12 +177,10 @@ def _wrap_from_limits(omega: int, e0: float, einf: float) -> AnalyticWrap:
 
 def _closed_form(l, pair: tuple[int, int], third) -> AnalyticWrap:
     """Boundary-limit value of the nice pair on modes pair with third-axis
-    terms third (see _live_exponents)."""
-    i, j = pair
-    omega = l[i] - l[j]
+    terms third (see _end_analysis)."""
+    omega = l[pair[0]] - l[pair[1]]
     if omega != 0:
-        _, degenerate, e0, einf = _exponent_rule(abs(l[i]) + abs(l[j]),
-                                                 _live_exponents(l, third))
+        _, degenerate, e0, einf = _end_analysis(l, pair, third)
         if not degenerate:
             return _wrap_from_limits(omega, e0, einf)
     return AnalyticWrap(0.0, 0.0, "degenerate")
@@ -265,9 +254,8 @@ def singularity_class_label(label: str, l) -> bool:
     The label catalog holds the equal-amplitude term content, so the flag
     is that of a clean state with equal amplitudes.
     """
-    (i, j), third = _D3_MAPS[canonical_label(label)]
     l = tuple(int(x) for x in l)
-    return _exponent_rule(abs(l[i]) + abs(l[j]), _live_exponents(l, third))[0]
+    return _end_analysis(l, *_D3_MAPS[canonical_label(label)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +340,10 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     ds = l[asym.modes[0]] - l[asym.modes[1]]
     if dc == 0 or ds == 0:
         return None
-    # the diagonal third must outgrow both roots at both radial ends
-    live = _live_exponents(l, [(m, m, w) for m, w in
-                               enumerate(np.real(np.diag(diag.matrix)))])
-    e_amps = [abs(l[m]) + abs(l[n]) for m, n in (sym.modes, asym.modes)]
-    if not live or live[0][0] >= min(e_amps) or live[-1][0] <= max(e_amps):
+    # the diagonal third must reach a pole at both radial ends of both roots
+    third = [(m, m, w) for m, w in enumerate(np.real(np.diag(diag.matrix)))]
+    ends = [_end_analysis(l, root.modes, third)[2:] for root in (sym, asym)]
+    if any(abs(e) != 1.0 for e in ends[0] + ends[1]):
         return None
     wind = lissajous_winding(abs(dc), ds)
     if wind == 0:
@@ -366,8 +353,7 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     perm = [base.index(i) for i in order]
     odd = (perm in ([1, 0, 2], [0, 2, 1], [2, 1, 0]))
     eps = -1.0 if odd else 1.0
-    e0 = 1.0 if live[0][1] > 0 else -1.0
-    einf = 1.0 if live[-1][1] > 0 else -1.0
+    e0, einf = ends[0]
     return eps * wind * 0.5 * (e0 - einf)
 
 

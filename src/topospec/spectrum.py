@@ -83,14 +83,6 @@ class Capacity:
     topo_levels: int
     oam_levels: int
 
-    @property
-    def topo_bits(self) -> float:
-        return math.log2(self.topo_levels) if self.topo_levels > 0 else 0.0
-
-    @property
-    def oam_bits(self) -> float:
-        return math.log2(self.oam_levels)
-
 
 def capacity(d: int, independent_only: bool = False) -> Capacity:
     """Encoding capacity: one presence signal per candidate map vs d kets.

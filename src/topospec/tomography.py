@@ -194,10 +194,6 @@ class BiphotonDensity:
             raise ValueError("rho must be positive semidefinite")
         object.__setattr__(self, "rho", rho)
 
-    @property
-    def d(self) -> int:
-        return int(round(math.isqrt(self.rho.shape[0])))
-
 
 def _psd_project(rho: np.ndarray) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
@@ -274,6 +270,8 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     projected back to the physical set; epsilon = 0 leaves the optimizer
     output untouched.
     """
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     counts = C.counts.reshape(-1).astype(float)
     total = counts.sum()
     if total <= 0:

@@ -1,11 +1,11 @@
-"""Generator-basis construction and Cartan-Weyl structure tests."""
+"""Generator-basis construction and nice-pair tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from topospec.basis import build_basis, cartan_weyl, nice_pairs
+from topospec.basis import build_basis, nice_pairs
 
 st_d = st.integers(2, 6)
 
@@ -60,19 +60,11 @@ def test_nice_pairs_cover_every_mode_pair(d):
         assert basis[sym_idx - 1].kind == "sym"
         assert basis[asym_idx - 1].kind == "asym"
         assert basis[sym_idx - 1].modes == basis[asym_idx - 1].modes
-
-
-@given(st_d)
-def test_cartan_weyl_split(d):
-    cartans, pairs = cartan_weyl(d)
-    assert len(cartans) == d - 1
-    assert len(pairs) == d * (d - 1) // 2
-    basis = build_basis(d)
-    for p in pairs:
-        e = p.raising
-        assert_allclose(basis[p.sym_index - 1].matrix, e + e.conj().T)
-        assert_allclose(basis[p.asym_index - 1].matrix,
-                        -1j * (e - e.conj().T))
+        # the pair is E + E^dag and -i(E - E^dag) for the root E = |i><j|
+        e = np.zeros((d, d), dtype=complex)
+        e[basis[sym_idx - 1].modes] = 1.0
+        assert_allclose(basis[sym_idx - 1].matrix, e + e.conj().T)
+        assert_allclose(basis[asym_idx - 1].matrix, -1j * (e - e.conj().T))
 
 
 def test_build_basis_is_built_once_and_read_only():

@@ -26,6 +26,15 @@ def _make_state(tmp_path, l="-1,0,1", c="1,1,1", name="state.json"):
     return path
 
 
+def _run_cli(tmp_path, *args):
+    """topospec run as `python -m topospec.cli` in a fresh interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "topospec.cli", *args],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_state_make_writes_json(tmp_path, capsys):
     path = _make_state(tmp_path)
     doc = json.loads(path.read_text())
@@ -192,11 +201,7 @@ def test_grid_flag_without_grid_nr_keeps_the_radial_default(tmp_path):
 
 def test_invariant_eval_rejects_an_index_beyond_the_basis(tmp_path):
     state = _make_state(tmp_path)
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "topospec.cli", "invariant",
-                           "eval", str(state), "1,2,20"], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_cli(tmp_path, "invariant", "eval", str(state), "1,2,20")
     assert proc.returncode == EXIT_INPUT
     assert "basis index 20 out of range 1..8" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -211,12 +216,8 @@ def test_malformed_state_document_is_input_error(tmp_path, bad, command):
     doc = {"d": 3, "l": [-1, 0, 1], "c": [[1, 0], [1, 0], [1, 0]], **bad}
     state = tmp_path / "bad.json"
     state.write_text(json.dumps(doc))
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
     extra = ["123"] if command[0] == "invariant" else []
-    proc = subprocess.run([sys.executable, "-m", "topospec.cli", *command,
-                           str(state), *extra], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_cli(tmp_path, *command, str(state), *extra)
     assert proc.returncode == EXIT_INPUT
     assert "topospec: error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -233,11 +234,7 @@ def test_malformed_state_document_is_input_error(tmp_path, bad, command):
 def test_bad_number_in_state_document_is_input_error(tmp_path, doc):
     state = tmp_path / "bad.json"
     state.write_text(doc)
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "topospec.cli", "invariant",
-                           "eval", str(state), "123"], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_cli(tmp_path, "invariant", "eval", str(state), "123")
     assert proc.returncode == EXIT_INPUT
     assert "topospec: error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -295,14 +292,8 @@ def test_tomo_run_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("counts", ["nan", "inf", "-1", "0"])
 def test_tomo_run_rejects_a_bad_count_budget(tmp_path, counts):
     state = _make_state(tmp_path, l="0,1", c="1,1")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(topospec.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "topospec.cli", "tomo", "run",
-                           str(state), "--counts", counts,
-                           "--noise", "poisson",
-                           "--out-dir", str(tmp_path / "x")], env=env,
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120)
+    proc = _run_cli(tmp_path, "tomo", "run", str(state), "--counts", counts,
+                    "--noise", "poisson", "--out-dir", str(tmp_path / "x"))
     assert proc.returncode == EXIT_INPUT
     assert ("topospec: error: count budget must be finite and > 0"
             in proc.stderr)
@@ -314,3 +305,28 @@ def test_tomo_run_epsilon_validation(tmp_path, capsys):
     assert main(["tomo", "run", str(state), "--epsilon", "-0.5",
                  "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+def test_tomo_run_rejects_an_unusable_epsilon_before_the_fit(tmp_path, eps):
+    state = _make_state(tmp_path, l="0,1", c="1,1")
+    out = tmp_path / "x"
+    proc = _run_cli(tmp_path, "tomo", "run", str(state), "--epsilon", eps,
+                    "--out-dir", str(out))
+    assert proc.returncode == EXIT_INPUT
+    assert (f"topospec: error: epsilon must be finite and nonnegative, "
+            f"got {eps}" in proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert not (out / "density.json").exists()
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("rmax", ["nan", "inf", "0", "-5"])
+def test_invariant_eval_rejects_an_unusable_rmax(tmp_path, rmax):
+    state = _make_state(tmp_path)
+    proc = _run_cli(tmp_path, "invariant", "eval", str(state), "123",
+                    "--rmax", rmax)
+    assert proc.returncode == EXIT_INPUT
+    assert "topospec: error: r_max must be finite and above 0.008" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "converged=True" not in proc.stdout

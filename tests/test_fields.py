@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.basis import build_basis
-from topospec.fields import (ROW_GRIDS, RULE_CACHE, GridSpec, SharedSource,
-                             TripleSpec, UnitField, _simpson_rule, classify_map,
-                             component_field, term_field, triple_field)
+from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec,
+                             SharedSource, TripleSpec, UnitField, _simpson_rule,
+                             classify_map, term_field, triple_field)
 from topospec.invariants import canonical_field
 from topospec.states import inject_subspace, make_state, sample_perturbation
 
@@ -32,7 +32,7 @@ def test_term_field_matches_direct_expectation(l, index):
     rng = np.random.default_rng(index)
     state = make_state(l, rng.normal(size=3) + 1j * rng.normal(size=3))
     matrix = build_basis(3)[index - 1].matrix
-    field = component_field(state, index)
+    field = term_field(state, matrix)
     r = np.array([0.3, 0.9, 1.7])
     phi = np.linspace(0.1, 6.0, 7)
     m, _, _ = field.evaluate(r, phi)
@@ -43,7 +43,7 @@ def test_term_field_matches_direct_expectation(l, index):
 @settings(max_examples=20, deadline=None)
 def test_term_field_derivatives(l, index):
     state = make_state(l, np.ones(3))
-    field = component_field(state, index)
+    field = term_field(state, build_basis(3)[index - 1].matrix)
     r = np.array([0.8])
     phi = np.array([0.7])
     h = 1e-6
@@ -58,7 +58,7 @@ def test_term_field_derivatives(l, index):
 
 def test_scaled_evaluation_drops_envelope():
     state = make_state((-1, 0, 1), np.ones(3))
-    field = component_field(state, 1)
+    field = term_field(state, build_basis(3)[0].matrix)
     r = np.array([0.5, 1.5])
     phi = np.array([0.3, 2.0])
     m, _, _ = field.evaluate(r, phi)
@@ -357,3 +357,11 @@ def test_grid_resolve_defaults():
     g = GridSpec().resolve((-3, 0, 3))
     assert g.r_max is not None and g.r_max > np.sqrt(3.0)
     assert g.n_phi == 64 * 6
+
+
+@pytest.mark.parametrize("r_max", [np.nan, np.inf, 0.0, -5.0, 8 * R_MIN])
+def test_grid_resolve_rejects_an_r_max_inside_the_inner_rings(r_max):
+    # the classifier's r_max / 4 ring must lie outside the 2 R_MIN ring
+    with pytest.raises(ValueError, match="r_max must be finite and above"):
+        GridSpec(r_max=r_max).resolve((-1, 0, 1))
+    assert GridSpec(r_max=9 * R_MIN).resolve((-1, 0, 1)).r_max == 9 * R_MIN

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
                              UnitField, _Expansion, map_layout, triple_field)
-from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _exponent_rule,
+from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _end_analysis,
                                  _row_sums, _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
                                  lissajous_winding, monopole_charge_area,
@@ -65,15 +65,24 @@ def test_wrap_from_limits():
         _wrap_from_limits(1, 0.0, 0.5)
 
 
-def test_exponent_rule_ends_and_singular_flag():
-    # (singular, degenerate, e0, einf) against the pair exponent 2
-    assert _exponent_rule(2, [(0, -3.0), (4, 0.5)]) == (False, False, -1.0, 1.0)
-    assert _exponent_rule(2, [(3, -1.0)]) == (True, False, 0.0, -1.0)
-    assert _exponent_rule(2, [(1, 1.0)]) == (False, False, 1.0, 0.0)
-    _, degenerate, e0, einf = _exponent_rule(2, [(0, -1.0), (2, 1.0)])
+def test_end_analysis_ends_and_singular_flag():
+    # (singular, degenerate, e0, einf) against the pair on modes (0, 1), of
+    # exponent 2; third-axis terms (m, n, weight) grow like r^(|l_m| + |l_n|)
+    l, pair = (1, -1, 0, 2), (0, 1)
+    # exponents 0 and 4
+    assert _end_analysis(l, pair, [(2, 2, -3.0), (3, 3, 0.5)]) == \
+        (False, False, -1.0, 1.0)
+    # one root-type term of exponent 3
+    assert _end_analysis(l, pair, [(1, 3, -1.0)]) == (True, False, 0.0, -1.0)
+    # exponent 1
+    assert _end_analysis(l, pair, [(0, 2, 1.0)]) == (False, False, 1.0, 0.0)
+    # exponents 0 and 2: a tie with the pair as r -> infinity
+    _, degenerate, e0, einf = _end_analysis(l, pair, [(2, 2, -1.0), (0, 0, 1.0)])
     assert not degenerate and e0 == -1.0 and einf == 1.0 / np.sqrt(5.0)
-    assert _exponent_rule(2, [(2, 1.0)])[:2] == (False, True)
-    assert _exponent_rule(2, [])[:2] == (False, True)
+    # exponent 2 alone
+    assert _end_analysis(l, pair, [(0, 0, 1.0)])[:2] == (False, True)
+    # two exponent-2 terms cancelling to no live term
+    assert _end_analysis(l, pair, [(0, 0, 1.0), (1, 1, -1.0)])[:2] == (False, True)
 
 
 def test_qubit_ladder_analytic():
@@ -322,6 +331,19 @@ def test_accidental_prediction_skips_curves_through_the_origin():
 def test_accidental_prediction_exists_only_under_degeneracy():
     assert accidental_predict((1, 2, 2), (1, 3, 5)) == -1.0
     assert accidental_predict((1, 2, 3), (1, 3, 5)) is None
+
+
+@pytest.mark.parametrize("l, expected", [
+    ((-4, -3, -1), None),   # the asym root's 5 undercuts the diagonal's 6 as r -> 0
+    ((1, 3, -1), None),     # the diagonal ties the asym root's 2 as r -> 0
+    ((3, 1, -3), None),     # the diagonal ties the asym root's 6 as r -> infinity
+    ((1, 2, 2), -1.0),      # the diagonal leads both roots at both ends
+])
+def test_accidental_prediction_needs_the_diagonal_at_both_ends(l, expected):
+    # cos (0, 1), lambda_3 and sin (0, 2): the Lissajous winding is nonzero,
+    # so a missing prediction comes from the end analysis alone
+    assert lissajous_winding(abs(l[0] - l[1]), l[0] - l[2]) != 0
+    assert accidental_predict(l, (1, 3, 5)) == expected
 
 
 def test_accidental_numeric_agreement():
