@@ -60,6 +60,15 @@ def test_nice_pairs_cover_every_mode_pair(d):
         assert basis[sym_idx - 1].kind == "sym"
         assert basis[asym_idx - 1].kind == "asym"
         assert basis[sym_idx - 1].modes == basis[asym_idx - 1].modes
+
+
+@given(st_d)
+def test_cartan_weyl_split(d):
+    basis = build_basis(d)
+    assert sum(b.kind == "diag" for b in basis) == d - 1
+    pairs = nice_pairs(d)
+    assert len(pairs) == d * (d - 1) // 2
+    for sym_idx, asym_idx in pairs:
         # the pair is E + E^dag and -i(E - E^dag) for the root E = |i><j|
         e = np.zeros((d, d), dtype=complex)
         e[basis[sym_idx - 1].modes] = 1.0
