@@ -3,7 +3,7 @@
 Subcommands cover state authoring, spectrum computation and comparison,
 single-map evaluation, the dependency scan, and the tomography round
 trip.  Exit codes: 0 on success, 1 on bad input, 2 when a quadrature or
-reconstruction fails to converge.
+reconstruction fails to converge or a dependency check is violated.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .spectrum import (compute_spectrum, default_workers, dependency_scan,
                        write_spectrum_json)
 from .states import (load_state, make_state, sample_perturbation, save_state,
                      inject_subspace)
-from .tomography import (epsilon_from_crosstalk, metrics, projection_set,
-                         reconstruct, save_density, simulate_coincidences,
-                         spectrum_from_density, write_coincidences_csv)
+from .tomography import (check_epsilon, epsilon_from_crosstalk, metrics,
+                         projection_set, reconstruct, save_density,
+                         simulate_coincidences, spectrum_from_density,
+                         write_coincidences_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -178,7 +179,9 @@ def _cmd_deps_scan(args) -> int:
     for rel in report.pairwise:
         print(f"  identity {rel.name}: max residual {rel.max_residual:.1e} "
               f"({'holds' if rel.holds else 'VIOLATED'})")
-    return EXIT_OK
+    if all(rel.holds for rel in report.relations + report.pairwise):
+        return EXIT_OK
+    return EXIT_NUMERIC
 
 
 def _cmd_tomo_run(args) -> int:
@@ -186,6 +189,7 @@ def _cmd_tomo_run(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.perturb:
         state = inject_subspace(state, sample_perturbation(state.d, rng))
+    eps = None if args.epsilon == "auto" else check_epsilon(args.epsilon)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -195,10 +199,8 @@ def _cmd_tomo_run(args) -> int:
     C.meta["seed"] = args.seed
     write_coincidences_csv(C, out / "coincidences.csv")
 
-    if args.epsilon == "auto":
+    if eps is None:
         eps = epsilon_from_crosstalk(C, pset)
-    else:
-        eps = float(args.epsilon)
     res = reconstruct(C, pset, epsilon=eps)
     psi = state.amps.reshape(-1)
     rho_t = np.outer(psi, psi.conj())

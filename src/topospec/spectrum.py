@@ -33,9 +33,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .fields import GridSpec, SharedSource, TripleSpec, triple_field
-from .invariants import (CANONICAL_LABELS, canonical_field,
-                         wrapping_analytic_d3, wrapping_analytic_triple,
-                         wrapping_numeric)
+from .invariants import (_D3_MAPS, CANONICAL_LABELS, _closed_forms,
+                         canonical_field, wrapping_analytic_d3,
+                         wrapping_analytic_triple, wrapping_numeric)
 from .states import QuditState
 
 TRIVIAL_THRESHOLD = 0.1
@@ -361,35 +361,30 @@ class DependencyReport:
 def dependency_scan(l_range: int) -> DependencyReport:
     """Rank of the canonical-map value vectors over an index box.
 
-    Builds the 18-vector of closed-form values for every distinct mode
-    triple in [-l_range, l_range]^3, reports the matrix rank, and checks
-    the three linear dependences and six cos/sin equalities on every
-    sample.
+    Takes every distinct mode triple in [-l_range, l_range]^3, in
+    itertools.permutations order, as one charge array and evaluates each
+    canonical label's closed form over the whole box at once; each column
+    equals that label's per-map closed form (wrapping_analytic_d3) row by
+    row.  Reports the rank of the 18-column matrix and checks the three
+    linear dependences and six cos/sin equalities exactly on every sample.
     """
     if l_range < 3:
         raise ValueError("need l_range >= 3")
-    pos = {lab: k for k, lab in enumerate(CANONICAL_LABELS)}
-    rows = []
-    rel_worst = [0.0] * len(RELATIONS)
-    pair_worst = [0.0] * len(PAIRWISE_IDENTITIES)
-    span = range(-l_range, l_range + 1)
-    for l in permutations(span, 3):
-        v = np.array([wrapping_analytic_d3(lab, l).glued
-                      for lab in CANONICAL_LABELS])
-        rows.append(v)
-        for k, (_, combo) in enumerate(RELATIONS):
-            s = sum(c * v[pos[lab]] for lab, c in combo)
-            rel_worst[k] = max(rel_worst[k], abs(s))
-        for k, (a, b) in enumerate(PAIRWISE_IDENTITIES):
-            pair_worst[k] = max(pair_worst[k], abs(v[pos[a]] - v[pos[b]]))
-    mat = np.array(rows)
+    charges = np.array(list(permutations(range(-l_range, l_range + 1), 3)))
+    mat = np.column_stack([_closed_forms(charges, *_D3_MAPS[lab])[1]
+                           for lab in CANONICAL_LABELS])
+    col = dict(zip(CANONICAL_LABELS, mat.T))
+
+    def check(name: str, residual: np.ndarray) -> RelationCheck:
+        worst = float(np.abs(residual).max())
+        return RelationCheck(name, worst, worst == 0.0)
+
+    relations = tuple(check(name, sum(c * col[lab] for lab, c in combo))
+                      for name, combo in RELATIONS)
+    pairwise = tuple(check(f"{a} = {b}", col[a] - col[b])
+                     for a, b in PAIRWISE_IDENTITIES)
     rank = int(np.linalg.matrix_rank(mat))
-    relations = tuple(RelationCheck(name, rel_worst[k], rel_worst[k] == 0.0)
-                      for k, (name, _) in enumerate(RELATIONS))
-    pairwise = tuple(RelationCheck(f"{a} = {b}", pair_worst[k],
-                                   pair_worst[k] == 0.0)
-                     for k, (a, b) in enumerate(PAIRWISE_IDENTITIES))
-    return DependencyReport(l_range, len(rows), rank, relations, pairwise)
+    return DependencyReport(l_range, len(charges), rank, relations, pairwise)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,17 @@ def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4
     return CoincidenceMatrix(counts, pset.labels, meta)
 
 
+def check_epsilon(epsilon) -> float:
+    """The density threshold as a float, if it is finite and nonnegative."""
+    try:
+        value = float(epsilon)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    return value
+
+
 def epsilon_from_crosstalk(C: CoincidenceMatrix, pset: ProjectionSet) -> float:
     """Threshold estimate: worst forbidden basis coincidence, as a fraction.
 
@@ -270,8 +281,7 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     projected back to the physical set; epsilon = 0 leaves the optimizer
     output untouched.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     counts = C.counts.reshape(-1).astype(float)
     total = counts.sum()
     if total <= 0:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import topospec
+from topospec import cli
 from topospec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from topospec.invariants import CANONICAL_LABELS
-from topospec.spectrum import compute_spectrum, read_spectrum_values
+from topospec.spectrum import (RelationCheck, compute_spectrum,
+                               dependency_scan, read_spectrum_values)
 from topospec.states import load_state
 
 CSV_HEADER = "triple_label,map_class,raw,glued,analytic,singular,trivial"
@@ -266,6 +269,16 @@ def test_deps_scan_reports_rank(capsys):
     assert out.count("holds") == 9
 
 
+def test_deps_scan_exits_numeric_on_a_violated_relation(monkeypatch, capsys):
+    report = dependency_scan(3)
+    broken = RelationCheck(report.relations[0].name, 0.5, False)
+    monkeypatch.setattr(cli, "dependency_scan", lambda l_range: replace(
+        report, relations=(broken,) + report.relations[1:]))
+    assert main(["deps", "scan", "--l-range", "3"]) == EXIT_NUMERIC
+    out = capsys.readouterr().out
+    assert "VIOLATED" in out and out.count("holds") == 8
+
+
 def test_tomo_run_round_trip(tmp_path, capsys):
     state = _make_state(tmp_path, l="0,1", c="1,1")
     out_dir = tmp_path / "tomo"
@@ -307,7 +320,7 @@ def test_tomo_run_epsilon_validation(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5", "abc"])
 def test_tomo_run_rejects_an_unusable_epsilon_before_the_fit(tmp_path, eps):
     state = _make_state(tmp_path, l="0,1", c="1,1")
     out = tmp_path / "x"
@@ -319,6 +332,7 @@ def test_tomo_run_rejects_an_unusable_epsilon_before_the_fit(tmp_path, eps):
     assert "Traceback" not in proc.stderr
     assert not (out / "density.json").exists()
     assert not (out / "metrics.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rmax", ["nan", "inf", "0", "-5"])

@@ -1,6 +1,7 @@
 """Wrapping-number evaluation, gluing, classification, and charge identity."""
 
 import tracemalloc
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from numpy.testing import assert_allclose
 
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
                              UnitField, _Expansion, map_layout, triple_field)
-from topospec.invariants import (CANONICAL_LABELS, AnalyticWrap, _end_analysis,
-                                 _row_sums, _wrap_from_limits, accidental_predict,
+from topospec.invariants import (_D3_MAPS, CANONICAL_LABELS, AnalyticWrap,
+                                 _closed_forms, _end_analysis, _row_sums,
+                                 _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
                                  lissajous_winding, monopole_charge_area,
                                  monopole_charge_planar, singularity_class,
@@ -83,6 +85,32 @@ def test_end_analysis_ends_and_singular_flag():
     assert _end_analysis(l, pair, [(0, 0, 1.0)])[:2] == (False, True)
     # two exponent-2 terms cancelling to no live term
     assert _end_analysis(l, pair, [(0, 0, 1.0), (1, 1, -1.0)])[:2] == (False, True)
+
+
+def _assert_closed_forms_equal(charges, pair, third, per_map):
+    """_closed_forms over charges equals per_map at each row, sign of zero
+    included."""
+    wraps = [per_map(l) for l in charges.tolist()]
+    for got, want in zip(_closed_forms(charges, pair, third),
+                         ([w.raw for w in wraps], [w.glued for w in wraps])):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_closed_forms_over_a_box_equal_the_per_map_closed_forms():
+    # repeated charges included: a pair on two equal charges is degenerate
+    charges = np.array(list(product(range(-10, 11), repeat=3)))
+    for label in CANONICAL_LABELS:
+        _assert_closed_forms_equal(charges, *_D3_MAPS[label],
+                                   lambda l: wrapping_analytic_d3(label, l))
+    charges = np.array(list(permutations(range(-3, 4), 4)))
+    layouts = [(idx, map_layout(4, idx)) for idx in combinations(range(1, 16), 3)]
+    triples = [(idx, pair, third) for idx, (_, pair, _, third) in layouts
+               if pair is not None]
+    assert len(triples) == 78
+    for idx, pair, third in triples:
+        _assert_closed_forms_equal(charges, pair, third,
+                                   lambda l: wrapping_analytic_triple(l, idx))
 
 
 def test_qubit_ladder_analytic():

@@ -113,6 +113,15 @@ def test_dependency_scan_small():
     assert len(rep.pairwise) == len(PAIRWISE_IDENTITIES) == 6
 
 
+def test_dependency_scan_makes_no_per_sample_closed_form_calls(monkeypatch):
+    def per_map(*args):
+        raise AssertionError("per-map closed form called")
+    monkeypatch.setattr(spectrum, "wrapping_analytic_d3", per_map)
+    rep = dependency_scan(3)
+    assert rep.rank == 9 and rep.n_samples == 210
+    assert all(r.holds for r in rep.relations + rep.pairwise)
+
+
 def test_dependency_scan_rejects_small_range():
     with pytest.raises(ValueError):
         dependency_scan(2)
