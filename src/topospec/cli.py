@@ -190,10 +190,10 @@ def _cmd_tomo_run(args) -> int:
     if args.perturb:
         state = inject_subspace(state, sample_perturbation(state.d, rng))
     eps = None if args.epsilon == "auto" else check_epsilon(args.epsilon)
+    pset = projection_set(state.d, state.l)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    pset = projection_set(state.d, state.l)
     C = simulate_coincidences(state, pset, total_counts=args.counts,
                               noise=args.noise, rng=rng)
     C.meta["seed"] = args.seed

@@ -11,12 +11,14 @@ gauge of a root-type third, and the third axis's terms at unit
 amplitudes) is decided once, in map_layout; triple_field, the closed
 forms and the qutrit label catalogue in invariants all read it.
 
-With the Gaussian envelope dropped, each pair term is r^e times an
-angular factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's
-terms per exponent into one table row each, and every evaluator reads
-those rows: TermField.evaluate, whose envelope-free values UnitField
-stacks into the normalized map (``unit``) that the boundary classifier
-reads, and the area density det[m, m_r, m_phi] / |m|^3, taken straight
+The Gaussian envelope exp(-2 r^2) is common to every term and positive at
+every radius, so it cancels in the normalized map and in its area density,
+and no evaluator computes it: each pair term is r^e times an angular
+factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's terms per
+exponent into one table row each, and every evaluator reads those rows:
+TermField.evaluate, whose envelope-free values UnitField stacks into the
+normalized map (``unit``) that the boundary classifier reads, and the
+area density det[m, m_r, m_phi] / |m|^3 of the fixed map, taken straight
 from the unnormalized field.  The density expands separably: the
 determinant and |m|^2 are short sums of radial monomials times tables in
 phi, which UnitField.expansion builds once per map and azimuthal grid.
@@ -68,7 +70,7 @@ ROW_GRIDS = 4
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Integration grid.  n_r counts Simpson panels, phi uses midpoints.
+    """Integration grid.  n_r counts Simpson panels (even), phi uses midpoints.
 
     The radial integral runs over the full annulus [R_MIN, inf) through the
     compactification u = r / (1 + r); boundary limits are approached only
@@ -98,6 +100,8 @@ class GridSpec:
         if self.n_r is None or self.n_r < 1 or n_phi < 1:
             raise ValueError(f"grid needs n_r >= 1 and n_phi >= 1, got "
                              f"n_r={self.n_r}, n_phi={n_phi}")
+        if self.n_r % 2:
+            raise ValueError(f"Simpson's rule needs an even n_r, got {self.n_r}")
         return GridSpec(r_max, int(self.n_r), int(n_phi))
 
     def radial_rule(self, doublings: int = 0):
@@ -188,25 +192,19 @@ class TermField:
             object.__setattr__(self, "_kept", kept)
         return rows
 
-    def evaluate(self, r, phi, scaled=False):
-        """Return (m, dm/dr, dm/dphi) on the outer-product grid.
+    def evaluate(self, r, phi):
+        """Return (m, dm/dr, dm/dphi) on the outer-product grid, envelope-free.
 
-        scaled=True drops the common Gaussian envelope exp(-2 r^2) from
-        every term (and from the radial derivative).  Normalized quantities
-        built through the tangent-projection quotient rule are unaffected,
-        and the scaled fields stay representable at any radius.
+        The common Gaussian envelope exp(-2 r^2) of every term is left out
+        (m here is the expectation divided by it), so the values stay
+        representable at any radius; the envelope is positive per radius
+        and drops out of the normalized map and of the area density.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         p, dp = self.grid_rows(phi)
         e = np.arange(len(p))
         powers = r[:, None] ** e
-        m, mr, mp = powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
-        if not scaled:
-            env = np.exp(-2.0 * r * r)[:, None]
-            mr = (mr - 4.0 * r[:, None] * m) * env
-            m *= env
-            mp *= env
-        return m, mr, mp
+        return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
 
 
 def term_field(source, matrix: np.ndarray) -> TermField:
@@ -296,23 +294,21 @@ class TripleSpec:
 class UnitField:
     """Triple map in canonical arrangement with its fix policy.
 
-    components are ordered (cos-like, sin-like, third) when a nice pair is
-    present (an even rotation of the sorted triple, so orientation is
-    unchanged), otherwise in sorted index order.  sigma = +-1 is the
-    orientation gauge applied as third -> sigma*|third| for root-type
-    thirds; sigma = 0 means no fix.
+    terms are ordered (cos-like, sin-like, third) when a nice pair is
+    present (map_layout's arrangement, an even rotation of the sorted
+    triple, so orientation is unchanged), otherwise in sorted index order.
+    sigma = +-1 is the orientation gauge applied as third -> sigma*|third|
+    for root-type thirds; sigma = 0 means no fix.
     """
 
     l: tuple[int, ...]
     terms: tuple[TermField, TermField, TermField]
-    arrangement: tuple[int, int, int]
     sigma: float
     pair_modes: tuple[int, int] | None
 
     def evaluate(self, r, phi, fix: bool = True):
         """Stacked envelope-free S-tilde and partials, shape (3, nr, nphi) each."""
-        m, mr, mp = map(np.stack, zip(*(t.evaluate(r, phi, scaled=True)
-                                        for t in self.terms)))
+        m, mr, mp = map(np.stack, zip(*(t.evaluate(r, phi) for t in self.terms)))
         if fix and self.sigma != 0.0:
             # sign(+-0) = +1
             sgn = np.where(m[2] < 0.0, -self.sigma, self.sigma)
@@ -367,15 +363,17 @@ class UnitField:
                           *_live_rows(det, 3 * e_lo - 1),
                           *_live_rows(nrm, 2 * e_lo), *_live_rows(p[2], e_lo))
 
-    def area_density(self, r, phi, fix: bool = True) -> np.ndarray:
+    def area_density(self, r, phi) -> np.ndarray:
         """Pullback area density S . (dS/dr x dS/dphi), shape (nr, nphi).
 
-        Equals det[m, m_r, m_phi] / |m|^3 of the unnormalized field: the
-        parts of m_r and m_phi along m drop out of the determinant, and any
-        positive per-radius scale cancels.  A caller that evaluates many
-        blocks on one phi grid builds self.expansion(phi) once instead.
+        S is the fixed map, the one wrapping_numeric integrates.  The
+        density equals det[m, m_r, m_phi] / |m|^3 of the unnormalized
+        field: the parts of m_r and m_phi along m drop out of the
+        determinant, and any positive per-radius scale cancels.  A caller
+        that evaluates many blocks on one phi grid builds
+        self.expansion(phi) once instead.
         """
-        return self.expansion(phi).density(np.asarray(r, dtype=float), fix)
+        return self.expansion(phi).density(np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -403,7 +401,7 @@ class _Expansion:
     third_exps: np.ndarray
     third_tables: np.ndarray
 
-    def density(self, r: np.ndarray, fix: bool = True) -> np.ndarray:
+    def density(self, r: np.ndarray) -> np.ndarray:
         """Area density at the radii r on the expansion's phi grid.
 
         A block costs one matrix-vector product per radius and table, then
@@ -420,7 +418,7 @@ class _Expansion:
         e_ref = np.where(r >= 1.0, self.e_hi, self.e_lo)
         _radial_sum(r, self.det_exps, 3 * e_ref, self.det_tables, det)
         _radial_sum(r, self.nrm_exps, 2 * e_ref, self.nrm_tables, nrm2)
-        if fix and self.sigma != 0.0:
+        if self.sigma != 0.0:
             _radial_sum(r, self.third_exps, e_ref, self.third_tables, third)
             flip = third < 0.0 if self.sigma > 0.0 else third >= 0.0
             np.negative(det, out=det, where=flip)
@@ -513,7 +511,7 @@ def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
     basis, source = build_basis(state.d), SharedSource.of(state)
     terms = tuple(source.term(i, basis[i - 1].matrix)
                   for i in (spec.indices[k] for k in arrangement))
-    return UnitField(state.l, terms, arrangement, sigma, pair_modes)
+    return UnitField(state.l, terms, sigma, pair_modes)
 
 
 @dataclass(frozen=True)

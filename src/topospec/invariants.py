@@ -154,15 +154,11 @@ def _end_analysis(l, pair: tuple[int, int],
     sums within 1e-12 of zero drop out.
     """
     e_pair = abs(l[pair[0]]) + abs(l[pair[1]])
-    if len(terms) == 1:
-        (m, n, w), = terms
-        live = [(abs(l[m]) + abs(l[n]), w)] if abs(w) > 1e-12 else []
-    else:
-        exps: dict[int, float] = {}
-        for m, n, w in terms:
-            e = abs(l[m]) + abs(l[n])
-            exps[e] = exps.get(e, 0.0) + w
-        live = sorted((e, w) for e, w in exps.items() if abs(w) > 1e-12)
+    exps: dict[int, float] = {}
+    for m, n, w in terms:
+        e = abs(l[m]) + abs(l[n])
+        exps[e] = exps.get(e, 0.0) + w
+    live = sorted((e, w) for e, w in exps.items() if abs(w) > 1e-12)
     if not live or live[0][0] == live[-1][0] == e_pair:
         # no live term, or a third proportional to the pair at every radius
         return False, True, 0.0, 0.0
@@ -325,7 +321,7 @@ def canonical_field(state: QuditState, label: str) -> UnitField:
     terms = (source.term(sym_idx, basis[sym_idx - 1].matrix),
              source.term(sym_idx + 1, basis[sym_idx].matrix),
              source.term(label, third))
-    return UnitField(state.l, terms, (0, 1, 2), 0.0, _D3_MAPS[label][0])
+    return UnitField(state.l, terms, 0.0, _D3_MAPS[label][0])
 
 
 # ---------------------------------------------------------------------------

@@ -76,24 +76,6 @@ def independent_count(d: int) -> int:
     return d * (d - 1) * (d - 2) * (d + 3) // 4
 
 
-@dataclass(frozen=True)
-class Capacity:
-    """Binary-encoding levels carried by one state."""
-
-    topo_levels: int
-    oam_levels: int
-
-
-def capacity(d: int, independent_only: bool = False) -> Capacity:
-    """Encoding capacity: one presence signal per candidate map vs d kets.
-
-    independent_only counts only the provably independent maps instead of
-    the full census.
-    """
-    topo = independent_count(d) if independent_only else triple_count(d)
-    return Capacity(topo, d)
-
-
 def enumerate_triples(d: int, mode: str | None = None) -> list[TripleSpec]:
     """Candidate triples in deterministic order.
 

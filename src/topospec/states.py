@@ -138,8 +138,10 @@ def state_from_json(doc: dict) -> QuditState:
     for key in ("d", "l", "c"):
         if key not in doc:
             raise ValueError(f"missing state key: {key}")
+    d = doc["d"]
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"d must be an integer, got {d!r}")
     try:
-        d = int(doc["d"])
         l = [float(x) for x in doc["l"]]
         c = [complex(re, im) for re, im in doc["c"]]
         delta = (np.asarray(doc["perturbation"], dtype=float)

@@ -335,6 +335,26 @@ def test_tomo_run_rejects_an_unusable_epsilon_before_the_fit(tmp_path, eps):
     assert not out.exists()
 
 
+def test_tomo_run_rejects_repeated_charges_before_making_the_out_dir(tmp_path):
+    state = _make_state(tmp_path, l="1,1,2")
+    out = tmp_path / "x"
+    proc = _run_cli(tmp_path, "tomo", "run", str(state), "--out-dir", str(out))
+    assert proc.returncode == EXIT_INPUT
+    assert "topospec: error: subspace_l entries must be distinct" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_invariant_eval_rejects_an_odd_grid_nr(tmp_path):
+    state = _make_state(tmp_path)
+    proc = _run_cli(tmp_path, "invariant", "eval", str(state), "123",
+                    "--grid-nr", "255")
+    assert proc.returncode == EXIT_INPUT
+    assert "topospec: error: Simpson's rule needs an even n_r, got 255" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "glued=" not in proc.stdout
+
+
 @pytest.mark.parametrize("rmax", ["nan", "inf", "0", "-5"])
 def test_invariant_eval_rejects_an_unusable_rmax(tmp_path, rmax):
     state = _make_state(tmp_path)

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from topospec.basis import build_basis
 from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec,
                              SharedSource, TripleSpec, UnitField, _simpson_rule,
-                             classify_map, term_field, triple_field)
+                             classify_map, map_layout, term_field, triple_field)
 from topospec.invariants import canonical_field
 from topospec.states import inject_subspace, make_state, sample_perturbation
 
@@ -36,7 +36,9 @@ def test_term_field_matches_direct_expectation(l, index):
     r = np.array([0.3, 0.9, 1.7])
     phi = np.linspace(0.1, 6.0, 7)
     m, _, _ = field.evaluate(r, phi)
-    assert_allclose(m, _direct_component(state, matrix, r, phi), atol=1e-12)
+    # evaluate leaves out the Gaussian envelope that the direct field carries
+    assert_allclose(m * np.exp(-2.0 * r * r)[:, None],
+                    _direct_component(state, matrix, r, phi), atol=1e-12)
 
 
 @given(st_l3, st_index)
@@ -54,16 +56,6 @@ def test_term_field_derivatives(l, index):
     m_pm = field.evaluate(r, phi - h)[0]
     assert_allclose(mr, (m_rp - m_rm) / (2 * h), rtol=1e-5, atol=1e-7)
     assert_allclose(mp, (m_pp - m_pm) / (2 * h), rtol=1e-5, atol=1e-7)
-
-
-def test_scaled_evaluation_drops_envelope():
-    state = make_state((-1, 0, 1), np.ones(3))
-    field = term_field(state, build_basis(3)[0].matrix)
-    r = np.array([0.5, 1.5])
-    phi = np.array([0.3, 2.0])
-    m, _, _ = field.evaluate(r, phi)
-    ms, _, _ = field.evaluate(r, phi, scaled=True)
-    assert_allclose(ms * np.exp(-2.0 * r * r)[:, None], m, atol=1e-12)
 
 
 def test_unit_field_is_normalized_and_tangent():
@@ -181,21 +173,21 @@ def test_area_density_in_two_threads_matches_serial():
 
 
 def test_area_density_interleaved_evaluations_reproduce_every_first_evaluation():
-    # interleaving two fields of the same charges, two phi grids of the same
-    # size and both fix settings must reproduce every first evaluation
-    # exactly: no evaluation leaves state behind that changes the next one
+    # interleaving two fields of the same charges and two phi grids of the
+    # same size must reproduce every first evaluation exactly: no
+    # evaluation leaves state behind that changes the next one
     state = make_state((-4, -3, 4), np.ones(3))
     fields = [canonical_field(state, "124"), canonical_field(state, "125")]
     base = GridSpec(n_phi=64).phi_nodes()
     grids = [base, base + 0.1]
     r = np.linspace(0.05, 4.0, 7)
-    combos = [(f, p, fix) for f in range(2) for p in range(2) for fix in (True, False)]
+    combos = [(f, p) for f in range(2) for p in range(2)]
     # each reference comes from its own copy of the field and of the phi grid
-    fresh = {c: replace(fields[c[0]]).area_density(r, grids[c[1]].copy(), c[2])
+    fresh = {c: replace(fields[c[0]]).area_density(r, grids[c[1]].copy())
              for c in combos}
     for _ in range(2):
         for c in combos[::3] + combos[1::3] + combos[2::3]:
-            got = fields[c[0]].area_density(r, grids[c[1]], c[2])
+            got = fields[c[0]].area_density(r, grids[c[1]])
             assert np.array_equal(got, fresh[c]), c
 
 
@@ -207,10 +199,9 @@ def test_area_density_of_a_vanishing_component_is_zero():
     assert len(separable.terms[0].js) == 0
     cancelled = canonical_field(make_state((2, -2, 0), np.ones(3)), "453")
     for field in (separable, cancelled):
-        for fix in (True, False):
-            dens = field.area_density(r, phi, fix)
-            assert dens.shape == (r.size, phi.size)
-            assert not np.any(dens)
+        dens = field.area_density(r, phi)
+        assert dens.shape == (r.size, phi.size)
+        assert not np.any(dens)
 
 
 def test_origin_fix_makes_third_single_signed():
@@ -235,11 +226,8 @@ def test_triple_spec_validation():
 
 def test_arrangement_keeps_orientation():
     # (1,2,3) arranges to identity; a pair found in another slot rotates evenly
-    state = make_state((-1, 0, 1), np.ones(3))
-    f = triple_field(state, TripleSpec((1, 2, 3)))
-    assert f.arrangement == (0, 1, 2)
-    f = triple_field(state, TripleSpec((3, 4, 5)))
-    perm = f.arrangement
+    assert map_layout(3, (1, 2, 3))[0] == (0, 1, 2)
+    perm = map_layout(3, (3, 4, 5))[0]
     parity = (perm[1] - perm[0]) * (perm[2] - perm[1]) * (perm[2] - perm[0])
     assert parity > 0
 
@@ -357,6 +345,14 @@ def test_grid_resolve_defaults():
     g = GridSpec().resolve((-3, 0, 3))
     assert g.r_max is not None and g.r_max > np.sqrt(3.0)
     assert g.n_phi == 64 * 6
+
+
+@pytest.mark.parametrize("n_r", [1, 3, 255])
+def test_grid_resolve_rejects_an_odd_n_r(n_r):
+    # Simpson weights of an odd panel count miss a constant by up to a third
+    with pytest.raises(ValueError, match=f"even n_r, got {n_r}"):
+        GridSpec(n_r=n_r).resolve((-1, 0, 1))
+    assert GridSpec(n_r=n_r + 1).resolve((-1, 0, 1)).n_r == n_r + 1
 
 
 @pytest.mark.parametrize("r_max", [np.nan, np.inf, 0.0, -5.0, 8 * R_MIN])

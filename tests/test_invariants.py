@@ -178,9 +178,9 @@ def test_nested_radial_rule_evaluates_each_node_once(monkeypatch):
     nodes = []
     inner = _Expansion.density
 
-    def counting(self, r, fix=True):
+    def counting(self, r):
         nodes.append(np.asarray(r).size)
-        return inner(self, r, fix)
+        return inner(self, r)
 
     monkeypatch.setattr(_Expansion, "density", counting)
     res = wrapping_numeric(field, grid)
@@ -255,7 +255,7 @@ def test_unit_field_stacks_its_reference_components(l, label, kind, seed):
     phi = GridSpec(n_phi=24).phi_nodes()
     got = field.evaluate(r, phi, fix=False)
     for k, term in enumerate(field.terms):
-        for g, want in zip(got, term.evaluate(r, phi, scaled=True)):
+        for g, want in zip(got, term.evaluate(r, phi)):
             assert_allclose(g[k], want, rtol=1e-12,
                             atol=1e-12 * np.max(np.abs(want), initial=0.0))
 

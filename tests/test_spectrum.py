@@ -19,7 +19,7 @@ from topospec import fields, spectrum
 from topospec.fields import GridSpec, TermField, TripleSpec
 from topospec.invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
                                  singularity_class)
-from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS, capacity,
+from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS,
                                compute_spectrum, dependency_scan,
                                enumerate_triples, evaluate_map,
                                independent_count,
@@ -49,12 +49,6 @@ def test_independent_counts():
     assert independent_count(2) == 1
     assert independent_count(3) == 9
     assert independent_count(4) == 42
-
-
-def test_capacity_levels():
-    cap = capacity(3)
-    assert cap.topo_levels == 56 and cap.oam_levels == 3
-    assert capacity(3, independent_only=True).topo_levels == 9
 
 
 def test_normalize_mode():

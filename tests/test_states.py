@@ -1,5 +1,7 @@
 """State construction, perturbation, and serialization tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +145,15 @@ def test_json_rejects_unknown_keys():
 @pytest.mark.parametrize("doc", [5, "state", None])
 def test_json_rejects_a_document_that_is_not_an_object(doc):
     with pytest.raises(ValueError, match="must be a JSON object"):
+        state_from_json(doc)
+
+
+@pytest.mark.parametrize("d", [3.7, 3.0, True, "3", None, [3]])
+def test_json_rejects_a_d_that_is_not_an_integer(d):
+    doc = state_to_json(make_state((-1, 0, 1), [1, 1, 1]))
+    doc["d"] = d
+    with pytest.raises(ValueError,
+                       match=re.escape(f"d must be an integer, got {d!r}")):
         state_from_json(doc)
 
 
