@@ -27,6 +27,13 @@ and table, scaled per radius by a power of r that keeps every factor in
 range and cancels in the quotient; blocks of up to BLOCK_POINTS points
 keep its intermediates a few megabytes at any azimuthal resolution.
 
+Real amplitudes make every component a pure cosine series (all beta = 0)
+or a pure sine series (all alpha = 0), so the area density is even or odd
+under phi -> 2 pi - phi.  UnitField.mirror_parity reads that from the
+terms alone; wrapping_numeric then integrates an even density over half a
+turn and sets an odd one to 0.  Complex amplitudes (every reconstructed
+density among them) mix the two series and have no parity.
+
 Only the triple's cross and determinant tables, the density blocks and the
 classifier's normalization are per map.  The rest is shared: a
 SharedSource builds each component's TermField once for all the maps of
@@ -338,6 +345,29 @@ class UnitField:
         sr = (mr - s * np.sum(s * mr, axis=0)) / nrm
         sp = (mp - s * np.sum(s * mp, axis=0)) / nrm
         return s, sr, sp
+
+    def mirror_parity(self) -> int:
+        """Parity of the area density under phi -> 2 pi - phi, from the terms.
+
+        A component whose terms all have beta = 0 is a cosine series (even
+        in phi), one whose terms all have alpha = 0 a sine series (odd);
+        the folded third sigma |m_3| is even whenever m_3 has a parity.
+        The density det[m, m_r, m_phi] / |m|^3 then has parity
+        -p_1 p_2 p_3, the phi-derivative row giving the minus sign.
+        Returns +1 (even), -1 (odd), or 0 when some component mixes
+        cosines and sines (complex amplitudes) and no parity is known.
+        """
+        parity = -1
+        for k, t in enumerate(self.terms):
+            if not np.any(t.beta):
+                p = 1
+            elif not np.any(t.alpha):
+                p = -1
+            else:
+                return 0
+            if k < 2 or self.sigma == 0.0:
+                parity *= p
+        return parity
 
     def expansion(self, phi) -> "_Expansion":
         """The area density on phi as radial monomials times phi tables."""

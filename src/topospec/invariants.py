@@ -2,6 +2,11 @@
 
 The numeric route integrates the area density S . (dS/dr x dS/dphi) / 4pi
 over the annulus with Simpson weights in r and midpoints in phi.  The
+midpoints are mirror-symmetric: node k pairs with node n_phi - 1 - k under
+phi -> 2 pi - phi.  So a density that is even under that mirror (real
+amplitudes; fields.UnitField.mirror_parity) is summed over the first half
+turn at twice the weight, and one that is odd sums to exactly 0, which is
+reported converged on the starting radial grid with no quadrature.  The
 radial grid doubles until two successive estimates agree within the
 tolerance QUAD_TOL; the rule is nested, so each doubling evaluates only the
 new odd nodes and reuses the phi-summed density kept at the old ones.  The
@@ -101,14 +106,42 @@ def singularity_class(field: UnitField) -> bool:
 def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
                      singular: bool | None = None,
                      max_doublings: int = 2) -> WrappingResult:
-    """Adaptive wrapping integral with trend classification and gluing."""
+    """Adaptive wrapping integral with trend classification and gluing.
+
+    A map whose density is odd under phi -> 2 pi - phi (its
+    mirror_parity is -1) integrates to exactly 0 over the mirror-symmetric
+    midpoints, so it reports 0, converged on the starting grid, with no
+    quadrature.
+    """
     g = (grid or GridSpec()).resolve(field.l)
     if singular is None:
         singular = singularity_class(field)
     if singular:
         g = replace(g, n_phi=4 * g.n_phi)
-    ex = field.expansion(g.phi_nodes())
-    dphi = 2.0 * np.pi / g.n_phi
+    parity = field.mirror_parity()
+    if parity < 0:
+        vals, err = [0.0], 0.0
+    else:
+        vals, err = _radial_ladder(field, g, parity > 0, max_doublings)
+    raw = vals[-1]
+    cls = classify_map(field, g)
+    return WrappingResult(raw, glue(raw, cls), cls, err, err <= QUAD_TOL,
+                          bool(singular), g.n_r * 2 ** (len(vals) - 1))
+
+
+def _radial_ladder(field: UnitField, g: GridSpec, even: bool,
+                   max_doublings: int) -> tuple[list[float], float]:
+    """Estimates of the nested radial rule, and the last step's change.
+
+    An even density on an even number of midpoints is summed over the
+    first half turn at twice the phi weight: the second half holds its
+    mirror images.  At an odd n_phi the node at phi = pi is its own
+    mirror, and the full turn is kept.
+    """
+    phi, dphi = g.phi_nodes(), 2.0 * np.pi / g.n_phi
+    if even and g.n_phi % 2 == 0:
+        phi, dphi = phi[:g.n_phi // 2], 2.0 * dphi
+    ex = field.expansion(phi)
     r, w = g.radial_rule(0)
     rows = _row_sums(ex, r)
     vals = [float(w @ rows) * dphi / (4.0 * np.pi)]
@@ -124,10 +157,7 @@ def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
         err = abs(vals[-1] - vals[-2])
         if err <= QUAD_TOL:
             break
-    raw = vals[-1]
-    cls = classify_map(field, g)
-    return WrappingResult(raw, glue(raw, cls), cls, err, err <= QUAD_TOL,
-                          bool(singular), g.n_r * 2 ** (len(vals) - 1))
+    return vals, err
 
 
 # ---------------------------------------------------------------------------

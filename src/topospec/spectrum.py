@@ -101,7 +101,10 @@ class SpectrumEntry:
     trivial: bool
     converged: bool
     quadrature_error: float
-    n_r_used: int | None = None     # radial panels of the final estimate
+    # radial panels of the final estimate; a map whose density is odd
+    # under phi -> 2 pi - phi is 0 with no quadrature, and reports the
+    # starting grid's n_r
+    n_r_used: int | None = None
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,13 @@ def state_to_json(state: QuditState, pert: SubspacePerturbation | None = None) -
     return doc
 
 
+def _real(x) -> float:
+    """x as a float when it is a JSON number; booleans and strings are not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a real number, got {x!r}")
+    return float(x)
+
+
 def state_from_json(doc: dict) -> QuditState:
     """Parse the state document, rejecting unknown keys and malformed values."""
     if not isinstance(doc, dict):
@@ -142,9 +149,10 @@ def state_from_json(doc: dict) -> QuditState:
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"d must be an integer, got {d!r}")
     try:
-        l = [float(x) for x in doc["l"]]
-        c = [complex(re, im) for re, im in doc["c"]]
-        delta = (np.asarray(doc["perturbation"], dtype=float)
+        l = [_real(x) for x in doc["l"]]
+        c = [complex(_real(re), _real(im)) for re, im in doc["c"]]
+        delta = (np.asarray([[_real(x) for x in row]
+                             for row in doc["perturbation"]])
                  if "perturbation" in doc else None)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from None

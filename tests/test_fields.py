@@ -4,6 +4,7 @@ import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from topospec.basis import build_basis
 from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec,
                              SharedSource, TripleSpec, UnitField, _simpson_rule,
                              classify_map, map_layout, term_field, triple_field)
-from topospec.invariants import canonical_field
+from topospec.invariants import CANONICAL_LABELS, canonical_field
 from topospec.states import inject_subspace, make_state, sample_perturbation
+from topospec.tomography import DensityCoeffs
 
 st_l3 = st.lists(st.integers(-4, 4), min_size=3, max_size=3, unique=True)
 st_index = st.integers(1, 8)
@@ -202,6 +204,52 @@ def test_area_density_of_a_vanishing_component_is_zero():
         dens = field.area_density(r, phi)
         assert dens.shape == (r.size, phi.size)
         assert not np.any(dens)
+
+
+def _mirror_source(kind, l, seed):
+    d, rng = len(l), np.random.default_rng(seed)
+    if kind == "clean":
+        return make_state(l, np.ones(d))
+    if kind == "perturbed":
+        return inject_subspace(make_state(l, np.ones(d)),
+                               sample_perturbation(d, rng))
+    if kind == "complex":
+        return make_state(l, rng.normal(size=d) + 1j * rng.normal(size=d))
+    a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    rho = a @ a.conj().T
+    return DensityCoeffs(tuple(l), rho / np.trace(rho).real)
+
+
+@given(st.one_of(
+    st.tuples(st_l3, st.sampled_from(CANONICAL_LABELS)),
+    st.tuples(st.lists(st.integers(-4, 4), min_size=4, max_size=4, unique=True),
+              st.sampled_from(list(combinations(range(1, 16), 3))))),
+    st.sampled_from(["clean", "perturbed", "complex", "mixed"]),
+    st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_mirror_parity_matches_the_density_at_mirrored_angles(lmap, kind, seed):
+    l, key = lmap
+    source = _mirror_source(kind, l, seed)
+    field = (canonical_field(source, key) if isinstance(key, str)
+             else triple_field(source, TripleSpec(key)))
+    parity = field.mirror_parity()
+    if kind in ("clean", "perturbed"):
+        # real amplitudes: every component is a cosine or a sine series
+        assert parity != 0
+    elif not all(np.array_equal(t.js, t.jps) for t in field.terms):
+        # complex amplitudes mix both in every off-diagonal component; only
+        # a triple of diagonal generators (phi-independent) keeps a parity
+        assert parity == 0
+    if parity == 0:
+        return
+    r = np.array([0.05, 0.4, 1.1, 2.5])
+    phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 16)
+    dens = field.area_density(r, phi)
+    mirrored = field.area_density(r, 2.0 * np.pi - phi)
+    scale = np.max(np.abs(dens))
+    # a density that is rounding noise everywhere has no sign to compare
+    if scale > 1e-12:
+        assert_allclose(mirrored, parity * dens, rtol=1e-6, atol=1e-8 * scale)
 
 
 def test_origin_fix_makes_third_single_signed():

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
-                             UnitField, _Expansion, map_layout, triple_field)
+                             UnitField, _Expansion, classify_map, map_layout,
+                             triple_field)
 from topospec.invariants import (_D3_MAPS, CANONICAL_LABELS, AnalyticWrap,
                                  _closed_forms, _end_analysis, _row_sums,
                                  _wrap_from_limits, accidental_predict,
@@ -20,7 +21,7 @@ from topospec.invariants import (_D3_MAPS, CANONICAL_LABELS, AnalyticWrap,
                                  wrapping_analytic_d3,
                                  wrapping_analytic_triple,
                                  wrapping_analytic_usual, wrapping_numeric)
-from topospec.states import make_state
+from topospec.states import inject_subspace, make_state, sample_perturbation
 from topospec.tomography import DensityCoeffs
 
 st_l3 = st.lists(st.integers(-4, 4), min_size=3, max_size=3, unique=True)
@@ -205,6 +206,65 @@ def test_density_expansion_is_built_once_per_map(monkeypatch):
     res = wrapping_numeric(field, GridSpec(n_r=16))
     assert res.n_r_used == 4 * 16
     assert len(calls) == 1
+
+
+def _perturbed(l, seed=0):
+    return inject_subspace(make_state(l, np.ones(len(l))),
+                           sample_perturbation(len(l), np.random.default_rng(seed)))
+
+
+def _full_turn(field, g, n_r_used, n_phi):
+    """The wrapping integral on n_r_used panels, summed over every midpoint."""
+    r, w = g.radial_rule(int(np.log2(n_r_used // g.n_r)))
+    dens = field.area_density(r, GridSpec(n_phi=n_phi).phi_nodes()).sum(axis=1)
+    return float(w @ dens) * (2.0 * np.pi / n_phi) / (4.0 * np.pi)
+
+
+@pytest.mark.parametrize("n_phi", [96, 95])
+@pytest.mark.parametrize("make_field", [
+    lambda: canonical_field(make_state((-1, 0, 1), np.ones(3)), "451"),
+    lambda: canonical_field(_perturbed((-3, 1, 4)), "124"),
+    lambda: triple_field(_perturbed((-2, -1, 1, 0)), TripleSpec((1, 2, 4))),
+], ids=["clean-451", "perturbed-124", "perturbed-d4-1-2-4"])
+def test_even_map_on_half_a_turn_matches_the_full_turn(monkeypatch, make_field,
+                                                       n_phi):
+    # an even density is summed over the first half turn at twice the
+    # weight; at an odd n_phi the full turn is kept
+    field = make_field()
+    assert field.mirror_parity() == 1 and not singularity_class(field)
+    sizes = []
+    inner = UnitField.expansion
+
+    def counting(self, phi):
+        sizes.append(np.asarray(phi).size)
+        return inner(self, phi)
+
+    monkeypatch.setattr(UnitField, "expansion", counting)
+    grid = GridSpec(n_r=64, n_phi=n_phi)
+    res = wrapping_numeric(field, grid)
+    assert sizes == [n_phi // 2 if n_phi % 2 == 0 else n_phi]
+    direct = _full_turn(field, grid.resolve(field.l), res.n_r_used, n_phi)
+    assert abs(res.raw - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("source", [make_state((-2, -1, 1, 0), np.ones(4)),
+                                    _perturbed((-2, -1, 1, 0))],
+                         ids=["clean", "perturbed"])
+def test_odd_map_is_exactly_zero_with_no_quadrature(monkeypatch, source):
+    field = triple_field(source, TripleSpec((1, 3, 5)))
+    assert field.mirror_parity() == -1
+    grid = GridSpec(n_r=64)
+    g = grid.resolve(field.l)
+    # the full-turn sum it stands for cancels to rounding
+    assert abs(_full_turn(field, g, g.n_r, g.n_phi)) <= 1e-12
+    calls = []
+    monkeypatch.setattr(_Expansion, "density", lambda self, r: calls.append(r))
+    res = wrapping_numeric(field, grid)
+    assert calls == []
+    assert res.raw == 0.0 and res.glued == 0.0 and res.quadrature_error == 0.0
+    assert res.converged and res.n_r_used == grid.n_r
+    # the classifier still runs, so the map class stays what it was
+    assert res.map_class == classify_map(field, grid)
 
 
 @pytest.mark.parametrize("n_r, n_phi", [(300, 512), (5, BLOCK_POINTS + 3)])

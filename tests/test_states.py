@@ -157,6 +157,29 @@ def test_json_rejects_a_d_that_is_not_an_integer(d):
         state_from_json(doc)
 
 
+@pytest.mark.parametrize("bad", [
+    {"l": [True, False, "2"], "c": [[1, 0], [1, 0], [True, 0]]},
+    {"l": [True, 0, 1]},
+    {"l": [-1, "0", 1]},
+    {"c": [[1, 0], [1, 0], [True, 0]]},
+    {"c": [[1, 0], [1, "0"], [1, 0]]},
+    {"c": [[1, 0], [1, 0], ["1", 0]]},
+    {"perturbation": [[0, True, 0], [0, 0, 0], [0, 0, 0]]},
+    {"perturbation": [[0, "0.03", 0], [0, 0, 0], [0, 0, 0]]},
+], ids=["bools-and-strings", "l-bool", "l-string", "c-bool", "c-imag-string",
+        "c-real-string", "perturbation-bool", "perturbation-string"])
+def test_json_rejects_booleans_and_strings_as_numbers(bad):
+    doc = {"d": 3, "l": [-1, 0, 1], "c": [[1, 0], [1, 0], [1, 0]], **bad}
+    with pytest.raises(ValueError, match="expected a real number, got"):
+        state_from_json(doc)
+
+
+def test_json_accepts_integers_and_floats_as_numbers():
+    doc = {"d": 3, "l": [-1, 0.0, 1], "c": [[1, 0], [1.0, 0.0], [1, 0]],
+           "perturbation": [[0, 0.03, 0], [0, 0, 0], [0, 0, 0]]}
+    assert state_from_json(doc).l == (-1, 0, 1)
+
+
 def test_save_load(tmp_path):
     path = tmp_path / "state.json"
     state = make_state((-1, 0, 1), [1, 2j, -1])
