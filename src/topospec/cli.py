@@ -191,6 +191,7 @@ def _cmd_tomo_run(args) -> int:
         state = inject_subspace(state, sample_perturbation(state.d, rng))
     eps = None if args.epsilon == "auto" else check_epsilon(args.epsilon)
     pset = projection_set(state.d, state.l)
+    workers = args.workers or default_workers()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -218,7 +219,7 @@ def _cmd_tomo_run(args) -> int:
 
     spec = spectrum_from_density(res.rho, state.l, mode=args.mode,
                                  grid=_grid_from_args(args),
-                                 workers=args.workers)
+                                 workers=workers)
     write_spectrum_csv(spec, out / "spectrum.csv")
     conc = "n/a" if score.concurrence is None else f"{score.concurrence:.4f}"
     print(f"fidelity={score.fidelity:.6f} purity={score.purity:.4f} "

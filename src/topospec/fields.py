@@ -37,9 +37,12 @@ density among them) mix the two series and have no parity.
 Only the triple's cross and determinant tables, the density blocks and the
 classifier's normalization are per map.  The rest is shared: a
 SharedSource builds each component's TermField once for all the maps of
-one call, a TermField keeps its exponent rows per phi grid (grid_rows),
-and the Simpson rule of each panel count is built once and kept.  Shared
-arrays are read-only.
+one call or pool chunk, a TermField keeps its exponent rows per phi grid
+(grid_rows) and its values per (r, phi) grid (evaluate), so the
+classifier's five probe rings are evaluated once per component, and the
+Simpson rule of each panel count is built once and kept.  Shared arrays
+are read-only.  The classifier stacks the three components' values and
+partials into one array and reads every ring's statistics from it at once.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ TAIL_EPS = 1e-6
 # Radial rules kept at once, one per panel count (GridSpec.radial_rule).
 RULE_CACHE = 8
 
-# Phi grids whose exponent rows a term field keeps (TermField.grid_rows).
+# Grids whose exponent rows (TermField.grid_rows) and values
+# (TermField.evaluate) a term field keeps.
 ROW_GRIDS = 4
 
 
@@ -143,7 +147,8 @@ class TermField:
     """One component as pair terms over mode indices (j <= jp).
 
     The field keeps the exponent rows of the last few phi grids it was
-    evaluated on (grid_rows), so maps that share it share them too.
+    evaluated on (grid_rows), and its values on the last few (r, phi)
+    grids (evaluate), so maps that share it share them too.
     """
 
     l: tuple[int, ...]
@@ -153,9 +158,11 @@ class TermField:
     beta: np.ndarray
 
     def __post_init__(self):
-        # phi grid bytes -> read-only (p, dp); not a dataclass field, so
-        # replace() and == ignore it
+        # phi grid bytes -> read-only (p, dp), and (r, phi) grid bytes ->
+        # read-only (m, m_r, m_phi); not dataclass fields, so replace()
+        # and == ignore them
         object.__setattr__(self, "_kept", {})
+        object.__setattr__(self, "_values", {})
 
     def rows(self, phi):
         """Pair terms summed per envelope-free radial exponent, in term order.
@@ -180,24 +187,10 @@ class TermField:
     def grid_rows(self, phi):
         """rows(phi), built once per phi grid and then shared read-only.
 
-        The memo holds the rows of at most ROW_GRIDS grids; a further grid
-        starts it over.  It is never changed in place, only replaced by a
-        new dict, so threads sharing the field need no lock: two of them
-        may both build a grid's rows, and one may drop an entry the other
-        stored, but each gets equal rows.
+        The memo holds the rows of at most ROW_GRIDS grids (see _memo).
         """
         phi = np.asarray(phi, dtype=float)
-        key = phi.tobytes()
-        kept = self._kept
-        rows = kept.get(key)
-        if rows is None:
-            rows = self.rows(phi)
-            for table in rows:
-                table.setflags(write=False)
-            kept = dict(kept) if len(kept) < ROW_GRIDS else {}
-            kept[key] = rows
-            object.__setattr__(self, "_kept", kept)
-        return rows
+        return self._memo("_kept", phi.tobytes(), lambda: self.rows(phi))
 
     def evaluate(self, r, phi):
         """Return (m, dm/dr, dm/dphi) on the outer-product grid, envelope-free.
@@ -205,13 +198,41 @@ class TermField:
         The common Gaussian envelope exp(-2 r^2) of every term is left out
         (m here is the expectation divided by it), so the values stay
         representable at any radius; the envelope is positive per radius
-        and drops out of the normalized map and of the area density.
+        and drops out of the normalized map and of the area density.  The
+        values are kept per (r, phi) grid like grid_rows' rows, read-only,
+        so the classifier's probe rings are evaluated once per component.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        p, dp = self.grid_rows(phi)
-        e = np.arange(len(p))
-        powers = r[:, None] ** e
-        return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
+        phi = np.asarray(phi, dtype=float)
+
+        def values():
+            p, dp = self.grid_rows(phi)
+            e = np.arange(len(p))
+            powers = r[:, None] ** e
+            return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
+
+        key = (r.tobytes(), phi.tobytes())
+        return self._memo("_values", key, values)
+
+    def _memo(self, name: str, key, build):
+        """The arrays build() makes, kept read-only under key in memo name.
+
+        A memo holds at most ROW_GRIDS entries; a further one starts it
+        over.  It is never changed in place, only replaced by a new dict,
+        so threads sharing the field need no lock: two of them may both
+        build an entry, and one may drop an entry the other stored, but
+        each gets equal arrays.
+        """
+        kept = getattr(self, name)
+        arrays = kept.get(key)
+        if arrays is None:
+            arrays = build()
+            for table in arrays:
+                table.setflags(write=False)
+            kept = dict(kept) if len(kept) < ROW_GRIDS else {}
+            kept[key] = arrays
+            object.__setattr__(self, name, kept)
+        return arrays
 
 
 def term_field(source, matrix: np.ndarray) -> TermField:
@@ -315,14 +336,17 @@ class UnitField:
 
     def evaluate(self, r, phi, fix: bool = True):
         """Stacked envelope-free S-tilde and partials, shape (3, nr, nphi) each."""
-        m, mr, mp = map(np.stack, zip(*(t.evaluate(r, phi) for t in self.terms)))
+        return tuple(self._stack(r, phi, fix))
+
+    def _stack(self, r, phi, fix: bool) -> np.ndarray:
+        """(m, m_r, m_phi) of the three components as one fresh array of
+        shape (kind, component, nr, nphi), the origin fix applied."""
+        values = [t.evaluate(r, phi) for t in self.terms]
+        out = np.array(list(zip(*values)))
         if fix and self.sigma != 0.0:
             # sign(+-0) = +1
-            sgn = np.where(m[2] < 0.0, -self.sigma, self.sigma)
-            m[2] *= sgn
-            mr[2] *= sgn
-            mp[2] *= sgn
-        return m, mr, mp
+            out[:, 2] *= np.where(out[0, 2] < 0.0, -self.sigma, self.sigma)
+        return out
 
     def unit(self, r, phi, fix: bool = True):
         """Normalized S and its partials via the tangent-projection rule.
@@ -332,18 +356,15 @@ class UnitField:
         drop out of S while every intermediate stays in floating-point
         range at any radius.
         """
-        m, mr, mp = self.evaluate(r, phi, fix)
-        peak = np.abs(m).max(axis=(0, 2))
+        stack = self._stack(r, phi, fix)
+        peak = np.abs(stack[0]).max(axis=(0, 2))
         peak[peak == 0.0] = 1.0
-        peak = peak[None, :, None]
-        m /= peak
-        mr /= peak
-        mp /= peak
+        stack /= peak[:, None]
+        m, partials = stack[0], stack[1:]
         nrm = np.sqrt(np.sum(m * m, axis=0))
         nrm = np.where(nrm == 0.0, 1.0, nrm)
         s = m / nrm
-        sr = (mr - s * np.sum(s * mr, axis=0)) / nrm
-        sp = (mp - s * np.sum(s * mp, axis=0)) / nrm
+        sr, sp = (partials - s * np.sum(s * partials, axis=1)[:, None]) / nrm
         return s, sr, sp
 
     def mirror_parity(self) -> int:
@@ -380,11 +401,19 @@ class UnitField:
         # out rather than summed to 0 in rounded arithmetic
         n = p.shape[1]
         rows = np.flatnonzero(np.any(p, axis=(0, 2)))
-        a, b = (rows[i] for i in np.triu_indices(rows.size, 1))
-        cross = np.cross(p[:, a], p[:, b], axis=0) * (b - a)[:, None]
+        a, b = (rows[i] for i in _row_pairs(rows.size))
+        # P_a x P_b per pair and phi node, component last, as np.cross
+        # computes it
+        pa, pb = p[:, a], p[:, b]
+        cross = np.empty((a.size, p.shape[-1], 3))
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            np.multiply(pa[i], pb[j], out=cross[..., k])
+            cross[..., k] -= pa[j] * pb[i]
+        cross *= (b - a)[:, None, None]
         det = np.zeros((3 * n - 2, p.shape[-1]))
         # per phi node, (pairs x 3) @ (3 x rows c)
-        terms = np.matmul(cross.transpose(2, 1, 0), dp.transpose(2, 0, 1))
+        terms = np.matmul(cross.transpose(1, 0, 2), dp.transpose(2, 0, 1))
         for s, pair in zip(a + b, terms.transpose(1, 2, 0)):
             det[s:s + n] += pair
         nrm = _poly_mul(p[0], p[0]) + _poly_mul(p[1], p[1]) + _poly_mul(p[2], p[2])
@@ -461,6 +490,15 @@ class _Expansion:
         return np.divide(det, cube, out=cube)
 
 
+@cache
+def _row_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per n and shared read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two polynomials whose coefficients are phi tables."""
     out = np.zeros((len(a) + len(b) - 1, a.shape[1]))
@@ -489,8 +527,12 @@ def _radial_sum(r, exps, scale, tables, out) -> None:
         np.matmul(powers[:, None, :], tables, out=out[:, None, :])
 
 
+@cache
 def map_layout(d: int, indices: tuple[int, int, int]):
     """Layout of the map on a sorted 1-based index triple, read off the basis.
+
+    Kept per (d, indices): the layout is a pure function of them, made of
+    tuples, and every triple of d = 7 (17296) takes about 3 MB.
 
     Returns (arrangement, pair_modes, sigma, third).  A nice pair sits at
     two adjacent sorted positions (partners hold adjacent indices), so the
@@ -565,27 +607,20 @@ def classify_map(field: UnitField, grid: GridSpec) -> MapClass:
     """
     g = grid.resolve(field.l)
     phi = (np.arange(N_PROBE) + 0.5) * (2.0 * np.pi / N_PROBE)
-    radii = {"in0": R_MIN, "in1": 2.0 * R_MIN,
-             "mid0": 0.25 * g.r_max, "mid1": 0.5 * g.r_max, "out": g.r_max}
-    # one evaluation for all rings: unit() treats every radius on its own
-    s, _, _ = field.unit(np.array(list(radii.values())), phi)
-    rings = {key: s[:, i, :] for i, key in enumerate(radii)}
-
-    def var(ring):
-        return float(np.sum(np.var(ring, axis=1)))
-
-    v_in, v_in1 = var(rings["in0"]), var(rings["in1"])
-    v_out, v_out1 = var(rings["out"]), var(rings["mid1"])
+    # rings in0, in1, mid0, mid1 and out, in one evaluation: unit() treats
+    # every radius on its own, and the term fields keep the rings' values
+    radii = np.array([R_MIN, 2.0 * R_MIN, 0.25 * g.r_max, 0.5 * g.r_max,
+                      g.r_max])
+    s, _, _ = field.unit(radii, phi)
+    # the phi-variance of S per ring, summed over the components
+    v_in, v_in1, v_mid0, v_out1, v_out = np.var(s, axis=2).sum(axis=0).tolist()
     tiny = 1e-12
     inner_point = v_in < tiny or (v_in1 > 0 and v_in / v_in1 < 0.5)
     outer_point = v_out < tiny or (v_out1 > 0 and v_out / v_out1 < 0.5)
 
-    all_tiny = all(var(rings[k]) < tiny for k in rings)
-    r_indep = max(
-        float(np.max(np.abs(rings["mid0"] - rings["mid1"]))),
-        float(np.max(np.abs(rings["mid1"] - rings["out"]))),
-        float(np.max(np.abs(rings["in0"] - rings["mid0"]))),
-    ) < 1e-9
+    all_tiny = max(v_in, v_in1, v_mid0, v_out1, v_out) < tiny
+    # ring pairs mid0-mid1, mid1-out and in0-mid0
+    r_indep = float(np.max(np.abs(s[:, [2, 3, 0]] - s[:, [3, 4, 2]]))) < 1e-9
     if all_tiny or r_indep:
         kind = "degenerate"
     elif inner_point and outer_point:

@@ -11,7 +11,9 @@ radial grid doubles until two successive estimates agree within the
 tolerance QUAD_TOL; the rule is nested, so each doubling evaluates only the
 new odd nodes and reuses the phi-summed density kept at the old ones.  The
 field's density expansion is built once per map; every block of about
-BLOCK_POINTS (r, phi) points of every doubling streams through it.  No
+BLOCK_POINTS (r, phi) points of every doubling streams through it.  An
+expansion with no live determinant row has the density 0 at every node,
+so every rung reads exactly 0 and no block is evaluated.  No
 extrapolation is applied: the finer estimate is reported as it stands.
 The analytic route rests on one end analysis of a map's term content
 (_end_analysis).  With the Gaussian envelope dropped, the pair amplitude
@@ -142,6 +144,10 @@ def _radial_ladder(field: UnitField, g: GridSpec, even: bool,
     if even and g.n_phi % 2 == 0:
         phi, dphi = phi[:g.n_phi // 2], 2.0 * dphi
     ex = field.expansion(phi)
+    if not ex.det_exps.size:
+        # no live determinant row: the density is 0 at every node, so every
+        # rung reads 0 and the first doubling settles it
+        return ([0.0, 0.0], 0.0) if max_doublings > 0 else ([0.0], np.inf)
     r, w = g.radial_rule(0)
     rows = _row_sums(ex, r)
     vals = [float(w @ rows) * dphi / (4.0 * np.pi)]

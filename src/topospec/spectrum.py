@@ -6,11 +6,12 @@ dependency structure of the named qutrit maps, scores spectrum similarity,
 and serializes spectra to CSV/JSON plus a dependency-free SVG bar chart.
 
 The maps of one census share what does not depend on the map: a serial
-call, or each chunk of maps a pool worker takes, evaluates its maps
-through one SharedSource, so each component's term field and its exponent
-rows per phi grid are built once there, and dropped with the call or chunk.
-Each map still builds its own cross and determinant tables, density blocks
-and classifier normalization through evaluate_map.
+call, or each pool worker's round-robin share of the maps (one chunk per
+worker), evaluates its maps through one SharedSource, so each component's
+term field, its exponent rows per phi grid and its values on the
+classifier's probe rings are built once there, and dropped with the call
+or chunk.  Each map still builds its own cross and determinant tables,
+density blocks and classifier normalization through evaluate_map.
 
 Pooled spectra share one worker pool per process: the first call with more
 than one worker starts it (start method fork) and later calls with the same
@@ -184,8 +185,9 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
 def _evaluate_chunk(source, specs, options: dict) -> list[SpectrumEntry]:
     """Entries of a run of specs; every input comes in the arguments.
 
-    The specs' maps share each component's term field and exponent rows
-    through one SharedSource, dropped when the chunk is done.
+    The specs' maps share each component's term field, exponent rows and
+    probe-ring values through one SharedSource, dropped when the chunk is
+    done.
     """
     source = SharedSource(source)
     return [evaluate_map(source, spec, **options) for spec in specs]
@@ -249,15 +251,20 @@ def _close_pool() -> None:
 
 
 def _evaluate_pooled(source, specs, options: dict, workers: int) -> list[SpectrumEntry]:
-    """Entries in enumeration order, chunks spread over the shared pool.
+    """Entries in enumeration order, one round-robin share per worker.
+
+    Worker k of n = min(workers, len(specs)) takes specs[k::n] as one
+    chunk, so it builds the source's tables once for all its maps, and
+    the costly singular maps, which sit next to each other in enumeration
+    order, spread over the workers.
 
     Any exception shuts the pool down before it propagates, so the next
     call starts a fresh one.  A pool that broke (a worker died, perhaps
     between calls) is replaced and the call runs once more on the new one.
     """
     from concurrent.futures.process import BrokenProcessPool
-    size = max(1, len(specs) // (workers * 8))
-    chunks = [specs[k:k + size] for k in range(0, len(specs), size)]
+    n = min(workers, len(specs))
+    chunks = [specs[k::n] for k in range(n)]
     with _pool_lock:
         for last in (False, True):
             pool = _shared_pool(workers)
@@ -272,14 +279,28 @@ def _evaluate_pooled(source, specs, options: dict, workers: int) -> list[Spectru
                 _close_pool()
                 raise
             else:
-                return [e for part in parts for e in part]
+                entries = [None] * len(specs)
+                for k, part in enumerate(parts):
+                    entries[k::n] = part
+                return entries
 
 
 def default_workers() -> int:
-    env = os.environ.get("TOPOSPEC_THREADS")
+    """All cores, capped by a positive integer in TOPOSPEC_THREADS if set.
+
+    Any other value of the variable is a ValueError that names it.
+    """
     cap = os.cpu_count() or 1
+    env = os.environ.get("TOPOSPEC_THREADS")
     if env:
-        cap = min(cap, max(1, int(env)))
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"TOPOSPEC_THREADS must be a positive integer, "
+                             f"got {env!r}")
+        cap = min(cap, threads)
     return cap
 
 
@@ -299,8 +320,10 @@ def compute_spectrum(state: QuditState, mode: str | None = None,
     reuse it.  It is replaced when the worker count differs, when the
     caller is a forked child of the process that started it, or after a
     call that raised; a call that finds its pool broken (a worker died)
-    runs once more on a fresh one.  Each task carries the source, the
-    options and a chunk of specs, so workers keep no state between calls.
+    runs once more on a fresh one.  Each worker takes one task, which
+    carries the source, the options and the worker's round-robin share of
+    the specs, so it builds the source's tables once for the whole share
+    and keeps no state between calls.
     """
     mode = normalize_mode(mode, state.d)
     specs = enumerate_triples(state.d, mode)

@@ -181,6 +181,27 @@ def test_non_positive_grid_and_workers_are_input_errors(tmp_path, capsys, flags)
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "tomo"])
+@pytest.mark.parametrize("value", ["two", "0", "-2"])
+def test_a_bad_thread_cap_is_an_input_error(tmp_path, monkeypatch, command,
+                                            value):
+    # only a positive integer caps the default worker count; anything else
+    # is refused by name before any output is written
+    state = _make_state(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setenv("TOPOSPEC_THREADS", value)
+    if command == "spectrum":
+        args = ["spectrum", "compute", str(state), "--out", str(out)]
+    else:
+        args = ["tomo", "run", str(state), "--out-dir", str(out)]
+    proc = _run_cli(tmp_path, *args)
+    assert proc.returncode == EXIT_INPUT
+    assert (f"topospec: error: TOPOSPEC_THREADS must be a positive integer, "
+            f"got '{value}'" in proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_json_records_the_workers_that_ran(tmp_path):
     state = _make_state(tmp_path)
     json_path = tmp_path / "spectrum.json"

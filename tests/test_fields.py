@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.basis import build_basis
-from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec,
+from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec, MapClass,
                              SharedSource, TripleSpec, UnitField, _simpson_rule,
                              classify_map, map_layout, term_field, triple_field)
 from topospec.invariants import CANONICAL_LABELS, canonical_field
@@ -322,15 +322,41 @@ def test_shared_tables_are_read_only_and_bounded():
     assert np.array_equal(term.grid_rows(phi)[0], p)
 
 
+def test_term_values_are_kept_read_only_per_grid():
+    # the classifier's probe rings are the same (r, phi) grid for every map
+    # of a state, so a field keeps its values there like its exponent rows
+    state = make_state((-1, 0, 1), np.ones(3))
+    term = canonical_field(state, "124").terms[0]
+    r = np.array([R_MIN, 2 * R_MIN, 1.5, 3.0, 6.0])
+    phi = GridSpec(n_phi=32).phi_nodes()
+    values = term.evaluate(r, phi)
+    again = term.evaluate(r.copy(), phi.copy())
+    assert all(a is b for a, b in zip(values, again))
+    fresh = term_field(state, build_basis(3)[0].matrix).evaluate(r, phi)
+    for got, want in zip(values, fresh):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0.0
+    # another radius set on the same phi grid is another entry
+    assert term.evaluate(r[:2], phi)[0].shape == (2, 32)
+    for n_phi in range(33, 33 + 2 * ROW_GRIDS):
+        term.evaluate(r, GridSpec(n_phi=n_phi).phi_nodes())
+        assert len(term._values) <= ROW_GRIDS
+    assert all(np.array_equal(a, b)
+               for a, b in zip(term.evaluate(r, phi), fresh))
+
+
 def test_shared_tables_in_four_threads_match_serial():
     # four threads (more than cores) share one source and its term fields,
     # cycling through more phi grids than a field keeps, with a short
-    # switch interval: every row table and density must equal the serial one
+    # switch interval: every row table, value table and density must equal
+    # the serial one
     state = make_state((-3, 1, 4), [1.0, 2.0, 3.0])
     grids = [GridSpec(n_phi=n).phi_nodes() for n in range(40, 40 + ROW_GRIDS + 2)]
-    want_rows = [term_field(state, build_basis(3)[3].matrix).rows(phi)
-                 for phi in grids]
+    reference = term_field(state, build_basis(3)[3].matrix)
+    want_rows = [reference.rows(phi) for phi in grids]
     r = np.linspace(0.1, 3.0, 5)
+    want_values = [reference.evaluate(r, phi) for phi in grids]
     want_dens = [canonical_field(state, "453").area_density(r, phi)
                  for phi in grids]
     shared = SharedSource(state)
@@ -343,10 +369,13 @@ def test_shared_tables_in_four_threads_match_serial():
             j = (i + k) % len(grids)
             term = shared.term(4, build_basis(3)[3].matrix)
             p, dp = term.grid_rows(grids[j])
-            sizes.append(len(term._kept))
+            values = term.evaluate(r, grids[j])
+            sizes.append(max(len(term._kept), len(term._values)))
             dens = canonical_field(shared, "453").area_density(r, grids[j])
             if not (np.array_equal(p, want_rows[j][0])
                     and np.array_equal(dp, want_rows[j][1])
+                    and all(np.array_equal(a, b)
+                            for a, b in zip(values, want_values[j]))
                     and np.array_equal(dens, want_dens[j])):
                 bad.append((k, i))
 
@@ -380,6 +409,81 @@ def test_shared_source_fields_classify_like_fresh_ones():
         assert (classify_map(triple_field(shared, spec), grid)
                 == classify_map(triple_field(state, spec), grid)), spec.label
     assert shared.terms[4] is canonical_field(shared, "457").terms[0]
+
+
+def _stacked_unit(field, r, phi):
+    """UnitField.unit as three separate stacks, fixed and scaled each."""
+    m, mr, mp = map(np.stack, zip(*(t.evaluate(r, phi) for t in field.terms)))
+    if field.sigma != 0.0:
+        sgn = np.where(m[2] < 0.0, -field.sigma, field.sigma)
+        m[2] *= sgn
+        mr[2] *= sgn
+        mp[2] *= sgn
+    peak = np.abs(m).max(axis=(0, 2))
+    peak[peak == 0.0] = 1.0
+    peak = peak[None, :, None]
+    m /= peak
+    mr /= peak
+    mp /= peak
+    nrm = np.sqrt(np.sum(m * m, axis=0))
+    nrm = np.where(nrm == 0.0, 1.0, nrm)
+    s = m / nrm
+    sr = (mr - s * np.sum(s * mr, axis=0)) / nrm
+    sp = (mp - s * np.sum(s * mp, axis=0)) / nrm
+    return s, sr, sp
+
+
+def _ring_by_ring_class(field, grid):
+    """classify_map with every ring's statistics taken on its own."""
+    g = grid.resolve(field.l)
+    phi = (np.arange(256) + 0.5) * (2.0 * np.pi / 256)
+    radii = {"in0": R_MIN, "in1": 2.0 * R_MIN,
+             "mid0": 0.25 * g.r_max, "mid1": 0.5 * g.r_max, "out": g.r_max}
+    s, _, _ = _stacked_unit(field, np.array(list(radii.values())), phi)
+    rings = {key: s[:, i, :] for i, key in enumerate(radii)}
+
+    def var(ring):
+        return float(np.sum(np.var(ring, axis=1)))
+
+    v_in, v_in1 = var(rings["in0"]), var(rings["in1"])
+    v_out, v_out1 = var(rings["out"]), var(rings["mid1"])
+    tiny = 1e-12
+    inner_point = v_in < tiny or (v_in1 > 0 and v_in / v_in1 < 0.5)
+    outer_point = v_out < tiny or (v_out1 > 0 and v_out / v_out1 < 0.5)
+    all_tiny = all(var(rings[k]) < tiny for k in rings)
+    r_indep = max(
+        float(np.max(np.abs(rings["mid0"] - rings["mid1"]))),
+        float(np.max(np.abs(rings["mid1"] - rings["out"]))),
+        float(np.max(np.abs(rings["in0"] - rings["mid0"]))),
+    ) < 1e-9
+    if all_tiny or r_indep:
+        kind = "degenerate"
+    elif inner_point and outer_point:
+        kind = "sphere"
+    else:
+        kind = "disk"
+    return MapClass(kind, v_in, v_out, inner_point, outer_point)
+
+
+@given(st.one_of(
+    st.tuples(st_l3, st.sampled_from(CANONICAL_LABELS)),
+    st.tuples(st.lists(st.integers(-4, 4), min_size=4, max_size=4, unique=True),
+              st.sampled_from(list(combinations(range(1, 16), 3))))),
+    st.sampled_from(["clean", "complex", "mixed"]),
+    st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_one_stack_classifier_equals_ring_by_ring_statistics(lmap, kind, seed):
+    # classify_map and unit work on one (kind, component, r, phi) stack;
+    # every value must equal the per-kind, per-ring arithmetic exactly
+    l, key = lmap
+    source = _mirror_source(kind, l, seed)
+    field = (canonical_field(source, key) if isinstance(key, str)
+             else triple_field(source, TripleSpec(key)))
+    assert classify_map(field, GridSpec()) == _ring_by_ring_class(field, GridSpec())
+    r = np.array([R_MIN, 0.3, 1.0, 2.5, 50.0])
+    phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 17)
+    for got, want in zip(field.unit(r, phi), _stacked_unit(field, r, phi)):
+        assert np.array_equal(got, want)
 
 
 def test_radial_rule_integrates_known_integral():

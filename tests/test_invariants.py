@@ -267,6 +267,30 @@ def test_odd_map_is_exactly_zero_with_no_quadrature(monkeypatch, source):
     assert res.map_class == classify_map(field, grid)
 
 
+@pytest.mark.parametrize("max_doublings", [2, 0])
+def test_empty_determinant_reads_zero_with_no_block(monkeypatch, max_doublings):
+    # map 126 of (-1, 0, 1) is even but has no live determinant row, so
+    # every rung of the radial ladder would read exactly 0
+    field = canonical_field(make_state((-1, 0, 1), np.ones(3)), "126")
+    grid = GridSpec(n_r=64)
+    g = grid.resolve(field.l)
+    assert field.mirror_parity() == 1
+    assert field.expansion(g.phi_nodes()).det_exps.size == 0
+    assert not np.any(field.area_density(g.radial_rule(0)[0], g.phi_nodes()))
+    calls = []
+    monkeypatch.setattr(_Expansion, "density", lambda self, r: calls.append(r))
+    res = wrapping_numeric(field, grid, max_doublings=max_doublings)
+    assert calls == []
+    assert res.raw == 0.0 and np.copysign(1.0, res.raw) == 1.0
+    if max_doublings:
+        assert res.quadrature_error == 0.0 and res.converged
+        assert res.n_r_used == 2 * grid.n_r
+    else:
+        assert res.quadrature_error == np.inf and not res.converged
+        assert res.n_r_used == grid.n_r
+    assert res.map_class == classify_map(field, grid)
+
+
 @pytest.mark.parametrize("n_r, n_phi", [(300, 512), (5, BLOCK_POINTS + 3)])
 def test_row_sums_equal_one_shot_density(n_r, n_phi):
     # 301 rows at 128 rows per block; one row per block above BLOCK_POINTS

@@ -236,6 +236,65 @@ def test_census_builds_each_component_table_once(monkeypatch):
     assert len({key[0] for key in tables}) == 15
 
 
+class _InProcessPool:
+    """Stands in for the process pool: runs each task at once, in order,
+    and records every chunk's labels and the term fields it builds."""
+
+    def __init__(self):
+        self.chunks, self.builds = [], []
+
+    def map(self, fn, *iterables):
+        out = []
+        for args in zip(*iterables):
+            self.chunks.append([spec.label for spec in args[1]])
+            self.builds.append(Counter())
+            out.append(fn(*args))
+        return out
+
+
+@pytest.mark.parametrize("n_specs, workers", [(455, 2), (455, 3), (2, 3)])
+def test_pool_deals_one_round_robin_chunk_per_worker(monkeypatch, n_specs,
+                                                     workers):
+    # worker k takes specs[k::workers] as one task, so it builds each
+    # component's term field once for its whole share
+    state = make_state((-2, -1, 1, 2), np.ones(4))
+    specs = enumerate_triples(4, "full")[:n_specs]
+    options = dict(grid=GridSpec(n_r=64), max_doublings=2, photon_swap=False)
+    serial = spectrum._evaluate_chunk(state, specs, options)
+    pool = _InProcessPool()
+    term_field = fields.term_field
+
+    def counting_term_field(source, matrix):
+        pool.builds[-1][matrix.tobytes()] += 1
+        return term_field(source, matrix)
+
+    monkeypatch.setattr(fields, "term_field", counting_term_field)
+    monkeypatch.setattr(spectrum, "_shared_pool", lambda workers: pool)
+    got = spectrum._evaluate_pooled(state, specs, options, workers)
+    n = min(workers, n_specs)
+    assert pool.chunks == [[spec.label for spec in specs[k::n]]
+                           for k in range(n)]
+    assert got == serial
+    for chunk, built in zip(pool.chunks, pool.builds):
+        indices = {int(i) for label in chunk for i in label.split("-")}
+        assert set(built.values()) == {1} and len(built) == len(indices)
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", " "])
+def test_default_workers_rejects_a_bad_thread_cap(monkeypatch, value):
+    monkeypatch.setenv("TOPOSPEC_THREADS", value)
+    with pytest.raises(ValueError, match="TOPOSPEC_THREADS"):
+        spectrum.default_workers()
+    with pytest.raises(ValueError, match="TOPOSPEC_THREADS"):
+        compute_spectrum(make_state((-1, 0, 1), np.ones(3)), grid=SMALL_GRID)
+
+
+@pytest.mark.parametrize("value, want", [("1", 1), ("10000", None), ("", None)])
+def test_default_workers_caps_the_cores(monkeypatch, value, want):
+    monkeypatch.setenv("TOPOSPEC_THREADS", value)
+    assert spectrum.default_workers() == (want or os.cpu_count() or 1)
+
+
 POOL_TIMEOUT = 60       # seconds; every pool test finishes in a few
 
 
