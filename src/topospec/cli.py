@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .fields import GridSpec, TripleSpec
-from .invariants import canonical_label
+from .invariants import _LABEL_SPECS, canonical_label
 from .spectrum import (compute_spectrum, default_workers, dependency_scan,
-                       enumerate_triples, evaluate_map, read_spectrum_values,
-                       similarity, svg_bar_chart, write_spectrum_csv,
-                       write_spectrum_json)
+                       evaluate_map, read_spectrum_values, similarity,
+                       svg_bar_chart, write_spectrum_csv, write_spectrum_json)
 from .states import (load_state, make_state, sample_perturbation, save_state,
                      inject_subspace)
 from .tomography import (check_epsilon, epsilon_from_crosstalk, metrics,
@@ -157,8 +156,7 @@ def _cmd_invariant_eval(args) -> int:
             raise ValueError("triple must name three basis indices")
         spec = TripleSpec(indices)
     else:
-        label = canonical_label(args.triple)
-        spec = next(t for t in enumerate_triples(3) if t.canonical == label)
+        spec = _LABEL_SPECS[canonical_label(args.triple)]
     e = evaluate_map(state, spec, _grid_from_args(args),
                      photon_swap=args.swap_photons)
     ana_txt = "n/a" if e.analytic is None else format(e.analytic, ".6g")

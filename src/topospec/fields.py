@@ -8,8 +8,9 @@ arrangement (cos-like, sin-like, third) together with the origin-fix
 policy that repairs wedge discontinuities of root-type thirds.  The
 layout of an index triple (its nice pair and arrangement, the orientation
 gauge of a root-type third, and the third axis's terms at unit
-amplitudes) is decided once, in map_layout; triple_field, the closed
-forms and the qutrit label catalogue in invariants all read it.
+amplitudes) is decided once, in map_layout, index slot 0 of the starred
+qutrit maps included; triple_field builds every map from it, census and
+canonical alike, and the closed forms in invariants read it.
 
 The Gaussian envelope exp(-2 r^2) is common to every term and positive at
 every radius, so it cancels in the normalized map and in its area density,
@@ -48,7 +49,7 @@ partials into one array and reads every ring's statistics from it at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -264,10 +265,10 @@ class SharedSource:
 
     Stands in for the QuditState or DensityCoeffs it wraps (l, d, coeff
     and every other attribute read through) while the maps of one call or
-    pool chunk are built from it: triple_field and canonical_field take
-    each component's TermField from it, and with the field the exponent
-    rows it keeps per phi grid.  It holds the source's tables, so it lives
-    only as long as the call that made it.
+    pool chunk are built from it: triple_field takes each component's
+    TermField from it, and with the field the exponent rows it keeps per
+    phi grid.  It holds the source's tables, so it lives only as long as
+    the call that made it.
     """
 
     def __init__(self, source):
@@ -289,15 +290,21 @@ class SharedSource:
             t = self.terms.setdefault(key, term_field(self.source, matrix))
         return t
 
+    @cached_property
+    def _clean(self) -> bool:
+        """True for a state with a diagonal amplitude matrix, the only
+        sources the closed forms describe; decided once per wrapper."""
+        amps = getattr(self.source, "amps", None)
+        return amps is not None and not np.any(amps - np.diag(np.diag(amps)))
+
 
 @dataclass(frozen=True)
 class TripleSpec:
     """Three distinct 1-based basis indices defining a candidate map.
 
-    canonical tags the triple as one of the named qutrit maps; the
-    starred ones replace the third axis with a combined diagonal (index
-    slot 0), so they must be built through the canonical-field
-    constructor rather than straight from basis indices.
+    canonical tags the triple as one of the named qutrit maps, and only
+    such a triple may hold index slot 0: the starred maps' combined
+    diagonal, which map_layout and triple_field resolve like any index.
     """
 
     indices: tuple[int, int, int]
@@ -543,13 +550,18 @@ def map_layout(d: int, indices: tuple[int, int, int]):
     third.  third lists the third axis's terms (m, n, weight) at unit
     amplitudes: the nonzero diagonal entries (m = n), or the single term
     (m, n, sigma) of a root-type third.
+
+    Index slot 0 exists at d = 3 only: (0, 4, 5) and (0, 6, 7) are the
+    starred maps 45* and 67*, each its pair's usual map, with arrangement
+    (1, 2, 0), sigma 0 and third ((i, i, 1.0), (j, j, -1.0)) on the pair's
+    modes i, j.
     """
     if len(set(indices)) != 3:
         raise ValueError("triple needs three distinct indices")
-    if indices[0] < 1 or indices[-1] > d * d - 1:
-        bad = indices[0] if indices[0] < 1 else indices[-1]
-        raise ValueError(f"basis index {bad} out of range 1..{d * d - 1} "
-                         f"for d = {d}")
+    if d == 3 and indices in ((0, 4, 5), (0, 6, 7)):
+        i, j = pair_modes = build_basis(3)[indices[1] - 1].modes
+        return (1, 2, 0), pair_modes, 0.0, ((i, i, 1.0), (j, j, -1.0))
+    _check_range(d, indices)
     basis = build_basis(d)
     pairs = _nice_pair_set(d)
     a = next((a for a in (0, 1) if (indices[a], indices[a + 1]) in pairs), None)
@@ -567,21 +579,33 @@ def map_layout(d: int, indices: tuple[int, int, int]):
     return arrangement, pair_modes, sigma, ((*third.modes, sigma),)
 
 
+def _check_range(d: int, indices) -> None:
+    """Raise unless every index of the sorted triple is a basis index of d."""
+    if indices[0] < 1 or indices[-1] > d * d - 1:
+        bad = indices[0] if indices[0] < 1 else indices[-1]
+        raise ValueError(f"basis index {bad} out of range 1..{d * d - 1} "
+                         f"for d = {d}")
+
+
 @cache
 def _nice_pair_set(d: int) -> frozenset:
     return frozenset(nice_pairs(d))
 
 
 def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
-    """Build the arranged unit-field for a basis-index triple.
+    """Build the arranged unit-field of a census triple or canonical map.
 
-    A SharedSource state lends its components' term fields.
+    Index slot 0 takes the starred map's combined diagonal, kept under the
+    map's index triple.  A SharedSource state lends its components' term
+    fields.
     """
-    if spec.canonical is not None:
-        raise ValueError("canonical triples build through canonical_field")
     arrangement, pair_modes, sigma, _ = map_layout(state.d, spec.indices)
     basis, source = build_basis(state.d), SharedSource.of(state)
-    terms = tuple(source.term(i, basis[i - 1].matrix)
+    # slot 0: (+-lambda_3 + sqrt(3) lambda_8) / 2, + for 45* and - for 67*
+    sign = 1.0 if spec.indices[1] == 4 else -1.0
+    terms = tuple(source.term(i, basis[i - 1].matrix) if i else
+                  source.term(spec.indices, 0.5 * (sign * basis[2].matrix
+                                                   + np.sqrt(3.0) * basis[7].matrix))
                   for i in (spec.indices[k] for k in arrangement))
     return UnitField(state.l, terms, sigma, pair_modes)
 

@@ -29,17 +29,17 @@ flag).  The closed forms and the singular flag of a field or of a
 canonical label read it for the pair; the accidental predictor reads it
 for both of its roots and needs a pole at both ends of each.  A nice-pair
 triple takes its pair and third-axis terms from fields.map_layout, and so
-does the catalogue of canonical qutrit labels, built once at import: a
-plain label is the index triple it spells, a starred one its pair's usual
-map (third axis the pair's own commutator).  The closed forms come in two
-shapes with equal values, bit for bit: per map (_closed_form), which
-every census entry and the public wrapping_analytic_* functions call,
-and over an array of charge tuples (_closed_forms), which runs the same
-end analysis as numpy operations and serves scans over a charge box.
-Each is the faster one on its own input: one tuple through the array form
-costs 10 to 20 times the per-map call.  Disk-like maps (one
-boundary end mapping to a trace instead of a point) are glued, doubling
-the raw integral.
+does every canonical qutrit label through its TripleSpec: a plain label is
+the index triple it spells, a starred one index slot 0 beside its pair,
+which map_layout reads as the pair's usual map (third axis the pair's own
+commutator).  The closed forms come in two shapes with equal values, bit
+for bit: per map (_closed_form), which every census entry and the public
+wrapping_analytic_* functions call, and over an array of charge tuples
+(_closed_forms), which runs the same end analysis as numpy operations and
+serves scans over a charge box.  Each is the faster one on its own input:
+one tuple through the array form costs 10 to 20 times the per-map call.
+Disk-like maps (one boundary end mapping to a trace instead of a point)
+are glued, doubling the raw integral.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import build_basis
-from .fields import (BLOCK_POINTS, GridSpec, MapClass, SharedSource, TripleSpec,
-                     UnitField, _Expansion, classify_map, map_layout,
+from .fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec, UnitField,
+                     _check_range, _Expansion, classify_map, map_layout,
                      triple_field)
 from .states import QuditState
 
@@ -261,15 +261,19 @@ def _closed_forms(charges: np.ndarray, pair: tuple[int, int],
     return raw, np.where(trace0 ^ trace_inf, 2.0 * raw, raw)
 
 
-def _usual_map(i: int, j: int):
-    """Pair modes and third-axis terms of the root pair on modes i, j with
-    its own commutator third."""
-    return (i, j), ((i, i, 1.0), (j, j, -1.0))
+def _charges(l, d: int | None) -> tuple[tuple[int, ...], int]:
+    """The mode charges l as ints, and d, which defaults to their count."""
+    l = tuple(int(x) for x in l)
+    d = d or len(l)
+    if len(l) != d:
+        raise ValueError(f"need {d} mode charges for d = {d}, got {len(l)}")
+    return l, d
 
 
 def wrapping_analytic_usual(l, modes: tuple[int, int]) -> AnalyticWrap:
     """Root-pair map with its own commutator third, any dimension."""
-    return _closed_form(tuple(l), *_usual_map(*modes))
+    i, j = modes
+    return _closed_form(tuple(l), (i, j), ((i, i, 1.0), (j, j, -1.0)))
 
 
 def wrapping_analytic_triple(l, indices: tuple[int, int, int],
@@ -277,11 +281,11 @@ def wrapping_analytic_triple(l, indices: tuple[int, int, int],
     """Closed-form value of a pure-index triple for an equal-amplitude state.
 
     Nice-pair triples evaluate through the exponent rule on the third-axis
-    terms of their layout; mixed cos/diagonal/sin triples go through the
-    accidental predictor.  Anything else has no closed form here.
+    terms of their layout, the starred qutrit maps (index slot 0) among
+    them; mixed cos/diagonal/sin triples go through the accidental
+    predictor.  Anything else has no closed form here.
     """
-    l = tuple(int(x) for x in l)
-    d = d or len(l)
+    l, d = _charges(l, d)
     idx = tuple(sorted(int(i) for i in indices))
     _, pair, _, third = map_layout(d, idx)
     if pair is None:
@@ -298,13 +302,11 @@ CANONICAL_LABELS = ["123", "45*", "67*",
 _ALIASES = {"45s": "45*", "67s": "67*", "458": "45*", "678": "67*"}
 
 
-# Pair modes and third-axis terms of every canonical label: a plain label
-# is the index triple it spells (map_layout's pair modes and third terms),
-# a starred one its pair's usual map.
-_D3_MAPS = {label: (_usual_map(*build_basis(3)[int(label[0]) - 1].modes)
-                    if label[2] == "*" else
-                    map_layout(3, tuple(sorted(int(ch) for ch in label)))[1::2])
-            for label in CANONICAL_LABELS}
+# The TripleSpec of every canonical label: a plain label is the index
+# triple it spells, a starred one index slot 0 beside its pair.
+_LABEL_SPECS = {label: TripleSpec(tuple(0 if ch == "*" else int(ch)
+                                        for ch in label), canonical=label)
+                for label in CANONICAL_LABELS}
 
 
 def canonical_label(label: str) -> str:
@@ -314,50 +316,32 @@ def canonical_label(label: str) -> str:
     return label
 
 
+def canonical_field(state: QuditState, label: str) -> UnitField:
+    """UnitField of a canonical qutrit map label (or alias) for the state,
+    built by triple_field from the label's TripleSpec."""
+    if state.d != 3:
+        raise ValueError("canonical labels are defined for d = 3")
+    return triple_field(state, _LABEL_SPECS[canonical_label(label)])
+
+
+def _label_map(label: str):
+    """Pair modes and third-axis terms of a canonical label or alias."""
+    return map_layout(3, _LABEL_SPECS[canonical_label(label)].indices)[1::2]
+
+
 def wrapping_analytic_d3(label: str, l) -> AnalyticWrap:
     """Exact value of one of the 18 canonical qutrit maps."""
-    label = canonical_label(label)
-    l = tuple(int(x) for x in l)
-    if len(l) != 3:
-        raise ValueError("need three mode indices")
-    return _closed_form(l, *_D3_MAPS[label])
+    pair, third = _label_map(label)
+    return _closed_form(_charges(l, 3)[0], pair, third)
 
 
 def singularity_class_label(label: str, l) -> bool:
     """Origin-singularity flag of a canonical label at mode indices l.
 
-    The label catalog holds the equal-amplitude term content, so the flag
-    is that of a clean state with equal amplitudes.
+    The label's layout holds the equal-amplitude term content, so the
+    flag is that of a clean state with equal amplitudes.
     """
-    l = tuple(int(x) for x in l)
-    return _end_analysis(l, *_D3_MAPS[canonical_label(label)])[0]
-
-
-# ---------------------------------------------------------------------------
-# canonical qutrit fields
-
-def canonical_field(state: QuditState, label: str) -> UnitField:
-    """UnitField of a canonical qutrit map label for the given state.
-
-    Plain labels are index triples.  The starred ones replace the third
-    axis with the combined diagonal that weighs the pair's own modes +1
-    and -1.  A SharedSource state lends its components' term fields, the
-    combined diagonal included.
-    """
-    if state.d != 3:
-        raise ValueError("canonical labels are defined for d = 3")
-    label = canonical_label(label)
-    if label[2] != "*":
-        return triple_field(state, TripleSpec(tuple(int(ch) for ch in label)))
-    basis, source = build_basis(3), SharedSource.of(state)
-    lam3, lam8 = basis[2].matrix, basis[7].matrix
-    sign = 1.0 if label[:2] == "45" else -1.0
-    third = 0.5 * (sign * lam3 + np.sqrt(3.0) * lam8)
-    sym_idx = int(label[0])
-    terms = (source.term(sym_idx, basis[sym_idx - 1].matrix),
-             source.term(sym_idx + 1, basis[sym_idx].matrix),
-             source.term(label, third))
-    return UnitField(state.l, terms, 0.0, _D3_MAPS[label][0])
+    return _end_analysis(_charges(l, 3)[0], *_label_map(label))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +378,13 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     winding number about the origin times the polar drop of the third
     axis gives the wrapping.  Arrangement parity relative to the sorted
     component order flips the sign.  Returns None when no prediction
-    applies (the map need not be an invariant at all then).
+    applies (the map need not be an invariant at all then).  Charges
+    that do not number d, or an index outside 1..d^2 - 1, are an error.
     """
-    l = tuple(int(x) for x in l)
-    d = d or len(l)
+    l, d = _charges(l, d)
+    order = sorted(int(i) for i in indices)
+    _check_range(d, order)
     basis = build_basis(d)
-    order = sorted(indices)
     els = [basis[i - 1] for i in order]
     kinds = sorted(e.kind for e in els)
     if kinds != ["asym", "diag", "sym"]:

@@ -9,9 +9,10 @@ The maps of one census share what does not depend on the map: a serial
 call, or each pool worker's round-robin share of the maps (one chunk per
 worker), evaluates its maps through one SharedSource, so each component's
 term field, its exponent rows per phi grid and its values on the
-classifier's probe rings are built once there, and dropped with the call
-or chunk.  Each map still builds its own cross and determinant tables,
-density blocks and classifier normalization through evaluate_map.
+classifier's probe rings are built once there, as is whether the source
+is clean, and dropped with the call or chunk.  Each map still builds its
+own cross and determinant tables, density blocks and classifier
+normalization through evaluate_map.
 
 Pooled spectra share one worker pool per process: the first call with more
 than one worker starts it (start method fork) and later calls with the same
@@ -34,9 +35,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .fields import GridSpec, SharedSource, TripleSpec, triple_field
-from .invariants import (_D3_MAPS, CANONICAL_LABELS, _closed_forms,
-                         canonical_field, wrapping_analytic_d3,
-                         wrapping_analytic_triple, wrapping_numeric)
+from .invariants import (_LABEL_SPECS, CANONICAL_LABELS, _closed_forms,
+                         _label_map, wrapping_analytic_triple,
+                         wrapping_numeric)
 from .states import QuditState
 
 TRIVIAL_THRESHOLD = 0.1
@@ -82,13 +83,12 @@ def enumerate_triples(d: int, mode: str | None = None) -> list[TripleSpec]:
 
     Full mode lists every index combination lexicographically; the named
     qutrit mode lists the 18 canonical maps, the two starred entries
-    carrying the combined diagonal third.
+    holding the combined diagonal third in index slot 0.
     """
     mode = normalize_mode(mode, d)
     if mode == "full":
         return [TripleSpec(c) for c in combinations(range(1, d * d), 3)]
-    return [TripleSpec(tuple(0 if ch == "*" else int(ch) for ch in lab),
-                       canonical=lab) for lab in CANONICAL_LABELS]
+    return [_LABEL_SPECS[lab] for lab in CANONICAL_LABELS]
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,6 @@ class TopologicalSpectrum:
         return [e.triple_label for e in self.entries if not e.converged]
 
 
-def _is_clean(state) -> bool:
-    amps = getattr(state, "amps", None)
-    if amps is None:
-        return False
-    off = amps - np.diag(np.diag(amps))
-    return not np.any(off)
-
-
 def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
                  max_doublings: int = 2,
                  photon_swap: bool = False) -> SpectrumEntry:
@@ -155,9 +147,11 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
 
     source is a QuditState or DensityCoeffs, or a fields.SharedSource of
     one, through which the maps of a census share their component tables.
+    Every spec, census triple or canonical label, builds its field through
+    triple_field and its closed form through wrapping_analytic_triple.
     The default radial grid has 512 panels for a canonical qutrit label
-    and 256 for an index triple; a grid whose n_r is None takes it too and
-    keeps its other settings.  The singular flag comes from the
+    and 256 for an index triple; a grid whose n_r is None takes it too
+    and keeps its other settings.  The singular flag comes from the
     field's term content (wrapping_numeric's default).  The analytic
     column is filled only for clean (diagonal-amplitude) sources, where
     the closed forms apply.  photon_swap negates every value.
@@ -165,14 +159,10 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
     if grid is None or grid.n_r is None:
         grid = replace(grid or GridSpec(),
                        n_r=512 if spec.canonical is not None else 256)
-    clean = _is_clean(source)
-    if spec.canonical is not None:
-        field = canonical_field(source, spec.canonical)
-        ana = wrapping_analytic_d3(spec.canonical, source.l) if clean else None
-    else:
-        field = triple_field(source, spec)
-        ana = (wrapping_analytic_triple(source.l, spec.indices, source.d)
-               if clean else None)
+    source = SharedSource.of(source)
+    field = triple_field(source, spec)
+    ana = (wrapping_analytic_triple(source.l, spec.indices, source.d)
+           if source._clean else None)
     res = wrapping_numeric(field, grid, max_doublings=max_doublings)
     sign = -1.0 if photon_swap else 1.0
     glued = sign * res.glued
@@ -379,7 +369,7 @@ def dependency_scan(l_range: int) -> DependencyReport:
     if l_range < 3:
         raise ValueError("need l_range >= 3")
     charges = np.array(list(permutations(range(-l_range, l_range + 1), 3)))
-    mat = np.column_stack([_closed_forms(charges, *_D3_MAPS[lab])[1]
+    mat = np.column_stack([_closed_forms(charges, *_label_map(lab))[1]
                            for lab in CANONICAL_LABELS])
     col = dict(zip(CANONICAL_LABELS, mat.T))
 

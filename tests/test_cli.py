@@ -133,6 +133,8 @@ def test_invariant_eval_indices(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("triple, mode, label", [("453", "canonical18", "453"),
+                                                 ("45*", "canonical18", "45*"),
+                                                 ("67s", "canonical18", "67*"),
                                                  ("1,2,4", "full", "1-2-4")])
 def test_invariant_eval_matches_spectrum_entry(tmp_path, capsys, triple, mode,
                                               label):

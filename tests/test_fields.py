@@ -16,6 +16,7 @@ from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec, MapClass,
                              SharedSource, TripleSpec, UnitField, _simpson_rule,
                              classify_map, map_layout, term_field, triple_field)
 from topospec.invariants import CANONICAL_LABELS, canonical_field
+from topospec.spectrum import enumerate_triples
 from topospec.states import inject_subspace, make_state, sample_perturbation
 from topospec.tomography import DensityCoeffs
 
@@ -270,6 +271,66 @@ def test_triple_spec_validation():
         TripleSpec((0, 1, 2))
     assert TripleSpec((3, 1, 2)).indices == (1, 2, 3)
     assert TripleSpec((1, 2, 3)).label == "1-2-3"
+
+
+def test_starred_maps_are_slot_zero_layouts():
+    # the pair's usual map: third axis +1 on the pair's first mode, -1 on its
+    # second, no orientation gauge
+    assert map_layout(3, (0, 4, 5)) == ((1, 2, 0), (0, 2), 0.0,
+                                        ((0, 0, 1.0), (2, 2, -1.0)))
+    assert map_layout(3, (0, 6, 7)) == ((1, 2, 0), (1, 2), 0.0,
+                                        ((1, 1, 1.0), (2, 2, -1.0)))
+
+
+@pytest.mark.parametrize("d, indices", [(3, (0, 1, 2)), (4, (0, 4, 5)),
+                                        (3, (0, 5, 6))])
+def test_slot_zero_is_only_a_starred_qutrit_map(d, indices):
+    message = f"basis index 0 out of range 1..{d * d - 1} for d = {d}"
+    with pytest.raises(ValueError, match=message):
+        map_layout(d, indices)
+    state = make_state(range(d), np.ones(d))
+    with pytest.raises(ValueError, match=message):
+        triple_field(state, TripleSpec(indices, canonical="45*"))
+
+
+def _direct_canonical_field(source, label):
+    """A canonical map built without map_layout's slot 0: a plain label from
+    its index triple, a starred one from its pair's two generators and the
+    combined diagonal (sign lambda_3 + sqrt(3) lambda_8) / 2 as matrices."""
+    if label[2] != "*":
+        return triple_field(source, TripleSpec(tuple(int(ch) for ch in label)))
+    basis = build_basis(3)
+    sign = 1.0 if label[:2] == "45" else -1.0
+    third = 0.5 * (sign * basis[2].matrix + np.sqrt(3.0) * basis[7].matrix)
+    k = int(label[0])
+    terms = (term_field(source, basis[k - 1].matrix),
+             term_field(source, basis[k].matrix), term_field(source, third))
+    return UnitField(source.l, terms, 0.0, basis[k - 1].modes)
+
+
+def _label_source(kind, l, seed):
+    if kind == "skewed":
+        return make_state(l, (1.0, 2.0, 3.0))
+    return _mirror_source(kind, l, seed)
+
+
+@given(st_l3, st.sampled_from(["clean", "skewed", "perturbed", "complex",
+                               "mixed"]),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_every_canonical_label_builds_through_its_triple(l, kind, seed):
+    # the starred maps' slot 0 gives the same terms, bit for bit, as the
+    # combined diagonal built straight from the generators
+    source = _label_source(kind, l, seed)
+    shared = SharedSource(source)
+    for label, spec in zip(CANONICAL_LABELS, enumerate_triples(3)):
+        want = _direct_canonical_field(source, label)
+        for field in (triple_field(shared, spec), canonical_field(source, label)):
+            assert (field.sigma, field.pair_modes) == (want.sigma, want.pair_modes)
+            for got, ref in zip(field.terms, want.terms):
+                for name in ("js", "jps", "alpha", "beta"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), \
+                        (label, name)
 
 
 def test_arrangement_keeps_orientation():

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
                              UnitField, _Expansion, classify_map, map_layout,
                              triple_field)
-from topospec.invariants import (_D3_MAPS, CANONICAL_LABELS, AnalyticWrap,
+from topospec.invariants import (_LABEL_SPECS, CANONICAL_LABELS, AnalyticWrap,
                                  _closed_forms, _end_analysis, _row_sums,
                                  _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
@@ -102,7 +102,8 @@ def test_closed_forms_over_a_box_equal_the_per_map_closed_forms():
     # repeated charges included: a pair on two equal charges is degenerate
     charges = np.array(list(product(range(-10, 11), repeat=3)))
     for label in CANONICAL_LABELS:
-        _assert_closed_forms_equal(charges, *_D3_MAPS[label],
+        _, pair, _, third = map_layout(3, _LABEL_SPECS[label].indices)
+        _assert_closed_forms_equal(charges, pair, third,
                                    lambda l: wrapping_analytic_d3(label, l))
     charges = np.array(list(permutations(range(-3, 4), 4)))
     layouts = [(idx, map_layout(4, idx)) for idx in combinations(range(1, 16), 3)]
@@ -380,7 +381,7 @@ def test_singularity_catalog_matches_field_content(l, label):
 @settings(max_examples=30, deadline=None)
 def test_pure_index_triples_agree_with_labels(l):
     # plain canonical labels are index triples; a starred one is the usual
-    # map of its pair
+    # map of its pair, and index slot 0 beside the pair as a triple
     for label in CANONICAL_LABELS:
         want = wrapping_analytic_d3(label, l)
         if label[2] == "*":
@@ -388,6 +389,27 @@ def test_pure_index_triples_agree_with_labels(l):
         else:
             got = wrapping_analytic_triple(l, tuple(int(ch) for ch in label))
         assert got == want, label
+        assert wrapping_analytic_triple(l, _LABEL_SPECS[label].indices) == want
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    # index 0 must not wrap around to the last generator
+    (accidental_predict, ((-3, -2, -1), (0, 1, 7)), "basis index 0 out of range 1..8"),
+    (accidental_predict, ((-3, -2, -1), (1, 5, 9)), "basis index 9 out of range 1..8"),
+    # accidental_predict takes basis indices only: a starred map has a nice pair
+    (accidental_predict, ((-1, 0, 1), (0, 4, 5)), "basis index 0 out of range 1..8"),
+    (accidental_predict, ((-4, 0, 1, 3), (1, 3, 5), 3), "need 3 mode charges for d = 3, got 4"),
+    # the charges must number d, not merely cover the triple's modes
+    (wrapping_analytic_triple, ((-1, 0, 1, 2), (1, 2, 3), 3),
+     "need 3 mode charges for d = 3, got 4"),
+    (wrapping_analytic_triple, ((-1, 0), (1, 2, 3), 3), "need 3 mode charges for d = 3, got 2"),
+    (wrapping_analytic_triple, ((-1, 0, 1), (0, 4, 5), 4), "need 4 mode charges for d = 4, got 3"),
+    (wrapping_analytic_d3, ("45*", (-1, 0, 1, 2)), "need 3 mode charges for d = 3, got 4"),
+    (singularity_class_label, ("124", (-1, 0)), "need 3 mode charges for d = 3, got 2"),
+])
+def test_closed_form_inputs_are_checked(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 def test_index_triple_beyond_the_basis_is_rejected():

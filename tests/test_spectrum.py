@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from topospec import fields, spectrum
+from topospec import fields, invariants, spectrum
 from topospec.fields import GridSpec, TermField, TripleSpec
 from topospec.invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
                                  singularity_class)
@@ -110,7 +110,7 @@ def test_dependency_scan_small():
 def test_dependency_scan_makes_no_per_sample_closed_form_calls(monkeypatch):
     def per_map(*args):
         raise AssertionError("per-map closed form called")
-    monkeypatch.setattr(spectrum, "wrapping_analytic_d3", per_map)
+    monkeypatch.setattr(invariants, "_closed_form", per_map)
     rep = dependency_scan(3)
     assert rep.rank == 9 and rep.n_samples == 210
     assert all(r.holds for r in rep.relations + rep.pairwise)
@@ -278,6 +278,46 @@ def test_pool_deals_one_round_robin_chunk_per_worker(monkeypatch, n_specs,
     for chunk, built in zip(pool.chunks, pool.builds):
         indices = {int(i) for label in chunk for i in label.split("-")}
         assert set(built.values()) == {1} and len(built) == len(indices)
+
+
+class _CountingState:
+    """A state that counts the reads of its amplitude matrix; term fields
+    go through the wrapped state's coeff and add none."""
+
+    def __init__(self, state):
+        self.state, self.l, self.d, self.reads = state, state.l, state.d, 0
+
+    @property
+    def amps(self):
+        self.reads += 1
+        return self.state.amps
+
+    def coeff(self, matrix):
+        return self.state.coeff(matrix)
+
+
+@pytest.mark.parametrize("mode", ["canonical18", "full"])
+def test_cleanliness_is_decided_once_per_call_or_chunk(monkeypatch, mode):
+    # one read per SharedSource: the serial call's, and each pool chunk's
+    state = make_state((-1, 0, 1), np.ones(3))
+    want = compute_spectrum(state, mode, grid=SMALL_GRID, workers=1).entries
+    serial = _CountingState(state)
+    assert compute_spectrum(serial, mode, grid=SMALL_GRID, workers=1).entries == want
+    assert serial.reads == 1
+    pool, pooled = _InProcessPool(), _CountingState(state)
+    monkeypatch.setattr(spectrum, "_shared_pool", lambda workers: pool)
+    assert compute_spectrum(pooled, mode, grid=SMALL_GRID, workers=3).entries == want
+    assert len(pool.chunks) == pooled.reads == 3
+    if mode == "canonical18":
+        assert all(e.analytic is not None for e in want)
+
+
+@pytest.mark.parametrize("kind", ["perturbed", "density"])
+def test_analytic_column_is_empty_for_a_source_that_is_not_clean(kind):
+    source = _table_source(kind, (-1, 0, 1))
+    for mode in ("canonical18", "full"):
+        sp = compute_spectrum(source, mode, grid=SMALL_GRID, workers=1)
+        assert all(e.analytic is None for e in sp.entries)
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", " "])
