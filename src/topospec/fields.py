@@ -305,6 +305,7 @@ class TripleSpec:
     canonical tags the triple as one of the named qutrit maps, and only
     such a triple may hold index slot 0: the starred maps' combined
     diagonal, which map_layout and triple_field resolve like any index.
+    The label must spell the indices, '*' standing for slot 0.
     """
 
     indices: tuple[int, int, int]
@@ -316,6 +317,10 @@ class TripleSpec:
             raise ValueError("triple needs three distinct indices")
         if self.canonical is None and min(idx) < 1:
             raise ValueError("basis indices are 1-based")
+        if self.canonical is not None and \
+                sorted(self.canonical.replace("*", "0")) != [str(i) for i in idx]:
+            raise ValueError(f"canonical label {self.canonical!r} does not "
+                             f"spell the indices {idx} ('*' is slot 0)")
         object.__setattr__(self, "indices", idx)
 
     @property

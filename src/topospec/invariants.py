@@ -273,7 +273,11 @@ def _charges(l, d: int | None) -> tuple[tuple[int, ...], int]:
 def wrapping_analytic_usual(l, modes: tuple[int, int]) -> AnalyticWrap:
     """Root-pair map with its own commutator third, any dimension."""
     i, j = modes
-    return _closed_form(tuple(l), (i, j), ((i, i, 1.0), (j, j, -1.0)))
+    l = tuple(l)
+    if i == j or not (0 <= i < len(l) and 0 <= j < len(l)):
+        raise ValueError(f"modes {(i, j)} are not two distinct indices "
+                         f"into the {len(l)} mode charges")
+    return _closed_form(l, (i, j), ((i, i, 1.0), (j, j, -1.0)))
 
 
 def wrapping_analytic_triple(l, indices: tuple[int, int, int],

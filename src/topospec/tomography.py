@@ -1,12 +1,12 @@
 """Projective coincidence tomography for biphoton mode states.
 
-Simulation and fit share one settings matrix V of joint projectors over
-the per-photon census (basis kets plus four-phase two-mode superpositions)
-and read rates |V^H psi|^2 or Re diag(V^H rho V) under a named noise model
-(none, poisson, crosstalk).  The density is fit in factorized form,
-rho = G^dag G / Tr, by chi-square minimization along an L-BFGS direction,
-with optional entry thresholding, scored, and fed back into the spectrum
-pipeline through the shared coefficient contract.
+Simulation and fit share one measurement model: with P the per-photon
+projector rows (basis kets plus four-phase two-mode superpositions), the
+density G^dag G has rates sum_r |P G_r P^T|^2 over the rows G_r of G read
+as d x d, G being a state's conjugate amplitudes, a density's rho^1/2 or
+the fit's factor.  Counts follow a named noise model (none, poisson,
+crosstalk); the fit minimizes chi-square along an L-BFGS direction, with
+optional entry thresholding, and feeds the spectrum pipeline.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ NOISE_MODELS = {"none": (False, None), "poisson": (True, None),
                 "crosstalk": (True, 2.0)}
 CROSSTALK_AMP = 0.01      # leak peak, as a fraction of the mean basis rate
 GRAD_TOL = 1e-8           # chi-square gradient norm that ends the fit
+FLOOR = 1e-9              # smallest rate a chi-square term is divided by
 LBFGS_MEMORY = 8          # (s, y) step pairs the L-BFGS direction is built from
 
 
@@ -62,13 +63,8 @@ def projection_set(d: int, subspace_l) -> ProjectionSet:
         raise ValueError("subspace_l length must equal d")
     if len(set(subspace_l)) != d:
         raise ValueError("subspace_l entries must be distinct")
-    rows = []
-    labels = []
-    for n, ln in enumerate(subspace_l):
-        e = np.zeros(d, dtype=complex)
-        e[n] = 1.0
-        rows.append(e)
-        labels.append(f"b{ln}")
+    rows = list(np.eye(d, dtype=complex))
+    labels = [f"b{ln}" for ln in subspace_l]
     for n in range(d):
         for m in range(n + 1, d):
             for k, theta in enumerate(THETAS):
@@ -82,11 +78,11 @@ def projection_set(d: int, subspace_l) -> ProjectionSet:
     return ProjectionSet(d, subspace_l, proj, tuple(labels))
 
 
-def _settings_matrix(pset: ProjectionSet) -> np.ndarray:
-    """Joint projector columns kron(p_m, p_n): V[a*d + b, m*K + n] = P[m, a] P[n, b]."""
-    P = pset.projectors.T
-    d, K = P.shape
-    return (P[:, None, :, None] * P[None, :, None, :]).reshape(d * d, K * K)
+def _joint_amplitudes(P: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """P G_r P^T for every row G_r of G read as d x d, shape (rows, K, K):
+    the overlaps of the joint projectors p_m x p_n with the conjugate rows."""
+    d = P.shape[1]
+    return P @ G.reshape(-1, d, d) @ P.T
 
 
 @dataclass(frozen=True)
@@ -118,11 +114,11 @@ def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4
     """Forward-model coincidence counts for a state or density matrix.
 
     The ideal rate of setting (m, n) is the squared overlap of the joint
-    projector p_m x p_n (a column of the settings matrix V) with the joint
-    state, times total_counts.  noise names a NOISE_MODELS entry (None is
-    "none"): "crosstalk" adds a Gaussian mode-distance leak inside the
-    basis block, and "poisson" and "crosstalk" then sample every entry.
-    total_counts must be finite and positive.
+    projector p_m x p_n with the joint state (summed over the rows of
+    rho^1/2 for a density), times total_counts.  noise names a NOISE_MODELS
+    entry (None is "none"): "crosstalk" adds a Gaussian mode-distance leak
+    inside the basis block, and "poisson" and "crosstalk" then sample every
+    entry.  total_counts must be finite and positive.
     """
     if not (np.isfinite(total_counts) and total_counts > 0):
         raise ValueError(f"count budget must be finite and > 0, "
@@ -131,17 +127,15 @@ def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4
         poisson, sigma = NOISE_MODELS[noise or "none"]
     except KeyError:
         raise ValueError(f"unknown noise model: {noise!r}") from None
-    V = _settings_matrix(pset)
     if hasattr(source, "amps"):
-        psi = np.asarray(source.amps, dtype=complex).reshape(-1)
-        rates = np.abs(V.conj().T @ psi) ** 2
+        G = np.asarray(source.amps, dtype=complex).conj()
     else:
         rho = source.rho if isinstance(source, BiphotonDensity) \
             else np.asarray(source, dtype=complex)
-        if rho.shape != (V.shape[0], V.shape[0]):
+        if rho.shape != (pset.d ** 2, pset.d ** 2):
             raise ValueError("density matrix size does not match the census")
-        rates = np.clip(np.real(np.sum(V.conj() * (rho @ V), axis=0)), 0.0, None)
-    rates = rates.reshape(pset.K, pset.K)
+        G = _sqrtm_psd(rho)
+    rates = np.sum(np.abs(_joint_amplitudes(pset.projectors, G)) ** 2, axis=0)
     meta = {"total_counts": float(total_counts), "noise": "none"}
     if sigma:
         d = pset.d
@@ -231,10 +225,31 @@ class ReconstructionResult:
         return self.stop != "budget"
 
 
-def _linear_inversion(V: np.ndarray, y: np.ndarray, d2: int) -> np.ndarray:
-    design = np.einsum("ai,bi->iab", V.conj(), V).reshape(len(y), d2 * d2)
-    x, *_ = np.linalg.lstsq(design, y.astype(complex), rcond=None)
-    return x.reshape(d2, d2)
+def _factored_inversion(P: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares density for rates y: the design is D x D, with full-rank
+    D[m, a*d + a'] = conj(P[m, a]) P[m, a'], so it is pinv(D) Y pinv(D)^T."""
+    K, d = P.shape
+    Dp = np.linalg.pinv((P.conj()[:, :, None] * P[:, None, :]).reshape(K, d * d))
+    R = (Dp @ y.reshape(K, K) @ Dp.T).reshape(d, d, d, d)
+    return R.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _chi_square(P: np.ndarray, y: np.ndarray, G: np.ndarray):
+    """Forward pass: amplitudes X, rate sum S, rates p, floored p, chi-square."""
+    X = _joint_amplitudes(P, G)
+    t = np.sum(np.abs(X) ** 2, axis=0).reshape(-1)
+    S = t.sum()
+    p = t / S
+    pc = np.maximum(p, FLOOR)
+    return X, S, p, pc, float(np.sum((y - p) ** 2 / pc))
+
+
+def _chi_square_gradient(P: np.ndarray, y: np.ndarray, X, S, p, pc) -> np.ndarray:
+    """Chi-square gradient in G from a forward pass: 2 P^H (Q o X_r) conj(P)."""
+    resid = y - p
+    g = -2.0 * resid / pc - np.where(p > FLOOR, resid ** 2 / pc ** 2, 0.0)
+    Q = ((g - float(g @ p)) / S).reshape(X.shape[1:])
+    return 2.0 * (P.conj().T @ (Q * X) @ P.conj()).reshape(len(X), -1)
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
@@ -265,10 +280,12 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     """Chi-square fit of a PSD unit-trace density to measured coincidences.
 
     The density is parameterized as G^dag G / Tr(G^dag G), its rates are
-    read through the settings matrix V that simulation uses, and G moves
-    along an L-BFGS direction (Liu & Nocedal, Math. Prog. 45, 503 (1989))
-    built from the exact chi-square gradient and the last LBFGS_MEMORY
-    steps, with Re<a, b> as the inner product on complex G.  The first
+    read through the joint amplitudes that simulation uses, G starts from
+    the least-squares density with its eigenvalues clipped at 0 and raised
+    by 1e-4, and G moves along an L-BFGS direction (Liu & Nocedal, Math.
+    Prog. 45, 503 (1989)) built from the exact chi-square gradient and the
+    last LBFGS_MEMORY steps, with Re<a, b> as the inner product on complex
+    G.  The first
     step, and any step whose direction is not downhill, is -0.1 grad with
     the memory cleared.  Each line search starts at the full step and
     halves it until chi-square does not increase, so accepted values never
@@ -286,32 +303,18 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     total = counts.sum()
     if total <= 0:
         raise ValueError("coincidence matrix is all zero")
-    K = pset.K
-    if C.counts.shape != (K, K):
+    if C.counts.shape != (pset.K, pset.K):
         raise ValueError("coincidence matrix does not match the census")
-    d2 = pset.d * pset.d
+    P = pset.projectors
     y = counts / total
-    V = _settings_matrix(pset)
 
-    rho0 = _linear_inversion(V, y, d2)
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    lam, u = np.linalg.eigh(rho0)
+    rho0 = _factored_inversion(P, y)
+    lam, u = np.linalg.eigh(0.5 * (rho0 + rho0.conj().T))
     lam = np.clip(lam, 0.0, None) + 1e-4
     lam /= lam.sum()
     G = (u * np.sqrt(lam)).conj().T
 
-    floor = 1e-9
-
-    def forward(Gm):
-        X = Gm @ V
-        t = np.sum(np.abs(X) ** 2, axis=0)
-        S = t.sum()
-        p = t / S
-        pc = np.maximum(p, floor)
-        chi = float(np.sum((y - p) ** 2 / pc))
-        return t, S, p, pc, chi
-
-    t, S, p, pc, chi = forward(G)
+    X, S, p, pc, chi = _chi_square(P, y, G)
     trace = [chi]
     pairs = deque(maxlen=LBFGS_MEMORY)
     G_prev = grad_prev = None
@@ -320,12 +323,7 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     it = 0
     stall = 0
     for it in range(1, max_iters + 1):
-        resid = y - p
-        g = np.where(p > floor,
-                     -2.0 * resid / pc - resid ** 2 / pc ** 2,
-                     -2.0 * resid / pc)
-        q = (g - float(g @ p)) / S
-        grad = 2.0 * (G @ ((V * q) @ V.conj().T))
+        grad = _chi_square_gradient(P, y, X, S, p, pc)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < GRAD_TOL:
             stop = "gradient"
@@ -347,9 +345,9 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
         step = 1.0
         while step > 1e-16:
             cand = G + step * direction
-            t2, S2, p2, pc2, chi2 = forward(cand)
+            X2, S2, p2, pc2, chi2 = _chi_square(P, y, cand)
             if chi2 <= chi:
-                G, t, S, p, pc, chi = cand, t2, S2, p2, pc2, chi2
+                G, X, S, p, pc, chi = cand, X2, S2, p2, pc2, chi2
                 break
             step *= 0.5
         else:

@@ -289,8 +289,9 @@ def test_slot_zero_is_only_a_starred_qutrit_map(d, indices):
     with pytest.raises(ValueError, match=message):
         map_layout(d, indices)
     state = make_state(range(d), np.ones(d))
+    label = f"{indices[1]}{indices[2]}*"   # a label that spells the indices
     with pytest.raises(ValueError, match=message):
-        triple_field(state, TripleSpec(indices, canonical="45*"))
+        triple_field(state, TripleSpec(indices, canonical=label))
 
 
 def _direct_canonical_field(source, label):

@@ -1,5 +1,6 @@
 """Wrapping-number evaluation, gluing, classification, and charge identity."""
 
+import re
 import tracemalloc
 from itertools import combinations, permutations, product
 
@@ -11,7 +12,8 @@ from numpy.testing import assert_allclose
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
                              UnitField, _Expansion, classify_map, map_layout,
                              triple_field)
-from topospec.invariants import (_LABEL_SPECS, CANONICAL_LABELS, AnalyticWrap,
+from topospec.invariants import (_ALIASES, _LABEL_SPECS, CANONICAL_LABELS,
+                                 AnalyticWrap,
                                  _closed_forms, _end_analysis, _row_sums,
                                  _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
@@ -21,6 +23,7 @@ from topospec.invariants import (_LABEL_SPECS, CANONICAL_LABELS, AnalyticWrap,
                                  wrapping_analytic_d3,
                                  wrapping_analytic_triple,
                                  wrapping_analytic_usual, wrapping_numeric)
+from topospec.spectrum import evaluate_map
 from topospec.states import inject_subspace, make_state, sample_perturbation
 from topospec.tomography import DensityCoeffs
 
@@ -121,6 +124,28 @@ def test_qubit_ladder_analytic():
     assert wrapping_analytic_usual((1, 2), (0, 1)).glued == 1.0
     assert wrapping_analytic_usual((-3, 1), (0, 1)).glued == -4.0
     assert wrapping_analytic_usual((1, -1), (0, 1)).kind == "degenerate"
+
+
+def test_a_canonical_label_must_spell_its_indices():
+    # 45* over 67*'s indices once returned 67*'s value under the label 45*
+    state = make_state((-1, 0, 1), np.ones(3))
+    with pytest.raises(ValueError, match=re.escape(
+            "canonical label '45*' does not spell the indices (0, 6, 7)")):
+        evaluate_map(state, TripleSpec((0, 6, 7), canonical="45*"))
+    with pytest.raises(ValueError, match=re.escape(
+            "canonical label '45*' does not spell the indices (1, 2, 3)")):
+        TripleSpec((1, 2, 3), canonical="45*")
+    assert sorted(_LABEL_SPECS) == sorted(CANONICAL_LABELS)
+    for alias, label in _ALIASES.items():   # as the CLI reads a label
+        assert _LABEL_SPECS[canonical_label(alias)].label == label
+        canonical_field(state, alias)
+
+
+@pytest.mark.parametrize("modes", [(0, 5), (1, 1), (-1, 0), (2, 0)])
+def test_usual_map_rejects_modes_that_are_not_a_pair_of_l(modes):
+    message = re.escape(f"modes {modes} are not two distinct indices")
+    with pytest.raises(ValueError, match=message):
+        wrapping_analytic_usual((1, 2), modes)
 
 
 def test_numeric_matches_analytic_qutrit_exemplar():

@@ -9,8 +9,9 @@ from topospec.fields import GridSpec
 from topospec.spectrum import compute_spectrum
 from topospec.states import inject_subspace, make_state, sample_perturbation
 from topospec.tomography import (GRAD_TOL, BiphotonDensity,
-                                 CoincidenceMatrix, _settings_matrix,
-                                 concurrence,
+                                 CoincidenceMatrix, _chi_square,
+                                 _chi_square_gradient, _factored_inversion,
+                                 _joint_amplitudes, concurrence,
                                  density_from_json, density_to_json,
                                  epsilon_from_crosstalk, fidelity,
                                  load_density, metrics, projection_count,
@@ -31,6 +32,22 @@ def _haar_state(d, rng):
 def _pure_density(state):
     vec = np.asarray(state.amps, dtype=complex).reshape(-1)
     return np.outer(vec, vec.conj())
+
+
+def _kron_settings(pset):
+    # reference joint projectors: column m*K + n of V is kron(p_m, p_n)
+    P, K = pset.projectors, pset.K
+    V = np.empty((pset.d ** 2, K * K), dtype=complex)
+    for m in range(K):
+        for n in range(K):
+            V[:, m * K + n] = np.kron(P[m], P[n])
+    return V
+
+
+def _random_density(d, rng):
+    A = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
 
 
 @given(st_d)
@@ -89,24 +106,23 @@ def test_unknown_noise_name_is_rejected():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_settings_matrix_equals_the_kron_loop_bitwise(d):
+def test_joint_amplitudes_equal_the_kron_loop(d):
+    # the fit's forward pass: each row of G against every joint projector
+    rng = np.random.default_rng(30 + d)
     pset = projection_set(d, tuple(range(d)))
-    P, K = pset.projectors, pset.K
-    ref = np.empty((d * d, K * K), dtype=complex)
-    for m in range(K):
-        for n in range(K):
-            ref[:, m * K + n] = np.kron(P[m], P[n])
-    V = _settings_matrix(pset)
-    assert V.shape == ref.shape and V.dtype == ref.dtype
-    assert V.tobytes() == ref.tobytes()
+    G = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+    X = _joint_amplitudes(pset.projectors, G)
+    assert X.shape == (3, pset.K, pset.K)
+    assert_allclose(X.reshape(3, -1), G @ _kron_settings(pset),
+                    rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_noiseless_counts_read_the_settings_matrix(d):
-    # simulation and fit share one measurement model: the columns of V
+    # simulation reads the joint projectors kron(p_m, p_n), the columns of V
     rng = np.random.default_rng(40 + d)
     pset = projection_set(d, tuple(range(d)))
-    V = _settings_matrix(pset)
+    V = _kron_settings(pset)
     total = 1e4
     for _ in range(3):
         state = _haar_state(d, rng)
@@ -115,13 +131,29 @@ def test_noiseless_counts_read_the_settings_matrix(d):
         got = simulate_coincidences(state, pset, total_counts=total).counts
         assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
 
-        A = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        rho = A @ A.conj().T
-        rho /= np.trace(rho).real
+        rho = _random_density(d, rng)
         want = total * np.einsum("ik,ij,jk->k", V.conj(), rho, V).real
         got = simulate_coincidences(BiphotonDensity(rho), pset,
                                     total_counts=total).counts
         assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_factored_inversion_equals_lstsq_on_the_dense_design(d):
+    # the design row of setting (m, n) is conj(v_mn) x v_mn over rho's entries
+    rng = np.random.default_rng(50 + d)
+    pset = projection_set(d, tuple(range(d)))
+    V = _kron_settings(pset)
+    design = np.einsum("ai,bi->iab", V.conj(), V).reshape(pset.K ** 2, d ** 4)
+    noisy = simulate_coincidences(_haar_state(d, rng), pset, noise="poisson",
+                                  rng=rng).counts
+    exact = simulate_coincidences(BiphotonDensity(_random_density(d, rng)),
+                                  pset).counts
+    for counts in (noisy, exact):
+        y = counts.reshape(-1) / counts.sum()
+        want, *_ = np.linalg.lstsq(design, y.astype(complex), rcond=None)
+        got = _factored_inversion(pset.projectors, y)
+        assert_allclose(got, want.reshape(d * d, d * d), rtol=0, atol=1e-12)
 
 
 def test_coincidence_matrix_validation():
@@ -163,24 +195,14 @@ def test_chi_square_gradient_matches_finite_differences():
     pset = projection_set(2, state.l)
     C = simulate_coincidences(state, pset, noise="poisson", rng=rng)
     y = C.counts.reshape(-1) / C.counts.sum()
-    V = _settings_matrix(pset)
+    P = pset.projectors
     G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    floor = 1e-9
 
     def chi(Gm):
-        t = np.sum(np.abs(Gm @ V) ** 2, axis=0)
-        p = t / t.sum()
-        pc = np.maximum(p, floor)
-        return float(np.sum((y - p) ** 2 / pc))
+        return _chi_square(P, y, Gm)[-1]
 
-    t = np.sum(np.abs(G @ V) ** 2, axis=0)
-    S = t.sum()
-    p = t / S
-    pc = np.maximum(p, floor)
-    resid = y - p
-    g = np.where(p > floor, -2 * resid / pc - resid**2 / pc**2, -2 * resid / pc)
-    q = (g - float(g @ p)) / S
-    grad = 2.0 * (G @ ((V * q) @ V.conj().T))
+    # the forward pass and gradient that reconstruct calls
+    grad = _chi_square_gradient(P, y, *_chi_square(P, y, G)[:-1])
 
     h = 1e-7
     for (i, j) in ((0, 0), (1, 3), (2, 1)):
@@ -193,7 +215,7 @@ def test_chi_square_gradient_matches_finite_differences():
 
 
 def test_noiseless_round_trip_high_fidelity():
-    for d, seed in ((2, 0), (3, 1)):
+    for d, seed in ((2, 0), (3, 1), (5, 2)):
         state = _haar_state(d, np.random.default_rng(seed))
         pset = projection_set(d, state.l)
         C = simulate_coincidences(state, pset, noise=None)
