@@ -17,16 +17,16 @@ every radius, so it cancels in the normalized map and in its area density,
 and no evaluator computes it: each pair term is r^e times an angular
 factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's terms per
 exponent into one table row each, and every evaluator reads those rows:
-TermField.evaluate, whose envelope-free values UnitField stacks into the
-normalized map (``unit``) that the boundary classifier reads, and the
-area density det[m, m_r, m_phi] / |m|^3 of the fixed map, taken straight
-from the unnormalized field.  The density expands separably: the
-determinant and |m|^2 are short sums of radial monomials times tables in
-phi, which UnitField.expansion builds once per map and azimuthal grid.
-A block of radii then costs one small matrix-vector product per radius
-and table, scaled per radius by a power of r that keeps every factor in
-range and cancels in the quotient; blocks of up to BLOCK_POINTS points
-keep its intermediates a few megabytes at any azimuthal resolution.
+TermField.evaluate, whose envelope-free values UnitField.evaluate stacks
+and ``unit`` normalizes for the boundary classifier, and the area density
+det[m, m_r, m_phi] / |m|^3 of the fixed map.  UnitField.expansion is the
+density's one entry point: the determinant and |m|^2 are short sums of
+radial monomials times tables in phi, built once per map and azimuthal
+grid.  A block of radii then costs one small matrix-vector product per
+radius and table, scaled per radius by a power of r that keeps every
+factor in range and cancels in the quotient; the expansion's row_sums
+streams radii in blocks of up to BLOCK_POINTS points, which keeps the
+intermediates a few megabytes at any azimuthal resolution.
 
 Real amplitudes make every component a pure cosine series (all beta = 0)
 or a pure sine series (all alpha = 0), so the area density is even or odd
@@ -56,8 +56,8 @@ import numpy as np
 from .basis import build_basis, nice_pairs
 from .states import QuditState
 
-# Points per block of area-density rows: wrapping_numeric streams its radial
-# nodes in blocks of this many (r, phi) points.
+# Points per block of area-density rows: _Expansion.row_sums streams its
+# radial nodes in blocks of this many (r, phi) points.
 BLOCK_POINTS = 2 ** 16
 
 # Pair terms with both amplitudes at most this drop out of a term field.
@@ -346,13 +346,9 @@ class UnitField:
     sigma: float
     pair_modes: tuple[int, int] | None
 
-    def evaluate(self, r, phi, fix: bool = True):
-        """Stacked envelope-free S-tilde and partials, shape (3, nr, nphi) each."""
-        return tuple(self._stack(r, phi, fix))
-
-    def _stack(self, r, phi, fix: bool) -> np.ndarray:
-        """(m, m_r, m_phi) of the three components as one fresh array of
-        shape (kind, component, nr, nphi), the origin fix applied."""
+    def evaluate(self, r, phi, fix: bool = True) -> np.ndarray:
+        """Envelope-free (m, m_r, m_phi) of the three components as one fresh
+        array of shape (kind, component, nr, nphi), the origin fix applied."""
         values = [t.evaluate(r, phi) for t in self.terms]
         out = np.array(list(zip(*values)))
         if fix and self.sigma != 0.0:
@@ -368,7 +364,7 @@ class UnitField:
         drop out of S while every intermediate stays in floating-point
         range at any radius.
         """
-        stack = self._stack(r, phi, fix)
+        stack = self.evaluate(r, phi, fix)
         peak = np.abs(stack[0]).max(axis=(0, 2))
         peak[peak == 0.0] = 1.0
         stack /= peak[:, None]
@@ -403,7 +399,13 @@ class UnitField:
         return parity
 
     def expansion(self, phi) -> "_Expansion":
-        """The area density on phi as radial monomials times phi tables."""
+        """The area density on phi as radial monomials times phi tables.
+
+        The density S . (dS/dr x dS/dphi) of the fixed map S is det[m, m_r,
+        m_phi] / |m|^3 of the unnormalized field: the parts of m_r and m_phi
+        along m drop out of the determinant, and any positive per-radius
+        scale cancels.
+        """
         p, dp = map(np.stack, zip(*(t.grid_rows(phi) for t in self.terms)))
         live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
         e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
@@ -433,18 +435,6 @@ class UnitField:
         return _Expansion(self.sigma, p.shape[-1], e_lo, e_hi,
                           *_live_rows(det, 3 * e_lo - 1),
                           *_live_rows(nrm, 2 * e_lo), *_live_rows(p[2], e_lo))
-
-    def area_density(self, r, phi) -> np.ndarray:
-        """Pullback area density S . (dS/dr x dS/dphi), shape (nr, nphi).
-
-        S is the fixed map, the one wrapping_numeric integrates.  The
-        density equals det[m, m_r, m_phi] / |m|^3 of the unnormalized
-        field: the parts of m_r and m_phi along m drop out of the
-        determinant, and any positive per-radius scale cancels.  A caller
-        that evaluates many blocks on one phi grid builds
-        self.expansion(phi) once instead.
-        """
-        return self.expansion(phi).density(np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -500,6 +490,14 @@ class _Expansion:
         # an infinite cube gives the density 0 where |m| = 0
         cube[cube == 0.0] = np.inf
         return np.divide(det, cube, out=cube)
+
+    def row_sums(self, r: np.ndarray) -> np.ndarray:
+        """Phi-summed area density at each radial node, streamed in blocks of
+        about BLOCK_POINTS (r, phi) points (at least one row), so that its
+        intermediates stay the same size at every n_phi."""
+        block = max(1, BLOCK_POINTS // self.n_phi)
+        return np.concatenate([self.density(r[lo:lo + block]).sum(axis=1)
+                               for lo in range(0, r.size, block)])
 
 
 @cache
@@ -605,6 +603,8 @@ def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
     fields.
     """
     arrangement, pair_modes, sigma, _ = map_layout(state.d, spec.indices)
+    if spec.canonical is not None and state.d != 3:
+        raise ValueError("canonical labels are defined for d = 3")
     basis, source = build_basis(state.d), SharedSource.of(state)
     # slot 0: (+-lambda_3 + sqrt(3) lambda_8) / 2, + for 45* and - for 67*
     sign = 1.0 if spec.indices[1] == 4 else -1.0

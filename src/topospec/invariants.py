@@ -10,11 +10,11 @@ reported converged on the starting radial grid with no quadrature.  The
 radial grid doubles until two successive estimates agree within the
 tolerance QUAD_TOL; the rule is nested, so each doubling evaluates only the
 new odd nodes and reuses the phi-summed density kept at the old ones.  The
-field's density expansion is built once per map; every block of about
-BLOCK_POINTS (r, phi) points of every doubling streams through it.  An
-expansion with no live determinant row has the density 0 at every node,
-so every rung reads exactly 0 and no block is evaluated.  No
-extrapolation is applied: the finer estimate is reported as it stands.
+field's density expansion (UnitField.expansion) is built once per map; its
+row_sums streams every doubling's nodes in blocks of about BLOCK_POINTS
+(r, phi) points.  An expansion with no live determinant row has the density
+0 at every node, so every rung reads exactly 0 and no block is evaluated.
+No extrapolation is applied: the finer estimate is reported as it stands.
 The analytic route rests on one end analysis of a map's term content
 (_end_analysis).  With the Gaussian envelope dropped, the pair amplitude
 grows like r^e with e = |l_j| + |l_j'|; the third axis's terms, summed per
@@ -49,9 +49,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import build_basis
-from .fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec, UnitField,
-                     _check_range, _Expansion, classify_map, map_layout,
-                     triple_field)
+from .fields import (GridSpec, MapClass, TripleSpec, UnitField, _check_range,
+                     classify_map, map_layout, triple_field)
 from .states import QuditState
 
 QUAD_TOL = 5e-3
@@ -73,17 +72,6 @@ class AnalyticWrap:
     raw: float
     glued: float
     kind: str
-
-
-def _row_sums(ex: _Expansion, r: np.ndarray) -> np.ndarray:
-    """Phi-summed area density at each radial node, streamed over blocks.
-
-    A block holds about BLOCK_POINTS (r, phi) points (at least one row), so
-    its intermediates stay the same size at every n_phi.
-    """
-    block = max(1, BLOCK_POINTS // ex.n_phi)
-    return np.concatenate([ex.density(r[lo:lo + block]).sum(axis=1)
-                           for lo in range(0, r.size, block)])
 
 
 def glue(raw: float, map_class: MapClass) -> float:
@@ -149,7 +137,7 @@ def _radial_ladder(field: UnitField, g: GridSpec, even: bool,
         # rung reads 0 and the first doubling settles it
         return ([0.0, 0.0], 0.0) if max_doublings > 0 else ([0.0], np.inf)
     r, w = g.radial_rule(0)
-    rows = _row_sums(ex, r)
+    rows = ex.row_sums(r)
     vals = [float(w @ rows) * dphi / (4.0 * np.pi)]
     err = np.inf
     for level in range(1, max_doublings + 1):
@@ -157,7 +145,7 @@ def _radial_ladder(field: UnitField, g: GridSpec, even: bool,
         r, w = g.radial_rule(level)
         fine = np.empty(r.size)
         fine[0::2] = rows
-        fine[1::2] = _row_sums(ex, r[1::2])
+        fine[1::2] = ex.row_sums(r[1::2])
         rows = fine
         vals.append(float(w @ rows) * dphi / (4.0 * np.pi))
         err = abs(vals[-1] - vals[-2])
@@ -323,8 +311,6 @@ def canonical_label(label: str) -> str:
 def canonical_field(state: QuditState, label: str) -> UnitField:
     """UnitField of a canonical qutrit map label (or alias) for the state,
     built by triple_field from the label's TripleSpec."""
-    if state.d != 3:
-        raise ValueError("canonical labels are defined for d = 3")
     return triple_field(state, _LABEL_SPECS[canonical_label(label)])
 
 

@@ -399,7 +399,7 @@ def similarity(a, e) -> SimilarityScores:
 
     residual = 1 - sum(|a| - |e|)^2 / sum|a|; cosine is taken between the
     L1-normalized vectors.  Zero vectors have no direction, so they are
-    rejected.
+    rejected, and so are non-finite values.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -407,8 +407,8 @@ def similarity(a, e) -> SimilarityScores:
         raise ValueError("spectrum vectors differ in length")
     l1_a = np.sum(np.abs(a))
     l1_e = np.sum(np.abs(e))
-    if l1_a == 0.0 or l1_e == 0.0:
-        raise ValueError("similarity of a zero spectrum is undefined")
+    if not (0.0 < l1_a < np.inf and 0.0 < l1_e < np.inf):
+        raise ValueError("similarity needs finite spectra, not all zero")
     residual = 1.0 - float(np.sum((np.abs(a) - np.abs(e)) ** 2)) / l1_a
     ah = a / l1_a
     eh = e / l1_e
@@ -479,6 +479,9 @@ def read_spectrum_values(path) -> tuple[list[str], np.ndarray]:
         for row in reader:
             labels.append(row["triple_label"])
             values.append(float(row[col]))
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}: {labels[-1]} has the non-finite "
+                                 f"value {row[col]!r}")
     return labels, np.array(values)
 
 

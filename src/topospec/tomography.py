@@ -172,6 +172,8 @@ def epsilon_from_crosstalk(C: CoincidenceMatrix, pset: ProjectionSet) -> float:
     whatever shows up there measures the leak floor; dividing by the basis
     diagonal total puts it on the density-matrix entry scale.
     """
+    if tuple(C.labels) != pset.labels:
+        raise ValueError("settings must follow the projection set's labels")
     d = pset.d
     block = C.counts[:d, :d]
     diag_total = float(np.trace(block))
@@ -299,12 +301,12 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     output untouched.
     """
     epsilon = check_epsilon(epsilon)
+    if tuple(C.labels) != pset.labels:
+        raise ValueError("settings must follow the projection set's labels")
     counts = C.counts.reshape(-1).astype(float)
     total = counts.sum()
     if total <= 0:
         raise ValueError("coincidence matrix is all zero")
-    if C.counts.shape != (pset.K, pset.K):
-        raise ValueError("coincidence matrix does not match the census")
     P = pset.projectors
     y = counts / total
 
@@ -381,8 +383,15 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
 
 def fidelity(rho_t: np.ndarray, rho_m: np.ndarray) -> float:
     """Uhlmann fidelity between two density matrices."""
-    a = _sqrtm_psd(np.asarray(rho_t, dtype=complex))
-    inner = _sqrtm_psd(a @ np.asarray(rho_m, dtype=complex) @ a)
+    def root(m):
+        # eigenvalues below n eps lam_max are rounding residue of zeros, whose
+        # roots (1e-8 for 1e-16) would lift the fidelity of a pure target
+        lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+        lam[lam < lam.size * np.finfo(float).eps * abs(lam[-1])] = 0.0
+        return (u * np.sqrt(lam)) @ u.conj().T
+
+    a = root(np.asarray(rho_t, dtype=complex))
+    inner = root(a @ np.asarray(rho_m, dtype=complex) @ a)
     return float(np.real(np.trace(inner)) ** 2)
 
 

@@ -115,6 +115,19 @@ def test_compare_length_mismatch_is_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_compare_non_finite_value_is_input_error(tmp_path, bad):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("triple_label,value\na,1.0\nb,0.5\n")
+    b.write_text(f"triple_label,value\na,1.0\nb,{bad}\n")
+    proc = _run_cli(tmp_path, "spectrum", "compare", str(a), str(b))
+    assert proc.returncode == EXIT_INPUT
+    assert f"topospec: error: {b}: b has the non-finite value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "residual=" not in proc.stdout
+
+
 def test_invariant_eval_canonical(tmp_path, capsys):
     state = _make_state(tmp_path)
     code = main(["invariant", "eval", str(state), "123",
@@ -231,6 +244,19 @@ def test_invariant_eval_rejects_an_index_beyond_the_basis(tmp_path):
     assert proc.returncode == EXIT_INPUT
     assert "basis index 20 out of range 1..8" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("label", ["453", "123"])
+def test_invariant_eval_rejects_a_canonical_label_off_d3(tmp_path, label):
+    # a canonical label spells a qutrit index triple; on a d = 4 state it
+    # would name another map under the qutrit map's label
+    state = _make_state(tmp_path, l="-2,-1,1,0", c="1,1,1,1")
+    proc = _run_cli(tmp_path, "invariant", "eval", str(state), label)
+    assert proc.returncode == EXIT_INPUT
+    assert ("topospec: error: canonical labels are defined for d = 3"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert "converged=" not in proc.stdout
 
 
 @pytest.mark.parametrize("bad", [{"c": [1, 1, 1]}, {"d": None},

@@ -89,7 +89,7 @@ def test_area_density_equals_unit_triple_product():
     phi = np.linspace(0.0, 2 * np.pi, 17)
     s, sr, sp = field.unit(r, phi)
     expected = np.sum(s * np.cross(sr, sp, axis=0), axis=0)
-    got = field.area_density(r, phi)
+    got = field.expansion(phi).density(r)
     assert got.shape == (r.size, phi.size)
     assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * np.max(np.abs(expected)))
 
@@ -123,24 +123,24 @@ def test_area_density_keeps_relative_accuracy_where_the_third_vanishes():
     g = GridSpec(n_r=16).resolve(field.l)
     r = g.radial_rule(0)[0][-1:]
     phi = g.phi_nodes()
-    assert_allclose(field.area_density(r, phi)[0],
+    assert_allclose(field.expansion(phi).density(r)[0],
                     _rational_density(field, r[0], phi), rtol=1e-12, atol=0.0)
 
 
 def test_area_density_results_are_independent():
-    # the arrays area_density returns stay the caller's
+    # the arrays the density returns stay the caller's
     first_field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
     other_field = canonical_field(make_state((-1, 0, 1), np.ones(3)), "453")
     r = np.linspace(0.2, 3.0, 9)
     phi = GridSpec(n_phi=32).phi_nodes()
-    first = first_field.area_density(r, phi)
+    first = first_field.expansion(phi).density(r)
     kept = first.copy()
-    second = other_field.area_density(np.linspace(0.1, 2.0, 5),
-                                      GridSpec(n_phi=48).phi_nodes())
+    second = other_field.expansion(GridSpec(n_phi=48).phi_nodes()).density(
+        np.linspace(0.1, 2.0, 5))
     assert second.shape == (5, 48)
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
-    assert np.array_equal(first_field.area_density(r, phi), kept)
+    assert np.array_equal(first_field.expansion(phi).density(r), kept)
 
 
 def test_area_density_in_two_threads_matches_serial():
@@ -150,7 +150,7 @@ def test_area_density_in_two_threads_matches_serial():
               canonical_field(make_state((-3, 1, 4), [1.0, 2.0, 3.0]), "453")]
     grids = [GridSpec(n_phi=96).phi_nodes(), GridSpec(n_phi=160).phi_nodes()]
     blocks = [np.linspace(0.05, 4.0, 40), np.linspace(0.5, 9.0, 25)]
-    serial = [[f.area_density(r, phi) for r in blocks]
+    serial = [[f.expansion(phi).density(r) for r in blocks]
               for f, phi in zip(fields, grids)]
     got = [[], []]
     start = threading.Barrier(2)
@@ -161,7 +161,7 @@ def test_area_density_in_two_threads_matches_serial():
         for _ in range(40):
             for r in blocks:
                 got[k].append(ex.density(r))
-            got[k].append(fields[k].area_density(blocks[0], grids[k]))
+            got[k].append(fields[k].expansion(grids[k]).density(blocks[0]))
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
     for t in threads:
@@ -186,11 +186,11 @@ def test_area_density_interleaved_evaluations_reproduce_every_first_evaluation()
     r = np.linspace(0.05, 4.0, 7)
     combos = [(f, p) for f in range(2) for p in range(2)]
     # each reference comes from its own copy of the field and of the phi grid
-    fresh = {c: replace(fields[c[0]]).area_density(r, grids[c[1]].copy())
+    fresh = {c: replace(fields[c[0]]).expansion(grids[c[1]].copy()).density(r)
              for c in combos}
     for _ in range(2):
         for c in combos[::3] + combos[1::3] + combos[2::3]:
-            got = fields[c[0]].area_density(r, grids[c[1]])
+            got = fields[c[0]].expansion(grids[c[1]]).density(r)
             assert np.array_equal(got, fresh[c]), c
 
 
@@ -202,7 +202,7 @@ def test_area_density_of_a_vanishing_component_is_zero():
     assert len(separable.terms[0].js) == 0
     cancelled = canonical_field(make_state((2, -2, 0), np.ones(3)), "453")
     for field in (separable, cancelled):
-        dens = field.area_density(r, phi)
+        dens = field.expansion(phi).density(r)
         assert dens.shape == (r.size, phi.size)
         assert not np.any(dens)
 
@@ -245,8 +245,8 @@ def test_mirror_parity_matches_the_density_at_mirrored_angles(lmap, kind, seed):
         return
     r = np.array([0.05, 0.4, 1.1, 2.5])
     phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 16)
-    dens = field.area_density(r, phi)
-    mirrored = field.area_density(r, 2.0 * np.pi - phi)
+    dens = field.expansion(phi).density(r)
+    mirrored = field.expansion(2.0 * np.pi - phi).density(r)
     scale = np.max(np.abs(dens))
     # a density that is rounding noise everywhere has no sign to compare
     if scale > 1e-12:
@@ -419,7 +419,7 @@ def test_shared_tables_in_four_threads_match_serial():
     want_rows = [reference.rows(phi) for phi in grids]
     r = np.linspace(0.1, 3.0, 5)
     want_values = [reference.evaluate(r, phi) for phi in grids]
-    want_dens = [canonical_field(state, "453").area_density(r, phi)
+    want_dens = [canonical_field(state, "453").expansion(phi).density(r)
                  for phi in grids]
     shared = SharedSource(state)
     bad, sizes = [], []
@@ -433,7 +433,7 @@ def test_shared_tables_in_four_threads_match_serial():
             p, dp = term.grid_rows(grids[j])
             values = term.evaluate(r, grids[j])
             sizes.append(max(len(term._kept), len(term._values)))
-            dens = canonical_field(shared, "453").area_density(r, grids[j])
+            dens = canonical_field(shared, "453").expansion(grids[j]).density(r)
             if not (np.array_equal(p, want_rows[j][0])
                     and np.array_equal(dp, want_rows[j][1])
                     and all(np.array_equal(a, b)

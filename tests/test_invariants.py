@@ -14,7 +14,7 @@ from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
                              triple_field)
 from topospec.invariants import (_ALIASES, _LABEL_SPECS, CANONICAL_LABELS,
                                  AnalyticWrap,
-                                 _closed_forms, _end_analysis, _row_sums,
+                                 _closed_forms, _end_analysis,
                                  _wrap_from_limits, accidental_predict,
                                  canonical_field, canonical_label, glue,
                                  lissajous_winding, monopole_charge_area,
@@ -199,7 +199,7 @@ def test_nested_radial_rule_evaluates_each_node_once(monkeypatch):
 
     def direct(level):
         r, w = g.radial_rule(level)
-        dens = field.area_density(r, phi).sum(axis=1)
+        dens = field.expansion(phi).density(r).sum(axis=1)
         return float(w @ dens) * (2.0 * np.pi / phi.size) / (4.0 * np.pi)
 
     nodes = []
@@ -242,7 +242,7 @@ def _perturbed(l, seed=0):
 def _full_turn(field, g, n_r_used, n_phi):
     """The wrapping integral on n_r_used panels, summed over every midpoint."""
     r, w = g.radial_rule(int(np.log2(n_r_used // g.n_r)))
-    dens = field.area_density(r, GridSpec(n_phi=n_phi).phi_nodes()).sum(axis=1)
+    dens = field.expansion(GridSpec(n_phi=n_phi).phi_nodes()).density(r).sum(axis=1)
     return float(w @ dens) * (2.0 * np.pi / n_phi) / (4.0 * np.pi)
 
 
@@ -302,7 +302,7 @@ def test_empty_determinant_reads_zero_with_no_block(monkeypatch, max_doublings):
     g = grid.resolve(field.l)
     assert field.mirror_parity() == 1
     assert field.expansion(g.phi_nodes()).det_exps.size == 0
-    assert not np.any(field.area_density(g.radial_rule(0)[0], g.phi_nodes()))
+    assert not np.any(field.expansion(g.phi_nodes()).density(g.radial_rule(0)[0]))
     calls = []
     monkeypatch.setattr(_Expansion, "density", lambda self, r: calls.append(r))
     res = wrapping_numeric(field, grid, max_doublings=max_doublings)
@@ -323,8 +323,8 @@ def test_row_sums_equal_one_shot_density(n_r, n_phi):
     field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")
     r, _ = GridSpec(n_r=n_r).radial_rule(0)
     phi = GridSpec(n_phi=n_phi).phi_nodes()
-    assert np.array_equal(_row_sums(field.expansion(phi), r),
-                          field.area_density(r, phi).sum(axis=1))
+    assert np.array_equal(field.expansion(phi).row_sums(r),
+                          field.expansion(phi).density(r).sum(axis=1))
 
 
 def _source(kind, l, rng):
@@ -351,7 +351,7 @@ def test_level0_integral_matches_unit_triple_product(l, label, kind, seed):
     s, sr, sp = field.unit(r, phi)
     reference = np.sum(s * np.cross(sr, sp, axis=0), axis=0).sum(axis=1)
     scale = (2.0 * np.pi / phi.size) / (4.0 * np.pi)
-    assert abs(w @ _row_sums(field.expansion(phi), r) - w @ reference) * scale <= 1e-9
+    assert abs(w @ field.expansion(phi).row_sums(r) - w @ reference) * scale <= 1e-9
 
 
 @given(st_l3, st.sampled_from(CANONICAL_LABELS),
@@ -376,8 +376,8 @@ def test_row_sums_of_mixed_source_equal_one_shot_density():
     field = canonical_field(_source("mixed", l, np.random.default_rng(7)), "451")
     r, _ = GridSpec(n_r=4).radial_rule(0)
     phi = GridSpec(n_phi=BLOCK_POINTS // 2 + 1).phi_nodes()
-    assert np.array_equal(_row_sums(field.expansion(phi), r),
-                          field.area_density(r, phi).sum(axis=1))
+    assert np.array_equal(field.expansion(phi).row_sums(r),
+                          field.expansion(phi).density(r).sum(axis=1))
 
 
 def test_warm_singular_integral_allocates_little():

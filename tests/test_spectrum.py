@@ -135,6 +135,11 @@ def test_similarity_rejects_degenerate_input():
         similarity(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
         similarity(np.ones(3), np.ones(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            similarity(np.array([1.0, bad, 0.5]), np.ones(3))
+        with pytest.raises(ValueError, match="finite"):
+            similarity(np.ones(3), np.array([1.0, 0.5, bad]))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=12))

@@ -98,6 +98,24 @@ def test_crosstalk_populates_forbidden_settings():
     assert epsilon_from_crosstalk(leaky, pset) > 0.0
 
 
+def test_settings_must_carry_the_projection_set_labels_in_order():
+    # the fit and the crosstalk estimate index settings by position, so
+    # permuted settings (labels moved with their rows and columns) and
+    # another subspace's settings are refused, not fit to the wrong projectors
+    state = make_state((-1, 0, 1), np.ones(3))
+    pset = projection_set(3, state.l)
+    C = simulate_coincidences(state, pset, noise=None)
+    order = np.random.default_rng(0).permutation(pset.K)
+    permuted = CoincidenceMatrix(C.counts[np.ix_(order, order)],
+                                 tuple(C.labels[k] for k in order))
+    other = projection_set(3, (-2, 0, 2))
+    for counts, target in ((permuted, pset), (C, other)):
+        with pytest.raises(ValueError, match="labels"):
+            reconstruct(counts, target)
+        with pytest.raises(ValueError, match="labels"):
+            epsilon_from_crosstalk(counts, target)
+
+
 def test_unknown_noise_name_is_rejected():
     state = make_state((0, 1), [1, 1])
     pset = projection_set(2, state.l)
@@ -345,6 +363,24 @@ def test_fidelity_purity_concurrence_properties():
     assert_allclose(concurrence(sep), 0.0, atol=1e-10)
     with pytest.raises(ValueError):
         concurrence(np.eye(9) / 9)
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_fidelity_of_a_pure_target_is_its_overlap(n):
+    # F(|psi><psi|, rho) = <psi|rho|psi> exactly; square roots of the
+    # target's rounding-level eigenvalues would add about 1e-8
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        target = np.outer(psi, psi.conj())
+        assert_allclose(fidelity(target, rho), np.real(psi.conj() @ rho @ psi),
+                        rtol=0.0, atol=1e-12)
+        assert fidelity(target, target) <= 1.0 + 1e-12
+    pure = _pure_density(make_state((-1, 0, 1), np.ones(3)))
+    assert fidelity(pure, pure) <= 1.0 + 1e-12
 
 
 def test_metrics_reports_concurrence_only_for_qubit_pairs():
