@@ -32,12 +32,9 @@ triple takes its pair and third-axis terms from fields.map_layout, and so
 does every canonical qutrit label through its TripleSpec: a plain label is
 the index triple it spells, a starred one index slot 0 beside its pair,
 which map_layout reads as the pair's usual map (third axis the pair's own
-commutator).  The closed forms come in two shapes with equal values, bit
-for bit: per map (_closed_form), which every census entry and the public
-wrapping_analytic_* functions call, and over an array of charge tuples
-(_closed_forms), which runs the same end analysis as numpy operations and
-serves scans over a charge box.  Each is the faster one on its own input:
-one tuple through the array form costs 10 to 20 times the per-map call.
+commutator).  _ends sees the charges only as exponent offsets from the
+pair, and a closed form is linear in omega = l_j - l_j', so over a box of
+charge tuples (_closed_forms) it runs once per distinct row of offsets.
 Disk-like maps (one boundary end mapping to a trace instead of a point)
 are glued, doubling the raw integral.
 """
@@ -173,22 +170,27 @@ def _end_analysis(l, pair: tuple[int, int],
     """(singular, degenerate, e0, einf) of a map from its term content.
 
     pair holds the pair amplitude's modes, terms the third axis as
-    (m, n, weight), m = n for a diagonal term; the radial ends are decided
-    as the module docstring says.  Weights of one exponent add up, and
-    sums within 1e-12 of zero drop out.
+    (m, n, weight), m = n for a diagonal term; _ends decides the radial
+    ends from each term's exponent offset from the pair and its weight.
     """
     e_pair = abs(l[pair[0]]) + abs(l[pair[1]])
+    return _ends([abs(l[m]) + abs(l[n]) - e_pair for m, n, _ in terms],
+                 [w for _, _, w in terms])
+
+
+def _ends(offsets, weights) -> tuple[bool, bool, float, float]:
+    """_end_analysis from term offsets and weights.  Weights of one offset
+    add up in term order, and sums within 1e-12 of zero drop out."""
     exps: dict[int, float] = {}
-    for m, n, w in terms:
-        e = abs(l[m]) + abs(l[n])
+    for e, w in zip(offsets, weights):
         exps[e] = exps.get(e, 0.0) + w
     live = sorted((e, w) for e, w in exps.items() if abs(w) > 1e-12)
-    if not live or live[0][0] == live[-1][0] == e_pair:
+    if not live or live[0][0] == live[-1][0] == 0:
         # no live term, or a third proportional to the pair at every radius
         return False, True, 0.0, 0.0
     (e_lo, w_lo), (e_hi, w_hi) = live[0], live[-1]
-    return (e_lo - e_pair == 1, False, _end_latitude(e_pair - e_lo, w_lo),
-            _end_latitude(e_hi - e_pair, w_hi))
+    return (e_lo == 1, False, _end_latitude(-e_lo, w_lo),
+            _end_latitude(e_hi, w_hi))
 
 
 def _wrap_from_limits(omega: int, e0: float, einf: float) -> AnalyticWrap:
@@ -212,41 +214,34 @@ def _closed_form(l, pair: tuple[int, int], third) -> AnalyticWrap:
     return AnalyticWrap(0.0, 0.0, "degenerate")
 
 
-def _end_latitudes(gap: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """_end_latitude at every entry of gap and w."""
-    return np.where(gap > 0, np.where(w > 0, 1.0, -1.0),
-                    np.where(gap < 0, 0.0, w / np.hypot(w, 2.0)))
-
-
 def _closed_forms(charges: np.ndarray, pair: tuple[int, int],
                   third) -> tuple[np.ndarray, np.ndarray]:
     """(raw, glued) of _closed_form at every row of an (N, d) charge array.
 
-    The end analysis runs on arrays over N: each term's weight is summed
-    with those of its exponent in term order, as the scalar path sums
-    them, so every value equals _closed_form's bit for bit.
-    """
+    _ends runs once per distinct row of exponent offsets, each row read as
+    the digits of one int key, at omega = 1; halving and doubling are
+    exact, so scaling by omega gives _closed_form's values bit for bit."""
     a = np.abs(charges)
     omega = charges[:, pair[0]] - charges[:, pair[1]]
-    e_pair = a[:, pair[0]] + a[:, pair[1]]
-    exps = np.stack([a[:, m] + a[:, n] for m, n, _ in third], axis=1)
-    sums = np.zeros(exps.shape)
-    for k, (_, _, w) in enumerate(third):
-        sums += np.where(exps == exps[:, k:k + 1], w, 0.0)
-    live = np.abs(sums) > 1e-12
-    lo = np.where(live, exps, np.iinfo(exps.dtype).max).argmin(axis=1)
-    hi = np.where(live, exps, -1).argmax(axis=1)
-    rows = np.arange(len(charges))
-    e_lo, e_hi = exps[rows, lo], exps[rows, hi]
-    degenerate = ((omega == 0) | ~live.any(axis=1)
-                  | ((e_lo == e_pair) & (e_hi == e_pair)))
-    e0 = _end_latitudes(e_pair - e_lo, sums[rows, lo])
-    einf = _end_latitudes(e_hi - e_pair, sums[rows, hi])
-    trace0, trace_inf = np.abs(e0) < 1.0 - 1e-12, np.abs(einf) < 1.0 - 1e-12
-    if np.any(trace0 & trace_inf & ~degenerate):
-        raise ValueError("both radial ends map to traces; not a closable map")
-    raw = np.where(degenerate, 0.0, 0.5 * omega * (einf - e0))
-    return raw, np.where(trace0 ^ trace_inf, 2.0 * raw, raw)
+    offsets = (np.stack([a[:, m] + a[:, n] for m, n, _ in third], axis=1)
+               - (a[:, pair[0]] + a[:, pair[1]])[:, None])
+    top = int(np.abs(offsets).max(initial=0))
+    dims = (2 * top + 1,) * len(third)
+    keys, inverse = np.unique(np.ravel_multi_index((offsets + top).T, dims),
+                              return_inverse=True)
+    rows = np.stack(np.unravel_index(keys, dims), axis=1) - top
+    weights = [w for _, _, w in third]
+    unit = np.zeros((len(keys), 2))
+    closable = np.zeros(len(keys), dtype=bool)
+    for k, row in enumerate(rows.tolist()):
+        _, degenerate, e0, einf = _ends(row, weights)
+        if not degenerate:
+            wrap = _wrap_from_limits(1, e0, einf)
+            unit[k] = wrap.raw, wrap.glued
+            closable[k] = True
+    keep = closable[inverse] & (omega != 0)
+    return (np.where(keep, omega * unit[inverse, 0], 0.0),
+            np.where(keep, omega * unit[inverse, 1], 0.0))
 
 
 def _charges(l, d: int | None) -> tuple[tuple[int, ...], int]:

@@ -23,6 +23,7 @@ dies without shutting the pool down (SIGKILL) exits on its own.
 from __future__ import annotations
 
 import csv
+import html
 import json
 import math
 import os
@@ -469,7 +470,7 @@ def read_spectrum_values(path) -> tuple[list[str], np.ndarray]:
     vectors with a value column.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty spectrum file")
         col = "glued" if "glued" in reader.fieldnames else "value"
@@ -478,7 +479,11 @@ def read_spectrum_values(path) -> tuple[list[str], np.ndarray]:
         labels, values = [], []
         for row in reader:
             labels.append(row["triple_label"])
-            values.append(float(row[col]))
+            try:
+                values.append(float(row[col]))
+            except ValueError:
+                raise ValueError(f"{path}: {labels[-1]} has the non-numeric "
+                                 f"value {row[col]!r}") from None
             if not math.isfinite(values[-1]):
                 raise ValueError(f"{path}: {labels[-1]} has the non-finite "
                                  f"value {row[col]!r}")
@@ -512,7 +517,7 @@ def svg_bar_chart(labels, values, trivial, path, title: str = "") -> None:
              f'<rect width="{width}" height="{height}" fill="white"/>']
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{title}</text>')
+                     f'font-family="sans-serif" font-size="15">{html.escape(title)}</text>')
     parts.append(f'<line x1="{pad}" y1="{zero_y:.1f}" x2="{width - pad}" '
                  f'y2="{zero_y:.1f}" stroke="#444" stroke-width="1"/>')
     for k, (lab, v, triv) in enumerate(zip(labels, values, trivial)):
@@ -527,7 +532,7 @@ def svg_bar_chart(labels, values, trivial, path, title: str = "") -> None:
             ty = height - pad + 14
             parts.append(f'<text x="{tx:.1f}" y="{ty:.1f}" text-anchor="end" '
                          f'font-family="sans-serif" font-size="9" '
-                         f'transform="rotate(-55 {tx:.1f} {ty:.1f})">{lab}</text>')
+                         f'transform="rotate(-55 {tx:.1f} {ty:.1f})">{html.escape(lab)}</text>')
     for v in (span, -span):
         yv = zero_y - v / span * plot_h
         parts.append(f'<text x="{pad - 6}" y="{yv + 4:.1f}" text-anchor="end" '

@@ -128,6 +128,19 @@ def test_compare_non_finite_value_is_input_error(tmp_path, bad):
     assert "residual=" not in proc.stdout
 
 
+@pytest.mark.parametrize("row", ["124", "124,", "124,abc"])
+def test_compare_missing_or_non_numeric_value_is_input_error(tmp_path, row):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("triple_label,value\n123,1\n124,0.5\n")
+    b.write_text(f"triple_label,value\n123,1\n{row}\n")
+    proc = _run_cli(tmp_path, "spectrum", "compare", str(a), str(b))
+    assert proc.returncode == EXIT_INPUT
+    assert f"topospec: error: {b}: 124 has the non-numeric value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "residual=" not in proc.stdout
+
+
 def test_invariant_eval_canonical(tmp_path, capsys):
     state = _make_state(tmp_path)
     code = main(["invariant", "eval", str(state), "123",

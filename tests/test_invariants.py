@@ -118,6 +118,21 @@ def test_closed_forms_over_a_box_equal_the_per_map_closed_forms():
                                    lambda l: wrapping_analytic_triple(l, idx))
 
 
+def test_closed_forms_over_d5_boxes_equal_the_per_map_closed_forms():
+    # thirds of up to 5 terms, so rows of up to 5 exponent offsets
+    layouts = [(idx, map_layout(5, idx)) for idx in combinations(range(1, 25), 3)]
+    triples = [(idx, pair, third) for idx, (_, pair, _, third) in layouts
+               if pair is not None]
+    assert len(triples) == 220
+    assert max(len(third) for _, _, third in triples) == 5
+    for charges in (np.array(list(permutations(range(-2, 3), 5))),
+                    np.array(list(product(range(-1, 2), repeat=5)))):
+        for idx, pair, third in triples:
+            _assert_closed_forms_equal(
+                charges, pair, third,
+                lambda l: wrapping_analytic_triple(l, idx))
+
+
 def test_qubit_ladder_analytic():
     # sign follows the mode whose ring shrinks first
     assert wrapping_analytic_usual((2, 1), (0, 1)).glued == 1.0

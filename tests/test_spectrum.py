@@ -9,6 +9,7 @@ import signal
 import threading
 import time
 from collections import Counter
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -549,3 +550,13 @@ def test_svg_chart(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<rect") >= len(sp.entries)
+
+
+def test_svg_chart_escapes_its_text(tmp_path):
+    path = tmp_path / "chart.svg"
+    svg_bar_chart(["a<b", "c&d"], [1.0, -1.0], [False, False], path,
+                  title="R&D <x>")
+    texts = [el.text for el in ElementTree.parse(path).getroot()
+             if el.tag.endswith("text")]
+    assert texts[0] == "R&D <x>"
+    assert texts[1:3] == ["a<b", "c&d"]
