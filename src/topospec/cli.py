@@ -12,15 +12,18 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .fields import GridSpec, TripleSpec
-from .invariants import _LABEL_SPECS, canonical_label
+from .invariants import _LABEL_SPECS, QUAD_TOL, canonical_label
 from .spectrum import (compute_spectrum, default_workers, dependency_scan,
-                       evaluate_map, read_spectrum_values, similarity,
-                       svg_bar_chart, write_spectrum_csv, write_spectrum_json)
+                       evaluate_map, normalize_mode, read_spectrum_values,
+                       similarity, svg_bar_chart, write_spectrum_csv,
+                       write_spectrum_json)
 from .states import (load_state, make_state, sample_perturbation, save_state,
                      inject_subspace)
 from .tomography import (check_epsilon, epsilon_from_crosstalk, metrics,
@@ -61,8 +64,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="radial Simpson panels")
     p.add_argument("--grid-nphi", type=int, default=None,
                    help="azimuthal nodes")
-    p.add_argument("--rmax", type=float, default=None,
-                   help="outer probe radius for map classification")
 
 
 def _add_census_flags(p: argparse.ArgumentParser) -> None:
@@ -75,11 +76,10 @@ def _add_census_flags(p: argparse.ArgumentParser) -> None:
                         "TOPOSPEC_THREADS)")
 
 
-def _grid_from_args(args) -> GridSpec | None:
-    """The grid the flags ask for; an unset flag keeps the per-map default."""
-    if args.grid_nr is None and args.grid_nphi is None and args.rmax is None:
-        return None
-    return GridSpec(r_max=args.rmax, n_r=args.grid_nr, n_phi=args.grid_nphi)
+def _grid_from_args(args) -> GridSpec:
+    """The checked grid the flags ask for; an unset flag keeps the per-map
+    default."""
+    return GridSpec(args.grid_nr, args.grid_nphi).check()
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -110,11 +110,14 @@ def _cmd_state_make(args) -> int:
 def _cmd_spectrum_compute(args) -> int:
     state = load_state(args.state)
     workers = args.workers or default_workers()
-    spec = compute_spectrum(state, mode=args.mode, grid=_grid_from_args(args),
+    grid = _grid_from_args(args)
+    spec = compute_spectrum(state, mode=args.mode, grid=grid,
                             workers=workers, photon_swap=args.swap_photons)
     write_spectrum_csv(spec, args.out)
+    # a grid field that is null took the per-map default
     meta = {"state_file": str(args.state), "workers": workers,
-            "photon_swap": bool(args.swap_photons)}
+            "photon_swap": bool(args.swap_photons), "grid": asdict(grid),
+            "quad_tol": QUAD_TOL, "version": __version__}
     if args.json:
         write_spectrum_json(spec, args.json, meta)
     if args.svg:
@@ -184,6 +187,8 @@ def _cmd_deps_scan(args) -> int:
 
 def _cmd_tomo_run(args) -> int:
     state = load_state(args.state)
+    mode = normalize_mode(args.mode, state.d)
+    grid = _grid_from_args(args)
     rng = np.random.default_rng(args.seed)
     if args.perturb:
         state = inject_subspace(state, sample_perturbation(state.d, rng))
@@ -215,8 +220,7 @@ def _cmd_tomo_run(args) -> int:
                    "epsilon": eps, "seed": args.seed}, fh, indent=1)
         fh.write("\n")
 
-    spec = spectrum_from_density(res.rho, state.l, mode=args.mode,
-                                 grid=_grid_from_args(args),
+    spec = spectrum_from_density(res.rho, state.l, mode=mode, grid=grid,
                                  workers=workers)
     write_spectrum_csv(spec, out / "spectrum.csv")
     conc = "n/a" if score.concurrence is None else f"{score.concurrence:.4f}"

@@ -36,14 +36,14 @@ turn and sets an odd one to 0.  Complex amplitudes (every reconstructed
 density among them) mix the two series and have no parity.
 
 Only the triple's cross and determinant tables, the density blocks and the
-classifier's normalization are per map.  The rest is shared: a
+classifier's probe values are per map.  The rest is shared: a
 SharedSource builds each component's TermField once for all the maps of
 one call or pool chunk, a TermField keeps its exponent rows per phi grid
-(grid_rows) and its values per (r, phi) grid (evaluate), so the
-classifier's five probe rings are evaluated once per component, and the
-Simpson rule of each panel count is built once and kept.  Shared arrays
-are read-only.  The classifier stacks the three components' values and
-partials into one array and reads every ring's statistics from it at once.
+(grid_rows), the classifier's ring grid among them, and the Simpson rule
+of each panel count is built once and kept.  Shared arrays are read-only.
+The classifier places its five probe rings from the charges alone,
+stacks the three components' values and partials on them into one array
+and reads every ring's statistics from it at once.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ TAIL_EPS = 1e-6
 # Radial rules kept at once, one per panel count (GridSpec.radial_rule).
 RULE_CACHE = 8
 
-# Grids whose exponent rows (TermField.grid_rows) and values
-# (TermField.evaluate) a term field keeps.
+# Phi grids whose exponent rows (TermField.grid_rows) a term field keeps.
 ROW_GRIDS = 4
 
 
@@ -88,33 +87,37 @@ class GridSpec:
     compactification u = r / (1 + r); boundary limits are approached only
     algebraically (the Gaussian envelopes cancel inside the normalized
     field), so a finite cutoff would leave visible truncation errors on
-    slowly closing maps.  r_max only anchors the classifier probes.
-    n_r None leaves the radial panel count to spectrum.evaluate_map, which
-    picks it per map.
+    slowly closing maps.  A field left None takes its default: n_r the
+    per-map one that spectrum.evaluate_map fills in (512 panels for a
+    canonical label, 256 for an index triple), n_phi 64 nodes per unit of
+    charge spread (resolve).  So GridSpec() is the per-map default grid.
     """
 
-    r_max: float | None = None
-    n_r: int | None = 4096
+    n_r: int | None = None
     n_phi: int | None = None
 
+    def check(self) -> "GridSpec":
+        """This grid, once its set sizes are checked: n_r and n_phi at least
+        1, n_r even."""
+        for name, n in (("n_r", self.n_r), ("n_phi", self.n_phi)):
+            if n is not None and n < 1:
+                raise ValueError(f"grid needs {name} >= 1, got {n}")
+        if self.n_r is not None and self.n_r % 2:
+            raise ValueError(f"Simpson's rule needs an even n_r, got {self.n_r}")
+        return self
+
     def resolve(self, l) -> "GridSpec":
-        r_max = self.r_max
-        if r_max is None:
-            r_max = float(np.sqrt(max(abs(x) for x in l)) + 6.0) if any(l) else 6.0
-        elif not 8 * R_MIN < r_max < np.inf:
-            # the probe ring at r_max / 4 must lie outside the inner rings
-            raise ValueError(f"r_max must be finite and above {8 * R_MIN:g}, "
-                             f"got {r_max}")
+        """The checked grid with n_phi's default for the charges l filled in.
+
+        n_r has no default here: a grid for wrapping_numeric names one.
+        """
+        if self.n_r is None:
+            raise ValueError("grid needs an n_r; spectrum.evaluate_map fills "
+                             "in the per-map default")
         n_phi = self.n_phi
         if n_phi is None:
-            spread = max(l) - min(l)
-            n_phi = 64 * max(1, int(spread))
-        if self.n_r is None or self.n_r < 1 or n_phi < 1:
-            raise ValueError(f"grid needs n_r >= 1 and n_phi >= 1, got "
-                             f"n_r={self.n_r}, n_phi={n_phi}")
-        if self.n_r % 2:
-            raise ValueError(f"Simpson's rule needs an even n_r, got {self.n_r}")
-        return GridSpec(r_max, int(self.n_r), int(n_phi))
+            n_phi = 64 * max(1, int(max(l) - min(l)))
+        return GridSpec(int(self.n_r), int(n_phi)).check()
 
     def radial_rule(self, doublings: int = 0):
         """Simpson nodes r and weights (jacobian included) on the u-line.
@@ -147,9 +150,8 @@ def _simpson_rule(n: int):
 class TermField:
     """One component as pair terms over mode indices (j <= jp).
 
-    The field keeps the exponent rows of the last few phi grids it was
-    evaluated on (grid_rows), and its values on the last few (r, phi)
-    grids (evaluate), so maps that share it share them too.
+    The field keeps its exponent rows on the last few phi grids it was
+    evaluated on (grid_rows), so maps that share it share them too.
     """
 
     l: tuple[int, ...]
@@ -159,11 +161,9 @@ class TermField:
     beta: np.ndarray
 
     def __post_init__(self):
-        # phi grid bytes -> read-only (p, dp), and (r, phi) grid bytes ->
-        # read-only (m, m_r, m_phi); not dataclass fields, so replace()
-        # and == ignore them
+        # phi grid bytes -> read-only (p, dp); not a dataclass field, so
+        # replace() and == ignore it
         object.__setattr__(self, "_kept", {})
-        object.__setattr__(self, "_values", {})
 
     def rows(self, phi):
         """Pair terms summed per envelope-free radial exponent, in term order.
@@ -188,10 +188,23 @@ class TermField:
     def grid_rows(self, phi):
         """rows(phi), built once per phi grid and then shared read-only.
 
-        The memo holds the rows of at most ROW_GRIDS grids (see _memo).
+        The memo holds the rows of at most ROW_GRIDS grids; a further one
+        starts it over.  It is never changed in place, only replaced by a
+        new dict, so threads sharing the field need no lock: two of them
+        may both build an entry, and one may drop an entry the other
+        stored, but each gets equal arrays.
         """
         phi = np.asarray(phi, dtype=float)
-        return self._memo("_kept", phi.tobytes(), lambda: self.rows(phi))
+        kept, key = self._kept, phi.tobytes()
+        rows = kept.get(key)
+        if rows is None:
+            rows = self.rows(phi)
+            for table in rows:
+                table.setflags(write=False)
+            kept = dict(kept) if len(kept) < ROW_GRIDS else {}
+            kept[key] = rows
+            object.__setattr__(self, "_kept", kept)
+        return rows
 
     def evaluate(self, r, phi):
         """Return (m, dm/dr, dm/dphi) on the outer-product grid, envelope-free.
@@ -200,40 +213,13 @@ class TermField:
         (m here is the expectation divided by it), so the values stay
         representable at any radius; the envelope is positive per radius
         and drops out of the normalized map and of the area density.  The
-        values are kept per (r, phi) grid like grid_rows' rows, read-only,
-        so the classifier's probe rings are evaluated once per component.
+        values are fresh arrays, built from the kept rows of phi.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        phi = np.asarray(phi, dtype=float)
-
-        def values():
-            p, dp = self.grid_rows(phi)
-            e = np.arange(len(p))
-            powers = r[:, None] ** e
-            return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
-
-        key = (r.tobytes(), phi.tobytes())
-        return self._memo("_values", key, values)
-
-    def _memo(self, name: str, key, build):
-        """The arrays build() makes, kept read-only under key in memo name.
-
-        A memo holds at most ROW_GRIDS entries; a further one starts it
-        over.  It is never changed in place, only replaced by a new dict,
-        so threads sharing the field need no lock: two of them may both
-        build an entry, and one may drop an entry the other stored, but
-        each gets equal arrays.
-        """
-        kept = getattr(self, name)
-        arrays = kept.get(key)
-        if arrays is None:
-            arrays = build()
-            for table in arrays:
-                table.setflags(write=False)
-            kept = dict(kept) if len(kept) < ROW_GRIDS else {}
-            kept[key] = arrays
-            object.__setattr__(self, name, kept)
-        return arrays
+        p, dp = self.grid_rows(phi)
+        e = np.arange(len(p))
+        powers = r[:, None] ** e
+        return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
 
 
 def term_field(source, matrix: np.ndarray) -> TermField:
@@ -626,20 +612,22 @@ class MapClass:
     outer_point: bool
 
 
-def classify_map(field: UnitField, grid: GridSpec) -> MapClass:
+def classify_map(field: UnitField, grid: GridSpec | None = None) -> MapClass:
     """Trend-based boundary classification.
 
     A radial end maps to a point when the phi-variance of S decays toward
     it (ratio < 0.5 between an end ring and one at twice/half the radius),
     a surviving trace makes the map disk-like, and an image with no area
-    at all (phi-independent, or r-independent) is degenerate.
+    at all (phi-independent, or r-independent) is degenerate.  The probe
+    rings sit at R_MIN and 2 R_MIN and at a quarter, half and all of
+    r_out = sqrt(max|l|) + 6, read off the charges alone; grid is ignored,
+    and is accepted only for callers that still pass one.
     """
-    g = grid.resolve(field.l)
+    r_out = float(np.sqrt(max(abs(x) for x in field.l)) + 6.0)
     phi = (np.arange(N_PROBE) + 0.5) * (2.0 * np.pi / N_PROBE)
     # rings in0, in1, mid0, mid1 and out, in one evaluation: unit() treats
-    # every radius on its own, and the term fields keep the rings' values
-    radii = np.array([R_MIN, 2.0 * R_MIN, 0.25 * g.r_max, 0.5 * g.r_max,
-                      g.r_max])
+    # every radius on its own
+    radii = np.array([R_MIN, 2.0 * R_MIN, 0.25 * r_out, 0.5 * r_out, r_out])
     s, _, _ = field.unit(radii, phi)
     # the phi-variance of S per ring, summed over the components
     v_in, v_in1, v_mid0, v_out1, v_out = np.var(s, axis=2).sum(axis=0).tolist()

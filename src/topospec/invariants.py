@@ -90,17 +90,18 @@ def singularity_class(field: UnitField) -> bool:
     return _end_analysis(field.l, field.pair_modes, terms)[0]
 
 
-def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
+def wrapping_numeric(field: UnitField, grid: GridSpec,
                      singular: bool | None = None,
                      max_doublings: int = 2) -> WrappingResult:
     """Adaptive wrapping integral with trend classification and gluing.
 
-    A map whose density is odd under phi -> 2 pi - phi (its
-    mirror_parity is -1) integrates to exactly 0 over the mirror-symmetric
-    midpoints, so it reports 0, converged on the starting grid, with no
-    quadrature.
+    The grid names the starting n_r (spectrum.evaluate_map picks the
+    per-map default); an n_phi left None takes resolve's default.  A map
+    whose density is odd under phi -> 2 pi - phi (its mirror_parity is
+    -1) integrates to exactly 0 over the mirror-symmetric midpoints, so it
+    reports 0, converged on the starting grid, with no quadrature.
     """
-    g = (grid or GridSpec()).resolve(field.l)
+    g = grid.resolve(field.l)
     if singular is None:
         singular = singularity_class(field)
     if singular:
@@ -111,7 +112,7 @@ def wrapping_numeric(field: UnitField, grid: GridSpec | None = None,
     else:
         vals, err = _radial_ladder(field, g, parity > 0, max_doublings)
     raw = vals[-1]
-    cls = classify_map(field, g)
+    cls = classify_map(field)
     return WrappingResult(raw, glue(raw, cls), cls, err, err <= QUAD_TOL,
                           bool(singular), g.n_r * 2 ** (len(vals) - 1))
 

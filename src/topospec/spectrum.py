@@ -8,11 +8,12 @@ and serializes spectra to CSV/JSON plus a dependency-free SVG bar chart.
 The maps of one census share what does not depend on the map: a serial
 call, or each pool worker's round-robin share of the maps (one chunk per
 worker), evaluates its maps through one SharedSource, so each component's
-term field, its exponent rows per phi grid and its values on the
-classifier's probe rings are built once there, as is whether the source
-is clean, and dropped with the call or chunk.  Each map still builds its
-own cross and determinant tables, density blocks and classifier
-normalization through evaluate_map.
+term field and its exponent rows per phi grid (the classifier's ring grid
+among them) are built once there, as is whether the source is clean, and
+dropped with the call or chunk.  Each map still builds its own cross and
+determinant tables, density blocks and classifier probe values through
+evaluate_map, on one grid: GridSpec's fields left None take the per-map
+defaults, whether the caller passed no grid or GridSpec().
 
 Pooled spectra share one worker pool per process: the first call with more
 than one worker starts it (start method fork) and later calls with the same
@@ -150,9 +151,9 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
     one, through which the maps of a census share their component tables.
     Every spec, census triple or canonical label, builds its field through
     triple_field and its closed form through wrapping_analytic_triple.
-    The default radial grid has 512 panels for a canonical qutrit label
-    and 256 for an index triple; a grid whose n_r is None takes it too
-    and keeps its other settings.  The singular flag comes from the
+    A grid whose n_r is None (no grid, or GridSpec()) takes the per-map
+    radial default, 512 panels for a canonical qutrit label and 256 for
+    an index triple, and keeps its n_phi.  The singular flag comes from the
     field's term content (wrapping_numeric's default).  The analytic
     column is filled only for clean (diagonal-amplitude) sources, where
     the closed forms apply.  photon_swap negates every value.
@@ -176,9 +177,8 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
 def _evaluate_chunk(source, specs, options: dict) -> list[SpectrumEntry]:
     """Entries of a run of specs; every input comes in the arguments.
 
-    The specs' maps share each component's term field, exponent rows and
-    probe-ring values through one SharedSource, dropped when the chunk is
-    done.
+    The specs' maps share each component's term field and exponent rows
+    through one SharedSource, dropped when the chunk is done.
     """
     source = SharedSource(source)
     return [evaluate_map(source, spec, **options) for spec in specs]

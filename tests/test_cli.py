@@ -14,9 +14,11 @@ from numpy.testing import assert_allclose
 import topospec
 from topospec import cli
 from topospec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from topospec.invariants import CANONICAL_LABELS
+from topospec.fields import GridSpec
+from topospec.invariants import _LABEL_SPECS, CANONICAL_LABELS, QUAD_TOL
 from topospec.spectrum import (RelationCheck, compute_spectrum,
-                               dependency_scan, read_spectrum_values)
+                               dependency_scan, evaluate_map,
+                               read_spectrum_values)
 from topospec.states import load_state
 
 CSV_HEADER = "triple_label,map_class,raw,glued,analytic,singular,trivial"
@@ -417,12 +419,67 @@ def test_invariant_eval_rejects_an_odd_grid_nr(tmp_path):
     assert "glued=" not in proc.stdout
 
 
-@pytest.mark.parametrize("rmax", ["nan", "inf", "0", "-5"])
-def test_invariant_eval_rejects_an_unusable_rmax(tmp_path, rmax):
+@pytest.mark.parametrize("l, c, flags, message", [
+    ("-2,-1,1,0", "1,1,1,1", ["--mode", "canonical18"],
+     "canonical18 mode needs d = 3"),
+    ("-1,0,1", "1,1,1", ["--grid-nr", "3"],
+     "Simpson's rule needs an even n_r, got 3"),
+    ("-1,0,1", "1,1,1", ["--grid-nphi", "0"], "grid needs n_phi >= 1, got 0"),
+])
+def test_tomo_run_checks_its_flags_before_making_the_out_dir(tmp_path, capsys,
+                                                             l, c, flags,
+                                                             message):
+    state = _make_state(tmp_path, l=l, c=c)
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["tomo", "run", str(state), *flags, "--workers", "1",
+                 "--out-dir", str(out)]) == EXIT_INPUT
+    assert f"topospec: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["spectrum", "compute"],
+                                     ["invariant", "eval"], ["tomo", "run"]])
+def test_rmax_is_not_a_flag(tmp_path, capsys, command):
+    # the classifier places its probe rings from the charges alone
     state = _make_state(tmp_path)
-    proc = _run_cli(tmp_path, "invariant", "eval", str(state), "123",
-                    "--rmax", rmax)
-    assert proc.returncode == EXIT_INPUT
-    assert "topospec: error: r_max must be finite and above 0.008" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "converged=True" not in proc.stdout
+    argv = [*command, str(state), "--rmax", "8"]
+    if command[0] == "invariant":
+        argv.insert(3, "123")
+    assert _exit_code(argv) == EXIT_INPUT
+    assert "unrecognized arguments: --rmax 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, grid", [
+    ([], {"n_r": None, "n_phi": None}),
+    (["--grid-nr", "64", "--grid-nphi", "32"], {"n_r": 64, "n_phi": 32}),
+])
+def test_json_records_the_grid_and_version(tmp_path, flags, grid):
+    # a null grid field is the per-map default
+    state = _make_state(tmp_path)
+    json_path = tmp_path / "spectrum.json"
+    assert main(["spectrum", "compute", str(state), *flags, "--workers", "1",
+                 "--out", str(tmp_path / "s.csv"),
+                 "--json", str(json_path)]) in (EXIT_OK, EXIT_NUMERIC)
+    meta = json.loads(json_path.read_text())["meta"]
+    assert meta["grid"] == grid
+    assert meta["quad_tol"] == QUAD_TOL
+    assert meta["version"] == topospec.__version__
+
+
+def test_a_grid_without_n_r_keeps_the_per_map_radial_default(tmp_path, capsys):
+    # GridSpec(n_phi=...) and --grid-nphi both start map 123 on 512 panels
+    state = _make_state(tmp_path)
+    qutrit, spec = load_state(state), _LABEL_SPECS["123"]
+    grid = GridSpec(n_phi=128)
+    e = evaluate_map(qutrit, spec, grid)
+    assert e.n_r_used == evaluate_map(qutrit, spec).n_r_used == 1024
+    assert compute_spectrum(qutrit, grid=grid, workers=1).entry("123") == e
+    capsys.readouterr()
+    assert main(["invariant", "eval", str(state), "123",
+                 "--grid-nphi", "128"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for text in (f"class={e.map_class}", f"raw={e.raw:.6f}",
+                 f"glued={e.glued:.6f}", f"converged={e.converged}",
+                 f"err={e.quadrature_error:.2e}"):
+        assert text in out

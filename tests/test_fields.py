@@ -352,17 +352,28 @@ def test_classify_map_kinds():
 
 
 def test_classify_map_probes_all_rings_in_one_call(monkeypatch):
-    state = make_state((-1, 0, 1), np.ones(3))
+    # the rings sit at R_MIN, 2 R_MIN and a quarter, half and all of
+    # sqrt(max|l|) + 6, whatever grid the caller passes
     calls = []
     inner = UnitField.unit
 
     def counting(self, r, phi, fix=True):
-        calls.append(np.asarray(r).size)
+        calls.append(np.array(r))
         return inner(self, r, phi, fix)
 
     monkeypatch.setattr(UnitField, "unit", counting)
-    assert classify_map(canonical_field(state, "123"), GridSpec()).kind == "sphere"
-    assert calls == [5]
+    qutrit = make_state((-1, 0, 1), np.ones(3))
+    ququart = make_state((-2, -1, 1, 0), [1.0, 2.0, 1.0, 3.0])
+    for field, kind in ((canonical_field(qutrit, "123"), "sphere"),
+                        (triple_field(ququart, TripleSpec((1, 2, 15))), None)):
+        calls.clear()
+        got = classify_map(field, GridSpec())
+        r = float(np.sqrt(max(abs(x) for x in field.l)) + 6.0)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [R_MIN, 2 * R_MIN, r / 4, r / 2, r])
+        assert kind is None or got.kind == kind
+        assert classify_map(field, GridSpec(n_r=16, n_phi=8)) == got
+        assert classify_map(field) == got
 
 
 def test_shared_tables_are_read_only_and_bounded():
@@ -382,30 +393,6 @@ def test_shared_tables_are_read_only_and_bounded():
         term.grid_rows(GridSpec(n_phi=n_phi).phi_nodes())
         assert len(term._kept) <= ROW_GRIDS
     assert np.array_equal(term.grid_rows(phi)[0], p)
-
-
-def test_term_values_are_kept_read_only_per_grid():
-    # the classifier's probe rings are the same (r, phi) grid for every map
-    # of a state, so a field keeps its values there like its exponent rows
-    state = make_state((-1, 0, 1), np.ones(3))
-    term = canonical_field(state, "124").terms[0]
-    r = np.array([R_MIN, 2 * R_MIN, 1.5, 3.0, 6.0])
-    phi = GridSpec(n_phi=32).phi_nodes()
-    values = term.evaluate(r, phi)
-    again = term.evaluate(r.copy(), phi.copy())
-    assert all(a is b for a, b in zip(values, again))
-    fresh = term_field(state, build_basis(3)[0].matrix).evaluate(r, phi)
-    for got, want in zip(values, fresh):
-        assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="read-only"):
-            got[0, 0] = 0.0
-    # another radius set on the same phi grid is another entry
-    assert term.evaluate(r[:2], phi)[0].shape == (2, 32)
-    for n_phi in range(33, 33 + 2 * ROW_GRIDS):
-        term.evaluate(r, GridSpec(n_phi=n_phi).phi_nodes())
-        assert len(term._values) <= ROW_GRIDS
-    assert all(np.array_equal(a, b)
-               for a, b in zip(term.evaluate(r, phi), fresh))
 
 
 def test_shared_tables_in_four_threads_match_serial():
@@ -432,7 +419,7 @@ def test_shared_tables_in_four_threads_match_serial():
             term = shared.term(4, build_basis(3)[3].matrix)
             p, dp = term.grid_rows(grids[j])
             values = term.evaluate(r, grids[j])
-            sizes.append(max(len(term._kept), len(term._values)))
+            sizes.append(len(term._kept))
             dens = canonical_field(shared, "453").expansion(grids[j]).density(r)
             if not (np.array_equal(p, want_rows[j][0])
                     and np.array_equal(dp, want_rows[j][1])
@@ -495,12 +482,12 @@ def _stacked_unit(field, r, phi):
     return s, sr, sp
 
 
-def _ring_by_ring_class(field, grid):
+def _ring_by_ring_class(field):
     """classify_map with every ring's statistics taken on its own."""
-    g = grid.resolve(field.l)
+    r_out = float(np.sqrt(max(abs(x) for x in field.l)) + 6.0)
     phi = (np.arange(256) + 0.5) * (2.0 * np.pi / 256)
     radii = {"in0": R_MIN, "in1": 2.0 * R_MIN,
-             "mid0": 0.25 * g.r_max, "mid1": 0.5 * g.r_max, "out": g.r_max}
+             "mid0": 0.25 * r_out, "mid1": 0.5 * r_out, "out": r_out}
     s, _, _ = _stacked_unit(field, np.array(list(radii.values())), phi)
     rings = {key: s[:, i, :] for i, key in enumerate(radii)}
 
@@ -541,7 +528,7 @@ def test_one_stack_classifier_equals_ring_by_ring_statistics(lmap, kind, seed):
     source = _mirror_source(kind, l, seed)
     field = (canonical_field(source, key) if isinstance(key, str)
              else triple_field(source, TripleSpec(key)))
-    assert classify_map(field, GridSpec()) == _ring_by_ring_class(field, GridSpec())
+    assert classify_map(field, GridSpec()) == _ring_by_ring_class(field)
     r = np.array([R_MIN, 0.3, 1.0, 2.5, 50.0])
     phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 17)
     for got, want in zip(field.unit(r, phi), _stacked_unit(field, r, phi)):
@@ -549,15 +536,14 @@ def test_one_stack_classifier_equals_ring_by_ring_statistics(lmap, kind, seed):
 
 
 def test_radial_rule_integrates_known_integral():
-    g = GridSpec(r_max=8.0, n_r=512, n_phi=64)
+    g = GridSpec(n_r=512, n_phi=64)
     r, w = g.radial_rule()
     # integral of r^3 exp(-r^2) over the half line is 1/2
     assert_allclose(w @ (r**3 * np.exp(-r * r)), 0.5, atol=1e-6)
 
 
 def test_grid_resolve_defaults():
-    g = GridSpec().resolve((-3, 0, 3))
-    assert g.r_max is not None and g.r_max > np.sqrt(3.0)
+    g = GridSpec(n_r=64).resolve((-3, 0, 3))
     assert g.n_phi == 64 * 6
 
 
@@ -567,11 +553,3 @@ def test_grid_resolve_rejects_an_odd_n_r(n_r):
     with pytest.raises(ValueError, match=f"even n_r, got {n_r}"):
         GridSpec(n_r=n_r).resolve((-1, 0, 1))
     assert GridSpec(n_r=n_r + 1).resolve((-1, 0, 1)).n_r == n_r + 1
-
-
-@pytest.mark.parametrize("r_max", [np.nan, np.inf, 0.0, -5.0, 8 * R_MIN])
-def test_grid_resolve_rejects_an_r_max_inside_the_inner_rings(r_max):
-    # the classifier's r_max / 4 ring must lie outside the 2 R_MIN ring
-    with pytest.raises(ValueError, match="r_max must be finite and above"):
-        GridSpec(r_max=r_max).resolve((-1, 0, 1))
-    assert GridSpec(r_max=9 * R_MIN).resolve((-1, 0, 1)).r_max == 9 * R_MIN
