@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import GridSpec, TripleSpec
+from .fields import R_MIN, TAIL_EPS, GridSpec, TripleSpec
 from .invariants import _LABEL_SPECS, QUAD_TOL, canonical_label
 from .spectrum import (compute_spectrum, default_workers, dependency_scan,
                        evaluate_map, normalize_mode, read_spectrum_values,
@@ -77,9 +77,9 @@ def _add_census_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _grid_from_args(args) -> GridSpec:
-    """The checked grid the flags ask for; an unset flag keeps the per-map
-    default."""
-    return GridSpec(args.grid_nr, args.grid_nphi).check()
+    """The grid the flags ask for, checked as it is built; an unset flag
+    keeps the per-map default."""
+    return GridSpec(args.grid_nr, args.grid_nphi)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -114,9 +114,11 @@ def _cmd_spectrum_compute(args) -> int:
     spec = compute_spectrum(state, mode=args.mode, grid=grid,
                             workers=workers, photon_swap=args.swap_photons)
     write_spectrum_csv(spec, args.out)
-    # a grid field that is null took the per-map default
+    # a grid field that is null took the per-map default; r_min and
+    # tail_eps place the radial rule's first and last node
     meta = {"state_file": str(args.state), "workers": workers,
             "photon_swap": bool(args.swap_photons), "grid": asdict(grid),
+            "r_min": R_MIN, "tail_eps": TAIL_EPS,
             "quad_tol": QUAD_TOL, "version": __version__}
     if args.json:
         write_spectrum_json(spec, args.json, meta)

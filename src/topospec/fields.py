@@ -26,14 +26,23 @@ grid.  A block of radii then costs one small matrix-vector product per
 radius and table, scaled per radius by a power of r that keeps every
 factor in range and cancels in the quotient; the expansion's row_sums
 streams radii in blocks of up to BLOCK_POINTS points, which keeps the
-intermediates a few megabytes at any azimuthal resolution.
+intermediates a few megabytes at any azimuthal resolution.  A third of
+one exponent row has one sign per phi node at every radius, so its
+origin fix is folded into the determinant tables; only a multi-row third
+is summed and its sign read per point.
 
 Real amplitudes make every component a pure cosine series (all beta = 0)
 or a pure sine series (all alpha = 0), so the area density is even or odd
 under phi -> 2 pi - phi.  UnitField.mirror_parity reads that from the
 terms alone; wrapping_numeric then integrates an even density over half a
 turn and sets an odd one to 0.  Complex amplitudes (every reconstructed
-density among them) mix the two series and have no parity.
+density among them) mix the two series and have no parity.  The terms
+also give the density's period in phi (UnitField.azimuthal_period): the
+gcd of their |D|, or of the third's alone when the pair only rotates
+about the third axis, as a clean nice pair does; a diagonal third then
+leaves the density constant in phi.  wrapping_numeric integrates one
+symmetry cell of the midpoints, which the expansion takes as the first
+nodes of its phi grid, sharing that grid's rows.
 
 Only the triple's cross and determinant tables, the density blocks and the
 classifier's probe values are per map.  The rest is shared: a
@@ -48,6 +57,7 @@ and reads every ring's statistics from it at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -96,18 +106,17 @@ class GridSpec:
     n_r: int | None = None
     n_phi: int | None = None
 
-    def check(self) -> "GridSpec":
-        """This grid, once its set sizes are checked: n_r and n_phi at least
-        1, n_r even."""
+    def __post_init__(self):
+        # the set sizes are checked here, so no grid holds a size that no
+        # rule can take: n_r and n_phi at least 1, n_r even
         for name, n in (("n_r", self.n_r), ("n_phi", self.n_phi)):
             if n is not None and n < 1:
                 raise ValueError(f"grid needs {name} >= 1, got {n}")
         if self.n_r is not None and self.n_r % 2:
             raise ValueError(f"Simpson's rule needs an even n_r, got {self.n_r}")
-        return self
 
     def resolve(self, l) -> "GridSpec":
-        """The checked grid with n_phi's default for the charges l filled in.
+        """The grid with n_phi's default for the charges l filled in.
 
         n_r has no default here: a grid for wrapping_numeric names one.
         """
@@ -117,7 +126,7 @@ class GridSpec:
         n_phi = self.n_phi
         if n_phi is None:
             n_phi = 64 * max(1, int(max(l) - min(l)))
-        return GridSpec(int(self.n_r), int(n_phi)).check()
+        return GridSpec(int(self.n_r), int(n_phi))
 
     def radial_rule(self, doublings: int = 0):
         """Simpson nodes r and weights (jacobian included) on the u-line.
@@ -384,15 +393,53 @@ class UnitField:
                 parity *= p
         return parity
 
-    def expansion(self, phi) -> "_Expansion":
+    def azimuthal_period(self) -> int:
+        """Period of the area density in phi, from the terms: the density
+        is unchanged by phi -> phi + 2 pi / k, and k = 0 means that it does
+        not depend on phi.
+
+        A pair term turns with D = l_j' - l_j, so k is the gcd of |D| over
+        the terms of the three components (0 when every D is 0).  When the
+        pair components are one term each on the same modes, with
+        perpendicular (alpha, beta) of equal length, they are r^e times a
+        unit vector turning at the rate D, maybe mirrored: the pair only
+        rotates about the third axis, which leaves the density unchanged,
+        so only the third's terms count.  Every nice-pair map of a clean
+        state with real amplitudes is one (complex amplitudes may round the
+        two terms off perpendicular, and then every term counts).  The
+        folded third sigma |m_3| has the period of m_3.
+        """
+        terms = self.terms[2:] if self._rotating_pair() else self.terms
+        return math.gcd(*(abs(t.l[jp] - t.l[j]) for t in terms
+                          for j, jp in zip(t.js.tolist(), t.jps.tolist())))
+
+    def _rotating_pair(self) -> bool:
+        """True when the first two components are one term each on the same
+        modes, with perpendicular (alpha, beta) of equal length (exact)."""
+        u, v = self.terms[:2]
+        if u.js.size != 1 or v.js.size != 1 or u.js[0] != v.js[0] \
+                or u.jps[0] != v.jps[0]:
+            return False
+        (a, b), (c, e) = (u.alpha[0], u.beta[0]), (v.alpha[0], v.beta[0])
+        return a * c + b * e == 0.0 and a * a + b * b == c * c + e * e
+
+    def expansion(self, phi, nodes: int | None = None) -> "_Expansion":
         """The area density on phi as radial monomials times phi tables.
 
         The density S . (dS/dr x dS/dphi) of the fixed map S is det[m, m_r,
         m_phi] / |m|^3 of the unnormalized field: the parts of m_r and m_phi
         along m drop out of the determinant, and any positive per-radius
-        scale cancels.
+        scale cancels.  With nodes given, the tables cover only the first
+        nodes nodes of phi (a symmetry cell); the components' rows are still
+        built once per phi grid and sliced, so cells share them.
+
+        A third of one exponent row T has the sign of T(phi) at every
+        radius, so a one-row third's origin fix is a sign per phi node:
+        it is folded into the determinant tables, which negates them
+        exactly, and the density applies no fix of its own.
         """
-        p, dp = map(np.stack, zip(*(t.grid_rows(phi) for t in self.terms)))
+        p, dp = (np.stack([rows[:, :nodes] for rows in kind])
+                 for kind in zip(*(t.grid_rows(phi) for t in self.terms)))
         live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
         e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
         p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
@@ -417,10 +464,19 @@ class UnitField:
         for s, pair in zip(a + b, terms.transpose(1, 2, 0)):
             det[s:s + n] += pair
         nrm = _poly_mul(p[0], p[0]) + _poly_mul(p[1], p[1]) + _poly_mul(p[2], p[2])
+        third_exps, third_tables = _live_rows(p[2], e_lo)
+        sigma = self.sigma
+        if sigma != 0.0 and third_exps.size <= 1:
+            # sign(r^e T(phi)) = sign(T(phi)), and sign(+-0) = +1; with
+            # no live row, m_3 = 0 at every point
+            third = third_tables.sum(axis=0)
+            np.negative(det, out=det,
+                        where=third < 0.0 if sigma > 0.0 else third >= 0.0)
+            sigma = 0.0
         # the determinant carries one 1/r from m_r
-        return _Expansion(self.sigma, p.shape[-1], e_lo, e_hi,
+        return _Expansion(sigma, p.shape[-1], e_lo, e_hi,
                           *_live_rows(det, 3 * e_lo - 1),
-                          *_live_rows(nrm, 2 * e_lo), *_live_rows(p[2], e_lo))
+                          *_live_rows(nrm, 2 * e_lo), third_exps, third_tables)
 
 
 @dataclass(frozen=True)
@@ -434,7 +490,9 @@ class _Expansion:
     row pairs with the power of r in the matching ``*_exps`` entry; the
     third component's own rows give the sign for the origin fix of
     orientation gauge sigma.  e_lo and e_hi are the smallest and largest
-    live exponents.
+    live exponents.  sigma is 0 when no fix is left to apply per point:
+    for a map with no fix, and for a one-row third, whose fix
+    UnitField.expansion folded into the determinant tables.
     """
 
     sigma: float
@@ -451,12 +509,15 @@ class _Expansion:
     def density(self, r: np.ndarray) -> np.ndarray:
         """Area density at the radii r on the expansion's phi grid.
 
-        A block costs one matrix-vector product per radius and table, then
-        a square root and a guarded divide; 0 where |m| = 0.  The origin fix
-        flips the sign of the third row, and the determinant is linear in
-        it, so the fixed density is sigma * sign(m_3) * det with
-        sign(+-0) = +1.  The three intermediates are views of one fresh
-        buffer, and the density is written over the cube.
+        A block costs one matrix-vector product per radius and table (an
+        outer product for a one-row table), then a square root and a
+        guarded divide; 0 where |m| = 0.  The origin fix flips the sign of
+        the third row, and the determinant is linear in it, so the fixed
+        density is sigma * sign(m_3) * det with sign(+-0) = +1; only a
+        multi-row third sums m_3 per point for it, a one-row third's sign
+        being folded into the tables already.  The three intermediates
+        are views of one fresh buffer, and the density is written over the
+        cube.
         """
         det, nrm2, third = np.empty((3, r.size, self.n_phi))
         # per-radius scale r^-e_ref: with e_ref the largest live exponent
@@ -513,12 +574,15 @@ def _radial_sum(r, exps, scale, tables, out) -> None:
     """out[i] = sum_k r_i^(exps_k - scale_i) tables[k].
 
     One matrix-vector product per radius, so the value of a row does not
-    depend on the block it is evaluated in.
+    depend on the block it is evaluated in; a single table is an outer
+    product, one multiply per point as in the broadcast product.
     """
     powers = r[:, None] ** (exps[None, :] - scale[:, None])
     if len(tables) == 1:
-        # matmul takes an unvectorized loop for a single term
-        np.multiply(powers, tables[0], out=out)
+        # matmul takes an unvectorized loop for a single term, and einsum
+        # writes the outer product in about half the time of a broadcast
+        # multiply
+        np.einsum("i,j->ij", powers[:, 0], tables[0], out=out)
     else:
         np.matmul(powers[:, None, :], tables, out=out[:, None, :])
 

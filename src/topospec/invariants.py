@@ -6,7 +6,11 @@ midpoints are mirror-symmetric: node k pairs with node n_phi - 1 - k under
 phi -> 2 pi - phi.  So a density that is even under that mirror (real
 amplitudes; fields.UnitField.mirror_parity) is summed over the first half
 turn at twice the weight, and one that is odd sums to exactly 0, which is
-reported converged on the starting radial grid with no quadrature.  The
+reported converged on the starting radial grid with no quadrature.  Of
+the n nodes kept, only one symmetry cell is summed: the first n / c, at c
+times the weight, with c = gcd(k, n) for the density's azimuthal period k
+(fields.UnitField.azimuthal_period); a density constant in phi (k = 0)
+takes one node.  The
 radial grid doubles until two successive estimates agree within the
 tolerance QUAD_TOL; the rule is nested, so each doubling evaluates only the
 new odd nodes and reuses the phi-summed density kept at the old ones.  The
@@ -41,6 +45,7 @@ are glued, doubling the raw integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,12 +129,19 @@ def _radial_ladder(field: UnitField, g: GridSpec, even: bool,
     An even density on an even number of midpoints is summed over the
     first half turn at twice the phi weight: the second half holds its
     mirror images.  At an odd n_phi the node at phi = pi is its own
-    mirror, and the full turn is kept.
+    mirror, and the full turn is kept.  Of those n nodes, only the first
+    n / c are summed, at c times the weight, with c = gcd(k, n) for the
+    field's azimuthal period k: the density repeats every 2 pi / c, and an
+    even one is mirrored about pi / c as well, so each of the c cells of
+    the n nodes holds the same values.  A density constant in phi (k = 0)
+    takes one node.
     """
     phi, dphi = g.phi_nodes(), 2.0 * np.pi / g.n_phi
     if even and g.n_phi % 2 == 0:
         phi, dphi = phi[:g.n_phi // 2], 2.0 * dphi
-    ex = field.expansion(phi)
+    cells = math.gcd(field.azimuthal_period(), phi.size)
+    ex = field.expansion(phi, phi.size // cells)
+    dphi *= cells
     if not ex.det_exps.size:
         # no live determinant row: the density is 0 at every node, so every
         # rung reads 0 and the first doubling settles it
@@ -221,19 +233,26 @@ def _closed_forms(charges: np.ndarray, pair: tuple[int, int],
 
     _ends runs once per distinct row of exponent offsets, each row read as
     the digits of one int key, at omega = 1; halving and doubling are
-    exact, so scaling by omega gives _closed_form's values bit for bit."""
+    exact, so scaling by omega gives _closed_form's values bit for bit.
+    Only where the key space (2 top + 1)^T outgrows an int64 are the rows
+    themselves the keys: np.unique over rows is an order of magnitude
+    slower."""
     a = np.abs(charges)
     omega = charges[:, pair[0]] - charges[:, pair[1]]
     offsets = (np.stack([a[:, m] + a[:, n] for m, n, _ in third], axis=1)
                - (a[:, pair[0]] + a[:, pair[1]])[:, None])
     top = int(np.abs(offsets).max(initial=0))
     dims = (2 * top + 1,) * len(third)
-    keys, inverse = np.unique(np.ravel_multi_index((offsets + top).T, dims),
-                              return_inverse=True)
-    rows = np.stack(np.unravel_index(keys, dims), axis=1) - top
+    if math.prod(dims) <= np.iinfo(np.intp).max:
+        keys, inverse = np.unique(np.ravel_multi_index((offsets + top).T, dims),
+                                  return_inverse=True)
+        rows = np.stack(np.unravel_index(keys, dims), axis=1) - top
+    else:
+        rows, inverse = np.unique(offsets, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
     weights = [w for _, _, w in third]
-    unit = np.zeros((len(keys), 2))
-    closable = np.zeros(len(keys), dtype=bool)
+    unit = np.zeros((len(rows), 2))
+    closable = np.zeros(len(rows), dtype=bool)
     for k, row in enumerate(rows.tolist()):
         _, degenerate, e0, einf = _ends(row, weights)
         if not degenerate:

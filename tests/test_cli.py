@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import topospec
 from topospec import cli
 from topospec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from topospec.fields import GridSpec
+from topospec.fields import R_MIN, TAIL_EPS, GridSpec
 from topospec.invariants import _LABEL_SPECS, CANONICAL_LABELS, QUAD_TOL
 from topospec.spectrum import (RelationCheck, compute_spectrum,
                                dependency_scan, evaluate_map,
@@ -463,6 +463,7 @@ def test_json_records_the_grid_and_version(tmp_path, flags, grid):
                  "--json", str(json_path)]) in (EXIT_OK, EXIT_NUMERIC)
     meta = json.loads(json_path.read_text())["meta"]
     assert meta["grid"] == grid
+    assert meta["r_min"] == R_MIN and meta["tail_eps"] == TAIL_EPS
     assert meta["quad_tol"] == QUAD_TOL
     assert meta["version"] == topospec.__version__
 

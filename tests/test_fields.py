@@ -1,5 +1,6 @@
 """Component-field evaluation, unit maps, and boundary classification tests."""
 
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -13,8 +14,9 @@ from numpy.testing import assert_allclose
 
 from topospec.basis import build_basis
 from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec, MapClass,
-                             SharedSource, TripleSpec, UnitField, _simpson_rule,
-                             classify_map, map_layout, term_field, triple_field)
+                             SharedSource, TripleSpec, UnitField, _radial_sum,
+                             _simpson_rule, classify_map, map_layout,
+                             term_field, triple_field)
 from topospec.invariants import CANONICAL_LABELS, canonical_field
 from topospec.spectrum import enumerate_triples
 from topospec.states import inject_subspace, make_state, sample_perturbation
@@ -251,6 +253,89 @@ def test_mirror_parity_matches_the_density_at_mirrored_angles(lmap, kind, seed):
     # a density that is rounding noise everywhere has no sign to compare
     if scale > 1e-12:
         assert_allclose(mirrored, parity * dens, rtol=1e-6, atol=1e-8 * scale)
+
+
+def _period_source(kind, l, seed):
+    """_mirror_source's sources, and clean ones of unequal real or complex
+    amplitudes, the complex ones also perturbed."""
+    if kind not in ("unequal", "complex-perturbed"):
+        return _mirror_source(kind, l, seed)
+    d, rng = len(l), np.random.default_rng(seed)
+    c = rng.uniform(0.2, 2.0, d)
+    if kind == "unequal":
+        return make_state(l, c)
+    state = make_state(l, c * np.exp(2j * np.pi * rng.uniform(size=d)))
+    return inject_subspace(state, sample_perturbation(d, rng))
+
+
+@given(st.one_of(
+    st.tuples(st_l3, st.sampled_from(CANONICAL_LABELS)),
+    st.tuples(st.lists(st.integers(-4, 4), min_size=4, max_size=4, unique=True),
+              st.sampled_from(list(combinations(range(1, 16), 3))))),
+    st.sampled_from(["clean", "unequal", "complex", "perturbed",
+                     "complex-perturbed", "mixed"]),
+    st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_density_repeats_over_its_azimuthal_period(lmap, kind, seed):
+    l, key = lmap
+    source = _period_source(kind, l, seed)
+    field = (canonical_field(source, key) if isinstance(key, str)
+             else triple_field(source, TripleSpec(key)))
+    k = field.azimuthal_period()
+    if kind in ("clean", "unequal") and field.pair_modes is not None:
+        # a clean nice pair only rotates about the third axis; with complex
+        # amplitudes its two terms are perpendicular only up to rounding
+        third = field.terms[2]
+        assert k == math.gcd(*(abs(l[jp] - l[j])
+                               for j, jp in zip(third.js, third.jps)))
+    r = np.array([0.05, 0.4, 1.1, 2.5])
+    phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 16)
+    dens = field.expansion(phi).density(r)
+    # k = 0: constant in phi
+    moved = (field.expansion(phi + 2.0 * np.pi / k).density(r) if k
+             else np.broadcast_to(dens[:, :1], dens.shape))
+    # the shifted angles D phi round differently per term, and where the
+    # terms of m nearly cancel the density magnifies that (to about 2e-8
+    # of the largest value, next to a small |m|); a wrong period moves it
+    # by O(1).  A density that is rounding noise everywhere has no period
+    # to compare.
+    scale = np.max(np.abs(dens))
+    if scale > 1e-12:
+        assert_allclose(moved, dens, rtol=1e-6, atol=1e-7 * scale)
+
+
+@given(st_l3, st.sampled_from(CANONICAL_LABELS),
+       st.sampled_from(["clean", "unequal", "complex", "perturbed"]),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_folded_origin_fix_equals_the_per_point_flip(l, label, kind, seed):
+    # a one-row third's fix is folded into the determinant tables; the
+    # density must be bitwise the one that flips each point by sign(m_3)
+    field = canonical_field(_period_source(kind, l, seed), label)
+    phi = GridSpec(n_phi=96).phi_nodes()
+    ex = field.expansion(phi)
+    unfixed = replace(field, sigma=0.0).expansion(phi)
+    if field.sigma == 0.0 or unfixed.third_exps.size > 1:
+        # no fix, or one applied per point
+        assert ex.sigma == field.sigma
+        return
+    assert ex.sigma == 0.0
+    flipped = replace(unfixed, sigma=field.sigma)
+    r = np.concatenate([GridSpec(n_r=16).radial_rule(0)[0], [R_MIN, 1.0]])
+    if ex.det_exps.size:
+        # (with no live row the density is never evaluated; its zeros
+        # may differ in sign)
+        assert ex.density(r).tobytes() == flipped.density(r).tobytes()
+
+
+def test_one_row_radial_sum_is_the_broadcast_product():
+    rng = np.random.default_rng(3)
+    r, table = rng.uniform(0.01, 50.0, 40), rng.normal(size=(1, 33))
+    exps, scale = np.array([5]), rng.integers(0, 9, r.size)
+    out = np.empty((r.size, 33))
+    _radial_sum(r, exps, scale, table, out)
+    want = r[:, None] ** (exps[None, :] - scale[:, None]) * table[0]
+    assert out.tobytes() == want.tobytes()
 
 
 def test_origin_fix_makes_third_single_signed():

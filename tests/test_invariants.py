@@ -1,5 +1,6 @@
 """Wrapping-number evaluation, gluing, classification, and charge identity."""
 
+import math
 import re
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -116,6 +117,21 @@ def test_closed_forms_over_a_box_equal_the_per_map_closed_forms():
     for idx, pair, third in triples:
         _assert_closed_forms_equal(charges, pair, third,
                                    lambda l: wrapping_analytic_triple(l, idx))
+
+
+def test_closed_forms_past_an_int64_key_space_equal_the_per_map_closed_forms():
+    # a 7-term third at offsets up to 600: the row keys (2 * 600 + 1)^7
+    # outgrow an int64, so the rows themselves are the keys
+    idx = (1, 2, 48)
+    _, pair, _, third = map_layout(7, idx)
+    assert len(third) == 7
+    rng = np.random.default_rng(0)
+    big = np.array([rng.permutation([300, -300, 1, 2, 3, 4, 5])
+                    for _ in range(40)])
+    charges = np.concatenate([big, big[:5], [[300, -300, 1, 2, 3, 4, 5]],
+                              list(permutations(range(-3, 4)))[:50]])
+    _assert_closed_forms_equal(charges, pair, third,
+                               lambda l: wrapping_analytic_triple(l, idx))
 
 
 def test_closed_forms_over_d5_boxes_equal_the_per_map_closed_forms():
@@ -237,9 +253,9 @@ def test_density_expansion_is_built_once_per_map(monkeypatch):
     calls = []
     inner = UnitField.expansion
 
-    def counting(self, phi):
+    def counting(self, phi, *args):
         calls.append(np.asarray(phi).size)
-        return inner(self, phi)
+        return inner(self, phi, *args)
 
     monkeypatch.setattr(UnitField, "expansion", counting)
     # map 451 of (-1, 0, 1) on 16 panels doubles twice
@@ -261,29 +277,38 @@ def _full_turn(field, g, n_r_used, n_phi):
     return float(w @ dens) * (2.0 * np.pi / n_phi) / (4.0 * np.pi)
 
 
-@pytest.mark.parametrize("n_phi", [96, 95])
-@pytest.mark.parametrize("make_field", [
-    lambda: canonical_field(make_state((-1, 0, 1), np.ones(3)), "451"),
-    lambda: canonical_field(_perturbed((-3, 1, 4)), "124"),
-    lambda: triple_field(_perturbed((-2, -1, 1, 0)), TripleSpec((1, 2, 4))),
-], ids=["clean-451", "perturbed-124", "perturbed-d4-1-2-4"])
+@pytest.mark.parametrize("n_phi", [96, 95, 100, 99])
+@pytest.mark.parametrize("make_field, period", [
+    (lambda: canonical_field(make_state((-1, 0, 1), np.ones(3)), "451"), 1),
+    (lambda: canonical_field(_perturbed((-3, 1, 4)), "124"), 1),
+    (lambda: triple_field(_perturbed((-2, -1, 1, 0)), TripleSpec((1, 2, 4))), 1),
+    (lambda: canonical_field(make_state((-3, 1, 4), np.ones(3)), "451"), 4),
+    (lambda: canonical_field(make_state((-5, 4, 5), np.ones(3)), "451"), 9),
+    (lambda: canonical_field(make_state((-1, 0, 1), np.ones(3)), "453"), 0),
+], ids=["clean-451", "perturbed-124", "perturbed-d4-1-2-4", "clean-451-k4",
+        "clean-451-k9", "clean-453-k0"])
 def test_even_map_on_half_a_turn_matches_the_full_turn(monkeypatch, make_field,
-                                                       n_phi):
+                                                       period, n_phi):
     # an even density is summed over the first half turn at twice the
-    # weight; at an odd n_phi the full turn is kept
+    # weight; at an odd n_phi the full turn is kept.  Of those n nodes the
+    # first n / gcd(k, n) are summed, k the azimuthal period: 100 and 96
+    # give n = 50 and 48, which k = 4 and 9 do not divide, and k = 0 (a
+    # density constant in phi) takes one node
     field = make_field()
     assert field.mirror_parity() == 1 and not singularity_class(field)
+    assert field.azimuthal_period() == period
     sizes = []
     inner = UnitField.expansion
 
-    def counting(self, phi):
-        sizes.append(np.asarray(phi).size)
-        return inner(self, phi)
+    def counting(self, phi, *args):
+        sizes.append((np.asarray(phi).size, *args))
+        return inner(self, phi, *args)
 
     monkeypatch.setattr(UnitField, "expansion", counting)
     grid = GridSpec(n_r=64, n_phi=n_phi)
     res = wrapping_numeric(field, grid)
-    assert sizes == [n_phi // 2 if n_phi % 2 == 0 else n_phi]
+    n = n_phi // 2 if n_phi % 2 == 0 else n_phi
+    assert sizes == [(n, n // math.gcd(period, n))]
     direct = _full_turn(field, grid.resolve(field.l), res.n_r_used, n_phi)
     assert abs(res.raw - direct) <= 1e-12
 
@@ -332,7 +357,7 @@ def test_empty_determinant_reads_zero_with_no_block(monkeypatch, max_doublings):
     assert res.map_class == classify_map(field, grid)
 
 
-@pytest.mark.parametrize("n_r, n_phi", [(300, 512), (5, BLOCK_POINTS + 3)])
+@pytest.mark.parametrize("n_r, n_phi", [(300, 512), (6, BLOCK_POINTS + 3)])
 def test_row_sums_equal_one_shot_density(n_r, n_phi):
     # 301 rows at 128 rows per block; one row per block above BLOCK_POINTS
     field = canonical_field(make_state((-4, -3, 4), np.ones(3)), "124")

@@ -410,8 +410,10 @@ def test_a_call_that_raised_replaces_the_pool(deadline):
     state, one = _qutrit_and_reference()
     compute_spectrum(state, grid=SMALL_GRID, workers=2)
     pool, pids = spectrum._pool[0], _worker_pids()
-    with pytest.raises(ValueError, match="n_phi"):
-        compute_spectrum(state, grid=GridSpec(n_r=64, n_phi=0), workers=2)
+    # a density that cannot be reshaped raises in the workers
+    with pytest.raises(ValueError, match="reshape"):
+        compute_spectrum(DensityCoeffs(state.l, np.zeros(5)), grid=SMALL_GRID,
+                         workers=2)
     assert spectrum._pool is None and not pids & _worker_pids()
     again = compute_spectrum(state, grid=SMALL_GRID, workers=2)
     assert spectrum._pool[0] is not pool and again.entries == one
