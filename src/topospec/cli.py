@@ -76,12 +76,6 @@ def _add_census_flags(p: argparse.ArgumentParser) -> None:
                         "TOPOSPEC_THREADS)")
 
 
-def _grid_from_args(args) -> GridSpec:
-    """The grid the flags ask for, checked as it is built; an unset flag
-    keeps the per-map default."""
-    return GridSpec(args.grid_nr, args.grid_nphi)
-
-
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -110,7 +104,7 @@ def _cmd_state_make(args) -> int:
 def _cmd_spectrum_compute(args) -> int:
     state = load_state(args.state)
     workers = args.workers or default_workers()
-    grid = _grid_from_args(args)
+    grid = GridSpec(args.grid_nr, args.grid_nphi)
     spec = compute_spectrum(state, mode=args.mode, grid=grid,
                             workers=workers, photon_swap=args.swap_photons)
     write_spectrum_csv(spec, args.out)
@@ -162,7 +156,7 @@ def _cmd_invariant_eval(args) -> int:
         spec = TripleSpec(indices)
     else:
         spec = _LABEL_SPECS[canonical_label(args.triple)]
-    e = evaluate_map(state, spec, _grid_from_args(args),
+    e = evaluate_map(state, spec, GridSpec(args.grid_nr, args.grid_nphi),
                      photon_swap=args.swap_photons)
     ana_txt = "n/a" if e.analytic is None else format(e.analytic, ".6g")
     print(f"{args.triple}: class={e.map_class} raw={e.raw:.6f} "
@@ -176,13 +170,12 @@ def _cmd_deps_scan(args) -> int:
     report = dependency_scan(args.l_range)
     print(f"rank over l in [-{report.l_range}, {report.l_range}]^3 "
           f"({report.n_samples} triples): {report.rank}")
-    for rel in report.relations:
-        print(f"  relation {rel.name}: max residual {rel.max_residual:.1e} "
+    checks = [("relation", rel) for rel in report.relations] + \
+        [("identity", rel) for rel in report.pairwise]
+    for kind, rel in checks:
+        print(f"  {kind} {rel.name}: max residual {rel.max_residual:.1e} "
               f"({'holds' if rel.holds else 'VIOLATED'})")
-    for rel in report.pairwise:
-        print(f"  identity {rel.name}: max residual {rel.max_residual:.1e} "
-              f"({'holds' if rel.holds else 'VIOLATED'})")
-    if all(rel.holds for rel in report.relations + report.pairwise):
+    if all(rel.holds for _, rel in checks):
         return EXIT_OK
     return EXIT_NUMERIC
 
@@ -190,7 +183,7 @@ def _cmd_deps_scan(args) -> int:
 def _cmd_tomo_run(args) -> int:
     state = load_state(args.state)
     mode = normalize_mode(args.mode, state.d)
-    grid = _grid_from_args(args)
+    grid = GridSpec(args.grid_nr, args.grid_nphi)
     rng = np.random.default_rng(args.seed)
     if args.perturb:
         state = inject_subspace(state, sample_perturbation(state.d, rng))

@@ -4,8 +4,9 @@ Every generator expectation m_a(r, phi) = psi^dag T_a psi is a finite sum
 of pair terms f_j(r) f_j'(r) (alpha cos(D phi) + beta sin(D phi)) with
 D = l_j' - l_j, which gives exact radial and azimuthal derivatives for
 free.  A UnitField bundles the three components of a triple in canonical
-arrangement (cos-like, sin-like, third) together with the origin-fix
-policy that repairs wedge discontinuities of root-type thirds.  The
+arrangement (cos-like, sin-like, third) with the origin fix m_3 -> sigma
+|m_3| that repairs wedge discontinuities of root-type thirds; one rule,
+_fix_sign, negates what is linear in m_3 where sigma sign(m_3) < 0.  The
 layout of an index triple (its nice pair and arrangement, the orientation
 gauge of a root-type third, and the third axis's terms at unit
 amplitudes) is decided once, in map_layout, index slot 0 of the starred
@@ -28,8 +29,8 @@ factor in range and cancels in the quotient; the expansion's row_sums
 streams radii in blocks of up to BLOCK_POINTS points, which keeps the
 intermediates a few megabytes at any azimuthal resolution.  A third of
 one exponent row has one sign per phi node at every radius, so its
-origin fix is folded into the determinant tables; only a multi-row third
-is summed and its sign read per point.
+origin fix is applied once, to the determinant tables; only a multi-row
+third is summed and its sign read per point.
 
 Real amplitudes make every component a pure cosine series (all beta = 0)
 or a pure sine series (all alpha = 0), so the area density is even or odd
@@ -108,9 +109,13 @@ class GridSpec:
 
     def __post_init__(self):
         # the set sizes are checked here, so no grid holds a size that no
-        # rule can take: n_r and n_phi at least 1, n_r even
+        # rule can take: n_r and n_phi integers >= 1 (not bool), n_r even
         for name, n in (("n_r", self.n_r), ("n_phi", self.n_phi)):
-            if n is not None and n < 1:
+            if n is None:
+                continue
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"grid needs an integer {name}, got {n}")
+            if n < 1:
                 raise ValueError(f"grid needs {name} >= 1, got {n}")
         if self.n_r is not None and self.n_r % 2:
             raise ValueError(f"Simpson's rule needs an even n_r, got {self.n_r}")
@@ -347,8 +352,7 @@ class UnitField:
         values = [t.evaluate(r, phi) for t in self.terms]
         out = np.array(list(zip(*values)))
         if fix and self.sigma != 0.0:
-            # sign(+-0) = +1
-            out[:, 2] *= np.where(out[0, 2] < 0.0, -self.sigma, self.sigma)
+            _fix_sign(out[:, 2], out[0, 2], self.sigma)
         return out
 
     def unit(self, r, phi, fix: bool = True):
@@ -434,9 +438,8 @@ class UnitField:
         built once per phi grid and sliced, so cells share them.
 
         A third of one exponent row T has the sign of T(phi) at every
-        radius, so a one-row third's origin fix is a sign per phi node:
-        it is folded into the determinant tables, which negates them
-        exactly, and the density applies no fix of its own.
+        radius, so its origin fix is applied to the determinant tables
+        once, and the density applies none of its own.
         """
         p, dp = (np.stack([rows[:, :nodes] for rows in kind])
                  for kind in zip(*(t.grid_rows(phi) for t in self.terms)))
@@ -467,11 +470,8 @@ class UnitField:
         third_exps, third_tables = _live_rows(p[2], e_lo)
         sigma = self.sigma
         if sigma != 0.0 and third_exps.size <= 1:
-            # sign(r^e T(phi)) = sign(T(phi)), and sign(+-0) = +1; with
-            # no live row, m_3 = 0 at every point
-            third = third_tables.sum(axis=0)
-            np.negative(det, out=det,
-                        where=third < 0.0 if sigma > 0.0 else third >= 0.0)
+            # sign(r^e T) = sign(T); with no live row, m_3 = 0 everywhere
+            _fix_sign(det, third_tables.sum(axis=0), sigma)
             sigma = 0.0
         # the determinant carries one 1/r from m_r
         return _Expansion(sigma, p.shape[-1], e_lo, e_hi,
@@ -489,10 +489,9 @@ class _Expansion:
     sum_E r^(E-1) G_E(phi), and |m|^2 = sum_F r^F H_F(phi).  Each table
     row pairs with the power of r in the matching ``*_exps`` entry; the
     third component's own rows give the sign for the origin fix of
-    orientation gauge sigma.  e_lo and e_hi are the smallest and largest
-    live exponents.  sigma is 0 when no fix is left to apply per point:
-    for a map with no fix, and for a one-row third, whose fix
-    UnitField.expansion folded into the determinant tables.
+    orientation gauge sigma, which is 0 when no fix is left to apply per
+    point (UnitField.expansion).  e_lo and e_hi are the smallest and
+    largest live exponents.
     """
 
     sigma: float
@@ -511,13 +510,9 @@ class _Expansion:
 
         A block costs one matrix-vector product per radius and table (an
         outer product for a one-row table), then a square root and a
-        guarded divide; 0 where |m| = 0.  The origin fix flips the sign of
-        the third row, and the determinant is linear in it, so the fixed
-        density is sigma * sign(m_3) * det with sign(+-0) = +1; only a
-        multi-row third sums m_3 per point for it, a one-row third's sign
-        being folded into the tables already.  The three intermediates
-        are views of one fresh buffer, and the density is written over the
-        cube.
+        guarded divide; 0 where |m| = 0.  The origin fix left to apply
+        reads m_3 per point.  The three intermediates are views of one
+        fresh buffer, and the density is written over the cube.
         """
         det, nrm2, third = np.empty((3, r.size, self.n_phi))
         # per-radius scale r^-e_ref: with e_ref the largest live exponent
@@ -528,8 +523,7 @@ class _Expansion:
         _radial_sum(r, self.nrm_exps, 2 * e_ref, self.nrm_tables, nrm2)
         if self.sigma != 0.0:
             _radial_sum(r, self.third_exps, e_ref, self.third_tables, third)
-            flip = third < 0.0 if self.sigma > 0.0 else third >= 0.0
-            np.negative(det, out=det, where=flip)
+            _fix_sign(det, third, self.sigma)
         # the expanded sum can round below 0 where |m| is about 0
         np.maximum(nrm2, 0.0, out=nrm2)
         cube = np.sqrt(nrm2)
@@ -545,6 +539,13 @@ class _Expansion:
         block = max(1, BLOCK_POINTS // self.n_phi)
         return np.concatenate([self.density(r[lo:lo + block]).sum(axis=1)
                                for lo in range(0, r.size, block)])
+
+
+def _fix_sign(values: np.ndarray, third: np.ndarray, sigma: float) -> None:
+    """Origin fix of values linear in the third: negate them in place where
+    sigma sign(third) < 0, sign(+-0) = +1; third broadcasts against them."""
+    np.negative(values, out=values,
+                where=third < 0.0 if sigma > 0.0 else third >= 0.0)
 
 
 @cache
@@ -665,6 +666,11 @@ def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
     return UnitField(state.l, terms, sigma, pair_modes)
 
 
+# The classifier's ring grid, built once and shared read-only.
+_PROBE_PHI = GridSpec(n_phi=N_PROBE).phi_nodes()
+_PROBE_PHI.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class MapClass:
     """Boundary diagnostics of the (fixed) unit map."""
@@ -688,11 +694,10 @@ def classify_map(field: UnitField, grid: GridSpec | None = None) -> MapClass:
     and is accepted only for callers that still pass one.
     """
     r_out = float(np.sqrt(max(abs(x) for x in field.l)) + 6.0)
-    phi = (np.arange(N_PROBE) + 0.5) * (2.0 * np.pi / N_PROBE)
     # rings in0, in1, mid0, mid1 and out, in one evaluation: unit() treats
     # every radius on its own
     radii = np.array([R_MIN, 2.0 * R_MIN, 0.25 * r_out, 0.5 * r_out, r_out])
-    s, _, _ = field.unit(radii, phi)
+    s, _, _ = field.unit(radii, _PROBE_PHI)
     # the phi-variance of S per ring, summed over the components
     v_in, v_in1, v_mid0, v_out1, v_out = np.var(s, axis=2).sum(axis=0).tolist()
     tiny = 1e-12

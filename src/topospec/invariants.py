@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -355,23 +356,21 @@ def singularity_class_label(label: str, l) -> bool:
 def lissajous_winding(a: int, b: int) -> int:
     """Winding of phi -> (cos(a phi), sin(b phi)) around the origin.
 
-    Counted exactly over the 2|b| zeros phi_k = k pi / |b| of sin(b phi),
-    where the curve crosses the x-axis with dy/dphi = b (-1)^k: the
-    crossings on the positive half add up to the winding.  With
-    q = a k mod 2|b|, cos(a phi_k) has the sign of cos(q pi / |b|), which
-    is positive for 2q < |b| or 2q > 3|b|.  A curve through the origin
-    (2q = |b| or 3|b| at some k) has no winding number, and 0 is returned
-    for it, as for b = 0.
+    With g = gcd(a, |b|), a' = a / g and b' = |b| / g it is
+    sign(b) g (-1)^((b' - 1) / 2) for odd a' and b', else 0.  It sums the
+    directions sign(b) (-1)^k of the crossings phi_k = k pi / |b| of the
+    positive x half-axis.  The curve is the (a', b') curve traced g times.
+    For odd a', k -> a' k mod 2b' keeps the parity of k, so the sum is that
+    of (1, b'), whose positive crossings k < b'/2 and k > 3b'/2 sum to
+    (-1)^((b' - 1) / 2).  For even a', crossings k and k + b' meet at one
+    point in opposite directions and cancel.  For even b' the curve passes
+    through the origin and has no winding number; 0 is returned for it, as
+    for b = 0.
     """
-    n = 2 * abs(b)
-    wind = 0
-    for k in range(n):
-        q2 = 2 * (a * k % n)
-        if q2 in (abs(b), 3 * abs(b)):
-            return 0
-        if q2 < abs(b) or q2 > 3 * abs(b):
-            wind += (1 if b > 0 else -1) * (-1) ** k
-    return wind
+    g = math.gcd(a, b)
+    if b == 0 or (a // g) % 2 == 0 or (abs(b) // g) % 2 == 0:
+        return 0
+    return (1 if b > 0 else -1) * g * (-1) ** ((abs(b) // g - 1) // 2)
 
 
 def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -> float | None:
@@ -381,22 +380,21 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     it, and a diagonal third dominating both radial ends.  The azimuthal
     circle then traces a Lissajous curve in the two root components; its
     winding number about the origin times the polar drop of the third
-    axis gives the wrapping.  Arrangement parity relative to the sorted
-    component order flips the sign.  Returns None when no prediction
-    applies (the map need not be an invariant at all then).  Charges
-    that do not number d, or an index outside 1..d^2 - 1, are an error.
+    axis gives the wrapping, its sign (-1) to the number of inversions of
+    (sym, diag, asym) against the sorted component order.  Returns None
+    when no prediction applies (the map need not be an invariant at all
+    then).  Charges that do not number d, or an index outside 1..d^2 - 1,
+    are an error.
     """
     l, d = _charges(l, d)
     order = sorted(int(i) for i in indices)
     _check_range(d, order)
     basis = build_basis(d)
     els = [basis[i - 1] for i in order]
-    kinds = sorted(e.kind for e in els)
-    if kinds != ["asym", "diag", "sym"]:
+    kinds = {e.kind: e for e in els}
+    if sorted(kinds) != ["asym", "diag", "sym"]:
         return None
-    sym = next(e for e in els if e.kind == "sym")
-    asym = next(e for e in els if e.kind == "asym")
-    diag = next(e for e in els if e.kind == "diag")
+    sym, diag, asym = kinds["sym"], kinds["diag"], kinds["asym"]
     if sym.modes == asym.modes:
         return None   # that is a plain nice pair, not an accidental one
     if not set(sym.modes) & set(asym.modes):
@@ -414,10 +412,9 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     if wind == 0:
         return None
     # parity of (sym, diag, asym) against the sorted component order
-    base = [sym.index, diag.index, asym.index]
-    perm = [base.index(i) for i in order]
-    odd = (perm in ([1, 0, 2], [0, 2, 1], [2, 1, 0]))
-    eps = -1.0 if odd else 1.0
+    inversions = sum(x > y for x, y in
+                     combinations((sym.index, diag.index, asym.index), 2))
+    eps = (-1.0) ** inversions
     e0, einf = ends[0]
     return eps * wind * 0.5 * (e0 - einf)
 

@@ -30,7 +30,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations, permutations, repeat
 from multiprocessing import get_context
 
@@ -439,17 +439,15 @@ def write_spectrum_csv(spectrum: TopologicalSpectrum, path) -> None:
 
 
 def spectrum_to_dict(spectrum: TopologicalSpectrum, meta: dict | None = None) -> dict:
+    """JSON document of a spectrum; each entry holds every SpectrumEntry field."""
+    names = [f.name for f in fields(SpectrumEntry)]
     entries = []
     for e in spectrum.entries:
-        entries.append({"triple_label": e.triple_label, "map_class": e.map_class,
-                        "raw": e.raw, "glued": e.glued, "analytic": e.analytic,
-                        "singular": e.singular, "trivial": e.trivial,
-                        "converged": e.converged,
-                        # no doubling leaves an infinite error, which JSON lacks
-                        "quadrature_error": (e.quadrature_error
-                                             if math.isfinite(e.quadrature_error)
-                                             else None),
-                        "n_r_used": e.n_r_used})
+        entry = {name: getattr(e, name) for name in names}
+        # no doubling leaves an infinite error, which JSON lacks
+        if not math.isfinite(e.quadrature_error):
+            entry["quadrature_error"] = None
+        entries.append(entry)
     out = {"d": spectrum.d, "mode": spectrum.mode, "entries": entries,
            "meta": dict(meta or {})}
     out["meta"].setdefault("non_converged", spectrum.non_converged)

@@ -202,10 +202,14 @@ class BiphotonDensity:
         object.__setattr__(self, "rho", rho)
 
 
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, clipped at 0, and eigenvectors of m's Hermitian part."""
+    lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return np.clip(lam, 0.0, None), u
+
+
 def _psd_project(rho: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (rho + rho.conj().T)
-    lam, u = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
+    lam, u = _psd_eigh(rho)
     if lam.sum() == 0.0:
         raise ValueError("density projection collapsed to zero")
     rho = (u * lam) @ u.conj().T
@@ -310,9 +314,8 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     P = pset.projectors
     y = counts / total
 
-    rho0 = _factored_inversion(P, y)
-    lam, u = np.linalg.eigh(0.5 * (rho0 + rho0.conj().T))
-    lam = np.clip(lam, 0.0, None) + 1e-4
+    lam, u = _psd_eigh(_factored_inversion(P, y))
+    lam += 1e-4
     lam /= lam.sum()
     G = (u * np.sqrt(lam)).conj().T
 
@@ -340,7 +343,7 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
         direction = _lbfgs_direction(grad, pairs)
         if float(grad @ direction) >= 0.0:
             pairs.clear()
-            direction = -0.1 * grad
+            direction = _lbfgs_direction(grad, pairs)
         direction = direction.view(complex).reshape(G.shape)
         G_prev, grad_prev = G, grad
         chi_prev = chi
@@ -376,8 +379,7 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
 # metrics
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
-    lam = np.clip(lam, 0.0, None)
+    lam, u = _psd_eigh(m)
     return (u * np.sqrt(lam)) @ u.conj().T
 
 
@@ -386,8 +388,8 @@ def fidelity(rho_t: np.ndarray, rho_m: np.ndarray) -> float:
     def root(m):
         # eigenvalues below n eps lam_max are rounding residue of zeros, whose
         # roots (1e-8 for 1e-16) would lift the fidelity of a pure target
-        lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
-        lam[lam < lam.size * np.finfo(float).eps * abs(lam[-1])] = 0.0
+        lam, u = _psd_eigh(m)
+        lam[lam < lam.size * np.finfo(float).eps * lam[-1]] = 0.0
         return (u * np.sqrt(lam)) @ u.conj().T
 
     a = root(np.asarray(rho_t, dtype=complex))

@@ -632,6 +632,20 @@ def test_grid_resolve_defaults():
     assert g.n_phi == 64 * 6
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_phi", 48.7), ("n_phi", True), ("n_phi", float("nan")),
+    ("n_phi", np.float64(64.0)), ("n_r", 64.0), ("n_r", False), ("n_r", "64")])
+def test_grid_rejects_a_size_that_is_not_an_integer(name, value):
+    # 48.7 would be cut to 48 nodes and True read as one node
+    with pytest.raises(ValueError, match=f"grid needs an integer {name}, got"):
+        GridSpec(**{name: value})
+
+
+def test_grid_takes_numpy_integer_sizes():
+    g = GridSpec(n_r=np.int64(64), n_phi=np.int32(48)).resolve((-1, 0, 1))
+    assert (g.n_r, g.n_phi) == (64, 48) and type(g.n_phi) is int
+
+
 @pytest.mark.parametrize("n_r", [1, 3, 255])
 def test_grid_resolve_rejects_an_odd_n_r(n_r):
     # Simpson weights of an odd panel count miss a constant by up to a third

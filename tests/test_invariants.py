@@ -501,6 +501,36 @@ def _sampled_winding(a, b, n=20000):
     return (ang[-1] - ang[0]) / (2.0 * np.pi), float(np.min(np.hypot(x, y)))
 
 
+# lissajous_winding as a crossing count, before its closed form: the
+# closed form's reference
+def _counted_winding(a: int, b: int) -> int:
+    """Winding of phi -> (cos(a phi), sin(b phi)) around the origin.
+
+    Counted exactly over the 2|b| zeros phi_k = k pi / |b| of sin(b phi),
+    where the curve crosses the x-axis with dy/dphi = b (-1)^k: the
+    crossings on the positive half add up to the winding.  With
+    q = a k mod 2|b|, cos(a phi_k) has the sign of cos(q pi / |b|), which
+    is positive for 2q < |b| or 2q > 3|b|.  A curve through the origin
+    (2q = |b| or 3|b| at some k) has no winding number, and 0 is returned
+    for it, as for b = 0.
+    """
+    n = 2 * abs(b)
+    wind = 0
+    for k in range(n):
+        q2 = 2 * (a * k % n)
+        if q2 in (abs(b), 3 * abs(b)):
+            return 0
+        if q2 < abs(b) or q2 > 3 * abs(b):
+            wind += (1 if b > 0 else -1) * (-1) ** k
+    return wind
+
+
+def test_lissajous_winding_closed_form_matches_the_crossing_count():
+    for a in range(60):
+        for b in range(-60, 61):
+            assert lissajous_winding(a, b) == _counted_winding(a, b), (a, b)
+
+
 def test_lissajous_winding_basics():
     assert lissajous_winding(1, 1) == 1
     assert lissajous_winding(3, 3) == 3

@@ -1,6 +1,7 @@
 """Census enumeration, spectrum assembly, dependences, and serialization."""
 
 import contextlib
+import dataclasses
 import faulthandler
 import json
 import multiprocessing
@@ -20,7 +21,7 @@ from topospec import fields, invariants, spectrum
 from topospec.fields import GridSpec, TermField, TripleSpec
 from topospec.invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
                                  singularity_class)
-from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS,
+from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS, SpectrumEntry,
                                compute_spectrum, dependency_scan,
                                enumerate_triples, evaluate_map,
                                independent_count,
@@ -528,7 +529,10 @@ def test_json_artifact(tmp_path):
     assert doc["meta"]["seed"] == 3
     assert doc["meta"]["non_converged"] == []
     assert [e["triple_label"] for e in doc["entries"]] == CANONICAL_LABELS
+    # every entry field, in field order, so a new field reaches the artifact
+    names = [f.name for f in dataclasses.fields(SpectrumEntry)]
     for got, entry in zip(doc["entries"], sp.entries):
+        assert list(got) == names
         assert got["converged"] is entry.converged is True
         assert got["quadrature_error"] == entry.quadrature_error
         assert 0.0 <= got["quadrature_error"] <= QUAD_TOL
