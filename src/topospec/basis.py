@@ -1,11 +1,12 @@
 """Generalized Gell-Mann basis of su(d) and its nice (cos, sin) pairs.
 
 All basis elements are Hermitian, traceless, and normalized to
-Tr(T_a T_b) = 2 delta_ab.  For d=2 the basis is the Pauli triple, for d=3
-the standard printed lambda_1..lambda_8 ordering is used.  For d >= 4 the
-off-diagonal elements are grouped mode-pair by mode-pair (symmetric then
-antisymmetric, consecutively) followed by the diagonal elements, so that
-every cos/sin partner sits at adjacent indices; nice_pairs lists them.
+Tr(T_a T_b) = 2 delta_ab.  The off-diagonal elements are grouped
+mode-pair by mode-pair (symmetric then antisymmetric, consecutively)
+followed by the diagonal elements, so that every cos/sin partner sits at
+adjacent indices; nice_pairs lists them.  For d=2 this is the Pauli
+triple; for d=3 the first diagonal moves to index 3, giving the standard
+printed lambda_1..lambda_8 ordering.
 """
 
 from __future__ import annotations
@@ -63,20 +64,15 @@ def build_basis(d: int) -> tuple[BasisElement, ...]:
     """
     if d < 2:
         raise ValueError("need d >= 2")
+    order: list[tuple[str, tuple[int, int] | int]] = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            order += [("sym", (i, j)), ("asym", (i, j))]
+    order += [("diag", k) for k in range(1, d)]
+    if d == 3:
+        # printed order: the first diagonal sits at index 3
+        order.insert(2, order.pop(6))
     out: list[BasisElement] = []
-    if d in (2, 3):
-        # printed order: for d=3 the first diagonal sits at index 3
-        order: list[tuple[str, tuple[int, int] | int]] = [
-            ("sym", (0, 1)), ("asym", (0, 1)), ("diag", 1)]
-        if d == 3:
-            order += [("sym", (0, 2)), ("asym", (0, 2)),
-                      ("sym", (1, 2)), ("asym", (1, 2)), ("diag", 2)]
-    else:
-        order = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                order += [("sym", (i, j)), ("asym", (i, j))]
-        order += [("diag", k) for k in range(1, d)]
     for idx, (kind, info) in enumerate(order, start=1):
         if kind == "diag":
             out.append(BasisElement(idx, kind, _diag(d, info)))

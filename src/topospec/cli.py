@@ -150,10 +150,7 @@ def _cmd_spectrum_compare(args) -> int:
 def _cmd_invariant_eval(args) -> int:
     state = load_state(args.state)
     if "," in args.triple:
-        indices = tuple(_parse_int_list(args.triple))
-        if len(indices) != 3:
-            raise ValueError("triple must name three basis indices")
-        spec = TripleSpec(indices)
+        spec = TripleSpec(tuple(_parse_int_list(args.triple)))
     else:
         spec = _LABEL_SPECS[canonical_label(args.triple)]
     e = evaluate_map(state, spec, GridSpec(args.grid_nr, args.grid_nphi),
@@ -237,13 +234,21 @@ def build_parser() -> _Parser:
                                  "photon pairs.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    groups = {name: sub.add_parser(name, help=text).add_subparsers(
+                  dest="subcommand", required=True, parser_class=_Parser)
+              for name, text in (("state", "state file utilities"),
+                                 ("spectrum", "compute or compare spectra"),
+                                 ("invariant", "evaluate a single map"),
+                                 ("deps", "dependency analysis"),
+                                 ("tomo", "tomography round trip"))}
 
-    p_state = sub.add_parser("state",
-                             help="state file utilities")
-    state_sub = p_state.add_subparsers(dest="subcommand", required=True,
-                                   parser_class=_Parser)
-    p_make = state_sub.add_parser("make",
-                                  help="write a state JSON file")
+    def command(group, name, help, fn):
+        p = groups[group].add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
+
+    p_make = command("state", "make", "write a state JSON file",
+                     _cmd_state_make)
     p_make.add_argument("--l", required=True,
                         help="comma-separated mode charges, e.g. -1,0,1")
     p_make.add_argument("--c", required=True,
@@ -252,14 +257,9 @@ def build_parser() -> _Parser:
                         help="attach a random subspace perturbation")
     p_make.add_argument("--seed", type=int, default=None)
     p_make.add_argument("--out", required=True)
-    p_make.set_defaults(fn=_cmd_state_make)
 
-    p_spec = sub.add_parser("spectrum",
-                            help="compute or compare spectra")
-    spec_sub = p_spec.add_subparsers(dest="subcommand", required=True,
-                                 parser_class=_Parser)
-    p_comp = spec_sub.add_parser("compute",
-                                 help="evaluate every candidate map")
+    p_comp = command("spectrum", "compute", "evaluate every candidate map",
+                     _cmd_spectrum_compute)
     p_comp.add_argument("state", help="state JSON file")
     _add_census_flags(p_comp)
     p_comp.add_argument("--swap-photons", action="store_true",
@@ -267,43 +267,27 @@ def build_parser() -> _Parser:
     p_comp.add_argument("--out", default="spectrum.csv")
     p_comp.add_argument("--json", default=None, help="also write JSON")
     p_comp.add_argument("--svg", default=None, help="also write a bar chart")
-    p_comp.set_defaults(fn=_cmd_spectrum_compute)
 
-    p_cmp = spec_sub.add_parser("compare",
-                                help="similarity scores between two spectra")
+    p_cmp = command("spectrum", "compare",
+                    "similarity scores between two spectra",
+                    _cmd_spectrum_compare)
     p_cmp.add_argument("spectrum_a")
     p_cmp.add_argument("spectrum_b")
     p_cmp.add_argument("--json", default=None)
-    p_cmp.set_defaults(fn=_cmd_spectrum_compare)
 
-    p_inv = sub.add_parser("invariant",
-                           help="evaluate a single map")
-    inv_sub = p_inv.add_subparsers(dest="subcommand", required=True,
-                               parser_class=_Parser)
-    p_eval = inv_sub.add_parser("eval",
-                                help="wrapping number of one triple")
+    p_eval = command("invariant", "eval", "wrapping number of one triple",
+                     _cmd_invariant_eval)
     p_eval.add_argument("state")
     p_eval.add_argument("triple",
                         help="canonical label (123, 45*, ...) or indices a,b,c")
     _add_grid_flags(p_eval)
     p_eval.add_argument("--swap-photons", action="store_true")
-    p_eval.set_defaults(fn=_cmd_invariant_eval)
 
-    p_deps = sub.add_parser("deps",
-                            help="dependency analysis")
-    deps_sub = p_deps.add_subparsers(dest="subcommand", required=True,
-                                 parser_class=_Parser)
-    p_scan = deps_sub.add_parser("scan",
-                                 help="rank and relations over an index box")
-    p_scan.add_argument("--l-range", type=int, default=4)
-    p_scan.set_defaults(fn=_cmd_deps_scan)
+    command("deps", "scan", "rank and relations over an index box",
+            _cmd_deps_scan).add_argument("--l-range", type=int, default=4)
 
-    p_tomo = sub.add_parser("tomo",
-                            help="tomography round trip")
-    tomo_sub = p_tomo.add_subparsers(dest="subcommand", required=True,
-                                 parser_class=_Parser)
-    p_run = tomo_sub.add_parser("run",
-                                help="simulate, reconstruct, score, re-spectrum")
+    p_run = command("tomo", "run", "simulate, reconstruct, score, re-spectrum",
+                    _cmd_tomo_run)
     p_run.add_argument("state")
     _add_census_flags(p_run)
     p_run.add_argument("--counts", type=float, default=1e4,
@@ -317,8 +301,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--perturb", action="store_true",
                        help="inject a random subspace perturbation first")
     p_run.add_argument("--out-dir", default="tomo_out")
-    p_run.set_defaults(fn=_cmd_tomo_run)
-
     return parser
 
 

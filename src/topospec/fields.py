@@ -313,7 +313,7 @@ class TripleSpec:
 
     def __post_init__(self):
         idx = tuple(sorted(int(i) for i in self.indices))
-        if len(set(idx)) != 3:
+        if len(idx) != 3 or len(set(idx)) != 3:
             raise ValueError("triple needs three distinct indices")
         if self.canonical is None and min(idx) < 1:
             raise ValueError("basis indices are 1-based")

@@ -118,6 +118,9 @@ _STATE_KEYS = {"d", "l", "c", "perturbation"}
 
 
 def state_to_json(state: QuditState, pert: SubspacePerturbation | None = None) -> dict:
+    """The state document: l, the diagonal c and the perturbation, if any."""
+    if pert is None and np.any(state.amps - np.diag(state.c)):
+        raise ValueError("state has off-diagonal amplitudes; pass its perturbation")
     doc = {
         "d": state.d,
         "l": list(state.l),
@@ -174,6 +177,7 @@ def load_state(path) -> QuditState:
 
 
 def save_state(path, state: QuditState, pert: SubspacePerturbation | None = None):
+    doc = state_to_json(state, pert)
     with open(path, "w") as fh:
-        json.dump(state_to_json(state, pert), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")

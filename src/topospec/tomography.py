@@ -129,6 +129,8 @@ def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4
         raise ValueError(f"unknown noise model: {noise!r}") from None
     if hasattr(source, "amps"):
         G = np.asarray(source.amps, dtype=complex).conj()
+        if G.shape != (pset.d, pset.d):
+            raise ValueError("state size does not match the census")
     else:
         rho = source.rho if isinstance(source, BiphotonDensity) \
             else np.asarray(source, dtype=complex)
@@ -379,21 +381,17 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
 # metrics
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
+    # eigenvalues below n eps lam_max are rounding residue of zeros, whose roots
+    # (1e-8 for 1e-16) would lift a pure density's fidelity and zero rates
     lam, u = _psd_eigh(m)
+    lam[lam < lam.size * np.finfo(float).eps * lam[-1]] = 0.0
     return (u * np.sqrt(lam)) @ u.conj().T
 
 
 def fidelity(rho_t: np.ndarray, rho_m: np.ndarray) -> float:
     """Uhlmann fidelity between two density matrices."""
-    def root(m):
-        # eigenvalues below n eps lam_max are rounding residue of zeros, whose
-        # roots (1e-8 for 1e-16) would lift the fidelity of a pure target
-        lam, u = _psd_eigh(m)
-        lam[lam < lam.size * np.finfo(float).eps * lam[-1]] = 0.0
-        return (u * np.sqrt(lam)) @ u.conj().T
-
-    a = root(np.asarray(rho_t, dtype=complex))
-    inner = root(a @ np.asarray(rho_m, dtype=complex) @ a)
+    a = _sqrtm_psd(np.asarray(rho_t, dtype=complex))
+    inner = _sqrtm_psd(a @ np.asarray(rho_m, dtype=complex) @ a)
     return float(np.real(np.trace(inner)) ** 2)
 
 

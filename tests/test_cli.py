@@ -1,5 +1,6 @@
 """End-to-end command-line workflows against golden artifact shapes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -324,6 +325,34 @@ def test_unknown_subcommand_exits_with_input_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == EXIT_INPUT
+
+
+def _subcommands(parser):
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_parser_offers_exactly_the_documented_commands(capsys):
+    parser = cli.build_parser()
+    pairs = [(group, name)
+             for group, group_parser in _subcommands(parser).items()
+             for name in _subcommands(group_parser)]
+    assert pairs == [("state", "make"), ("spectrum", "compute"),
+                     ("spectrum", "compare"), ("invariant", "eval"),
+                     ("deps", "scan"), ("tomo", "run")]
+    for argv in ([], *([group] for group, _ in pairs), *map(list, pairs)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: topospec")
+
+
+@pytest.mark.parametrize("triple", ["1,2", "1,2,3,4", "1,1,2,3"])
+def test_invariant_eval_needs_three_distinct_indices(tmp_path, capsys, triple):
+    state = _make_state(tmp_path)
+    capsys.readouterr()
+    assert main(["invariant", "eval", str(state), triple]) == EXIT_INPUT
+    assert "three distinct indices" in capsys.readouterr().err
 
 
 def test_deps_scan_reports_rank(capsys):

@@ -20,7 +20,8 @@ from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec, MapClass,
 from topospec.invariants import CANONICAL_LABELS, canonical_field
 from topospec.spectrum import enumerate_triples
 from topospec.states import inject_subspace, make_state, sample_perturbation
-from topospec.tomography import DensityCoeffs
+
+import sources
 
 st_l3 = st.lists(st.integers(-4, 4), min_size=3, max_size=3, unique=True)
 st_index = st.integers(1, 8)
@@ -209,20 +210,6 @@ def test_area_density_of_a_vanishing_component_is_zero():
         assert not np.any(dens)
 
 
-def _mirror_source(kind, l, seed):
-    d, rng = len(l), np.random.default_rng(seed)
-    if kind == "clean":
-        return make_state(l, np.ones(d))
-    if kind == "perturbed":
-        return inject_subspace(make_state(l, np.ones(d)),
-                               sample_perturbation(d, rng))
-    if kind == "complex":
-        return make_state(l, rng.normal(size=d) + 1j * rng.normal(size=d))
-    a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    rho = a @ a.conj().T
-    return DensityCoeffs(tuple(l), rho / np.trace(rho).real)
-
-
 @given(st.one_of(
     st.tuples(st_l3, st.sampled_from(CANONICAL_LABELS)),
     st.tuples(st.lists(st.integers(-4, 4), min_size=4, max_size=4, unique=True),
@@ -232,7 +219,7 @@ def _mirror_source(kind, l, seed):
 @settings(max_examples=80, deadline=None)
 def test_mirror_parity_matches_the_density_at_mirrored_angles(lmap, kind, seed):
     l, key = lmap
-    source = _mirror_source(kind, l, seed)
+    source = sources.source(kind, l, np.random.default_rng(seed))
     field = (canonical_field(source, key) if isinstance(key, str)
              else triple_field(source, TripleSpec(key)))
     parity = field.mirror_parity()
@@ -255,19 +242,6 @@ def test_mirror_parity_matches_the_density_at_mirrored_angles(lmap, kind, seed):
         assert_allclose(mirrored, parity * dens, rtol=1e-6, atol=1e-8 * scale)
 
 
-def _period_source(kind, l, seed):
-    """_mirror_source's sources, and clean ones of unequal real or complex
-    amplitudes, the complex ones also perturbed."""
-    if kind not in ("unequal", "complex-perturbed"):
-        return _mirror_source(kind, l, seed)
-    d, rng = len(l), np.random.default_rng(seed)
-    c = rng.uniform(0.2, 2.0, d)
-    if kind == "unequal":
-        return make_state(l, c)
-    state = make_state(l, c * np.exp(2j * np.pi * rng.uniform(size=d)))
-    return inject_subspace(state, sample_perturbation(d, rng))
-
-
 @given(st.one_of(
     st.tuples(st_l3, st.sampled_from(CANONICAL_LABELS)),
     st.tuples(st.lists(st.integers(-4, 4), min_size=4, max_size=4, unique=True),
@@ -278,7 +252,7 @@ def _period_source(kind, l, seed):
 @settings(max_examples=80, deadline=None)
 def test_density_repeats_over_its_azimuthal_period(lmap, kind, seed):
     l, key = lmap
-    source = _period_source(kind, l, seed)
+    source = sources.source(kind, l, np.random.default_rng(seed))
     field = (canonical_field(source, key) if isinstance(key, str)
              else triple_field(source, TripleSpec(key)))
     k = field.azimuthal_period()
@@ -311,7 +285,8 @@ def test_density_repeats_over_its_azimuthal_period(lmap, kind, seed):
 def test_folded_origin_fix_equals_the_per_point_flip(l, label, kind, seed):
     # a one-row third's fix is folded into the determinant tables; the
     # density must be bitwise the one that flips each point by sign(m_3)
-    field = canonical_field(_period_source(kind, l, seed), label)
+    source = sources.source(kind, l, np.random.default_rng(seed))
+    field = canonical_field(source, label)
     phi = GridSpec(n_phi=96).phi_nodes()
     ex = field.expansion(phi)
     unfixed = replace(field, sigma=0.0).expansion(phi)
@@ -394,12 +369,6 @@ def _direct_canonical_field(source, label):
     return UnitField(source.l, terms, 0.0, basis[k - 1].modes)
 
 
-def _label_source(kind, l, seed):
-    if kind == "skewed":
-        return make_state(l, (1.0, 2.0, 3.0))
-    return _mirror_source(kind, l, seed)
-
-
 @given(st_l3, st.sampled_from(["clean", "skewed", "perturbed", "complex",
                                "mixed"]),
        st.integers(0, 2 ** 16))
@@ -407,7 +376,7 @@ def _label_source(kind, l, seed):
 def test_every_canonical_label_builds_through_its_triple(l, kind, seed):
     # the starred maps' slot 0 gives the same terms, bit for bit, as the
     # combined diagonal built straight from the generators
-    source = _label_source(kind, l, seed)
+    source = sources.source(kind, l, np.random.default_rng(seed))
     shared = SharedSource(source)
     for label, spec in zip(CANONICAL_LABELS, enumerate_triples(3)):
         want = _direct_canonical_field(source, label)
@@ -610,7 +579,7 @@ def test_one_stack_classifier_equals_ring_by_ring_statistics(lmap, kind, seed):
     # classify_map and unit work on one (kind, component, r, phi) stack;
     # every value must equal the per-kind, per-ring arithmetic exactly
     l, key = lmap
-    source = _mirror_source(kind, l, seed)
+    source = sources.source(kind, l, np.random.default_rng(seed))
     field = (canonical_field(source, key) if isinstance(key, str)
              else triple_field(source, TripleSpec(key)))
     assert classify_map(field, GridSpec()) == _ring_by_ring_class(field)

@@ -25,8 +25,9 @@ from topospec.invariants import (_ALIASES, _LABEL_SPECS, CANONICAL_LABELS,
                                  wrapping_analytic_triple,
                                  wrapping_analytic_usual, wrapping_numeric)
 from topospec.spectrum import evaluate_map
-from topospec.states import inject_subspace, make_state, sample_perturbation
-from topospec.tomography import DensityCoeffs
+from topospec.states import make_state
+
+import sources
 
 st_l3 = st.lists(st.integers(-4, 4), min_size=3, max_size=3, unique=True)
 
@@ -265,11 +266,6 @@ def test_density_expansion_is_built_once_per_map(monkeypatch):
     assert len(calls) == 1
 
 
-def _perturbed(l, seed=0):
-    return inject_subspace(make_state(l, np.ones(len(l))),
-                           sample_perturbation(len(l), np.random.default_rng(seed)))
-
-
 def _full_turn(field, g, n_r_used, n_phi):
     """The wrapping integral on n_r_used panels, summed over every midpoint."""
     r, w = g.radial_rule(int(np.log2(n_r_used // g.n_r)))
@@ -280,8 +276,11 @@ def _full_turn(field, g, n_r_used, n_phi):
 @pytest.mark.parametrize("n_phi", [96, 95, 100, 99])
 @pytest.mark.parametrize("make_field, period", [
     (lambda: canonical_field(make_state((-1, 0, 1), np.ones(3)), "451"), 1),
-    (lambda: canonical_field(_perturbed((-3, 1, 4)), "124"), 1),
-    (lambda: triple_field(_perturbed((-2, -1, 1, 0)), TripleSpec((1, 2, 4))), 1),
+    (lambda: canonical_field(sources.source(
+        "perturbed", (-3, 1, 4), np.random.default_rng(0)), "124"), 1),
+    (lambda: triple_field(sources.source(
+        "perturbed", (-2, -1, 1, 0), np.random.default_rng(0)),
+        TripleSpec((1, 2, 4))), 1),
     (lambda: canonical_field(make_state((-3, 1, 4), np.ones(3)), "451"), 4),
     (lambda: canonical_field(make_state((-5, 4, 5), np.ones(3)), "451"), 9),
     (lambda: canonical_field(make_state((-1, 0, 1), np.ones(3)), "453"), 0),
@@ -313,9 +312,10 @@ def test_even_map_on_half_a_turn_matches_the_full_turn(monkeypatch, make_field,
     assert abs(res.raw - direct) <= 1e-12
 
 
-@pytest.mark.parametrize("source", [make_state((-2, -1, 1, 0), np.ones(4)),
-                                    _perturbed((-2, -1, 1, 0))],
-                         ids=["clean", "perturbed"])
+@pytest.mark.parametrize("source", [
+    make_state((-2, -1, 1, 0), np.ones(4)),
+    sources.source("perturbed", (-2, -1, 1, 0), np.random.default_rng(0))],
+    ids=["clean", "perturbed"])
 def test_odd_map_is_exactly_zero_with_no_quadrature(monkeypatch, source):
     field = triple_field(source, TripleSpec((1, 3, 5)))
     assert field.mirror_parity() == -1
@@ -367,16 +367,6 @@ def test_row_sums_equal_one_shot_density(n_r, n_phi):
                           field.expansion(phi).density(r).sum(axis=1))
 
 
-def _source(kind, l, rng):
-    if kind == "clean":
-        return make_state(l, np.ones(3))
-    if kind == "complex":
-        return make_state(l, rng.normal(size=3) + 1j * rng.normal(size=3))
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    rho = a @ a.conj().T
-    return DensityCoeffs(tuple(l), rho / np.trace(rho).real)
-
-
 @given(st_l3, st.sampled_from(CANONICAL_LABELS),
        st.sampled_from(["clean", "complex", "mixed"]), st.integers(0, 2 ** 16))
 @settings(max_examples=60, deadline=None)
@@ -384,7 +374,8 @@ def _source(kind, l, rng):
 @example(l=[-1, -2, 3], label="124", kind="complex", seed=1464)
 def test_level0_integral_matches_unit_triple_product(l, label, kind, seed):
     # the separable density against the normalized map's triple product
-    field = canonical_field(_source(kind, l, np.random.default_rng(seed)), label)
+    field = canonical_field(sources.source(kind, l, np.random.default_rng(seed)),
+                            label)
     g = GridSpec(n_r=16).resolve(field.l)
     r, w = g.radial_rule(0)
     phi = g.phi_nodes()
@@ -400,7 +391,8 @@ def test_level0_integral_matches_unit_triple_product(l, label, kind, seed):
 def test_unit_field_stacks_its_reference_components(l, label, kind, seed):
     # the production stacks against TermField.evaluate, the reference that
     # test_term_field_matches_direct_expectation ties to QuditState.fields
-    field = canonical_field(_source(kind, l, np.random.default_rng(seed)), label)
+    field = canonical_field(sources.source(kind, l, np.random.default_rng(seed)),
+                            label)
     r = np.array([1e-3, 0.4, 1.0, 2.5, 9.0])
     phi = GridSpec(n_phi=24).phi_nodes()
     got = field.evaluate(r, phi, fix=False)
@@ -413,7 +405,7 @@ def test_unit_field_stacks_its_reference_components(l, label, kind, seed):
 def test_row_sums_of_mixed_source_equal_one_shot_density():
     # many-term tables of a mixed density, one row per block
     l = (-3, 1, 4)
-    field = canonical_field(_source("mixed", l, np.random.default_rng(7)), "451")
+    field = canonical_field(sources.source("mixed", l, np.random.default_rng(7)), "451")
     r, _ = GridSpec(n_r=4).radial_rule(0)
     phi = GridSpec(n_phi=BLOCK_POINTS // 2 + 1).phi_nodes()
     assert np.array_equal(field.expansion(phi).row_sums(r),

@@ -29,8 +29,10 @@ from topospec.spectrum import (PAIRWISE_IDENTITIES, RELATIONS, SpectrumEntry,
                                similarity, spectrum_to_dict, svg_bar_chart,
                                triple_count, write_spectrum_csv,
                                write_spectrum_json)
-from topospec.states import inject_subspace, make_state, sample_perturbation
+from topospec.states import make_state
 from topospec.tomography import DensityCoeffs
+
+import sources
 
 SMALL_GRID = GridSpec(n_r=256, n_phi=64)
 
@@ -184,21 +186,6 @@ def test_spectrum_independent_of_worker_count(l, mode, grid):
     assert one.entries == two.entries
 
 
-def _table_source(kind, l):
-    d = len(l)
-    rng = np.random.default_rng(17)
-    if kind == "clean":
-        return make_state(l, np.ones(d))
-    if kind == "complex":
-        return make_state(l, rng.normal(size=d) + 1j * rng.normal(size=d))
-    if kind == "perturbed":
-        return inject_subspace(make_state(l, np.ones(d)),
-                               sample_perturbation(d, rng))
-    a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    rho = a @ a.conj().T
-    return DensityCoeffs(tuple(l), rho / np.trace(rho).real)
-
-
 @pytest.mark.parametrize("kind", ["clean", "complex", "perturbed", "density"])
 @pytest.mark.parametrize("l, mode, grid", [
     ((-3, 1, 4), "canonical18", None),
@@ -210,7 +197,8 @@ def test_shared_component_tables_equal_fresh_per_map_entries(kind, l, mode,
     # a census shares each component's term field and exponent rows across
     # its maps (per chunk when pooled); every entry must equal the one
     # evaluate_map builds from scratch for that map alone
-    source = _table_source(kind, l)
+    source = sources.source("mixed" if kind == "density" else kind, l,
+                            np.random.default_rng(17))
     fresh = [evaluate_map(source, spec, grid)
              for spec in enumerate_triples(len(l), mode)]
     for workers in (1, 2):
@@ -321,7 +309,8 @@ def test_cleanliness_is_decided_once_per_call_or_chunk(monkeypatch, mode):
 
 @pytest.mark.parametrize("kind", ["perturbed", "density"])
 def test_analytic_column_is_empty_for_a_source_that_is_not_clean(kind):
-    source = _table_source(kind, (-1, 0, 1))
+    source = sources.source("mixed" if kind == "density" else kind, (-1, 0, 1),
+                            np.random.default_rng(17))
     for mode in ("canonical18", "full"):
         sp = compute_spectrum(source, mode, grid=SMALL_GRID, workers=1)
         assert all(e.analytic is None for e in sp.entries)

@@ -187,3 +187,18 @@ def test_save_load(tmp_path):
     back = load_state(path)
     assert isinstance(back, QuditState)
     assert_allclose(back.amps, state.amps, atol=1e-12)
+
+
+def test_save_refuses_a_perturbed_state_without_its_perturbation(tmp_path):
+    # the document stores the diagonal c, so the off-diagonal amplitudes
+    # would be lost; saved as the clean state plus its perturbation, the
+    # perturbed state reloads whole
+    state = make_state((-1, 0, 1), np.ones(3))
+    pert = sample_perturbation(3, np.random.default_rng(0))
+    bumped = inject_subspace(state, pert)
+    path = tmp_path / "state.json"
+    with pytest.raises(ValueError, match="off-diagonal amplitudes"):
+        save_state(path, bumped)
+    assert not path.exists()
+    save_state(path, state, pert)
+    assert_allclose(load_state(path).amps, bumped.amps, rtol=0, atol=1e-15)

@@ -11,7 +11,7 @@ from topospec.states import inject_subspace, make_state, sample_perturbation
 from topospec.tomography import (GRAD_TOL, BiphotonDensity,
                                  CoincidenceMatrix, _chi_square,
                                  _chi_square_gradient, _factored_inversion,
-                                 _joint_amplitudes, concurrence,
+                                 _joint_amplitudes, _sqrtm_psd, concurrence,
                                  density_from_json, density_to_json,
                                  epsilon_from_crosstalk, fidelity,
                                  load_density, metrics, projection_count,
@@ -20,6 +20,8 @@ from topospec.tomography import (GRAD_TOL, BiphotonDensity,
                                  save_density, simulate_coincidences,
                                  spectrum_from_density,
                                  write_coincidences_csv)
+
+import sources
 
 st_d = st.integers(2, 4)
 
@@ -42,12 +44,6 @@ def _kron_settings(pset):
         for n in range(K):
             V[:, m * K + n] = np.kron(P[m], P[n])
     return V
-
-
-def _random_density(d, rng):
-    A = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho).real
 
 
 @given(st_d)
@@ -116,6 +112,16 @@ def test_settings_must_carry_the_projection_set_labels_in_order():
             epsilon_from_crosstalk(counts, target)
 
 
+@pytest.mark.parametrize("d, census_d", [(4, 2), (3, 4)],
+                         ids=["state-larger", "state-smaller"])
+def test_a_state_of_another_size_than_the_census_is_rejected(d, census_d):
+    state = make_state(range(d), np.ones(d))
+    pset = projection_set(census_d, tuple(range(census_d)))
+    with pytest.raises(ValueError,
+                       match="state size does not match the census"):
+        simulate_coincidences(state, pset)
+
+
 def test_unknown_noise_name_is_rejected():
     state = make_state((0, 1), [1, 1])
     pset = projection_set(2, state.l)
@@ -149,7 +155,7 @@ def test_noiseless_counts_read_the_settings_matrix(d):
         got = simulate_coincidences(state, pset, total_counts=total).counts
         assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
 
-        rho = _random_density(d, rng)
+        rho = sources.source("mixed", range(d), rng).rho
         want = total * np.einsum("ik,ij,jk->k", V.conj(), rho, V).real
         got = simulate_coincidences(BiphotonDensity(rho), pset,
                                     total_counts=total).counts
@@ -165,8 +171,8 @@ def test_factored_inversion_equals_lstsq_on_the_dense_design(d):
     design = np.einsum("ai,bi->iab", V.conj(), V).reshape(pset.K ** 2, d ** 4)
     noisy = simulate_coincidences(_haar_state(d, rng), pset, noise="poisson",
                                   rng=rng).counts
-    exact = simulate_coincidences(BiphotonDensity(_random_density(d, rng)),
-                                  pset).counts
+    mixed = sources.source("mixed", range(d), rng)
+    exact = simulate_coincidences(BiphotonDensity(mixed.rho), pset).counts
     for counts in (noisy, exact):
         y = counts.reshape(-1) / counts.sum()
         want, *_ = np.linalg.lstsq(design, y.astype(complex), rcond=None)
@@ -196,6 +202,17 @@ def test_reading_a_nan_count_names_it(tmp_path):
     path.write_text("setting,a,b\na,1,2\nb,3,nan\n")
     with pytest.raises(ValueError, match=r"got nan at setting \(b, b\)"):
         read_coincidences_csv(path)
+
+
+@pytest.mark.parametrize("l, c", [((-1, 0, 1), (1, 1, 1)),
+                                  ((-2, -1, 1, 0), (1, 1, 1, 1)),
+                                  ((-3, -1, 0, 2, 5), (1, 2, 1, 3, 1))])
+def test_square_root_of_a_pure_density_is_the_density(l, c):
+    # the rounding residue of its zero eigenvalues (about 1e-17) is zeroed,
+    # not rooted to about 1e-9, so simulation from a pure density keeps
+    # the state route's exact zeros
+    rho = _pure_density(make_state(l, c))
+    assert_allclose(_sqrtm_psd(rho), rho, rtol=0, atol=1e-14)
 
 
 def test_density_route_equals_pure_route():
