@@ -102,43 +102,40 @@ def wrapping_numeric(field: UnitField, grid: GridSpec,
     """Adaptive wrapping integral with trend classification and gluing.
 
     The grid names the starting n_r (spectrum.evaluate_map picks the
-    per-map default); an n_phi left None takes resolve's default.  A map
-    whose density is odd under phi -> 2 pi - phi (its mirror_parity is
-    -1) integrates to exactly 0 over the mirror-symmetric midpoints, so it
-    reports 0, converged on the starting grid, with no quadrature.
+    per-map default); an n_phi left None takes resolve's default.
     """
     g = grid.resolve(field.l)
     if singular is None:
         singular = singularity_class(field)
     if singular:
         g = replace(g, n_phi=4 * g.n_phi)
-    parity = field.mirror_parity()
-    if parity < 0:
-        vals, err = [0.0], 0.0
-    else:
-        vals, err = _radial_ladder(field, g, parity > 0, max_doublings)
+    vals, err = _radial_ladder(field, g, field.mirror_parity(), max_doublings)
     raw = vals[-1]
     cls = classify_map(field)
     return WrappingResult(raw, glue(raw, cls), cls, err, err <= QUAD_TOL,
                           bool(singular), g.n_r * 2 ** (len(vals) - 1))
 
 
-def _radial_ladder(field: UnitField, g: GridSpec, even: bool,
+def _radial_ladder(field: UnitField, g: GridSpec, parity: int,
                    max_doublings: int) -> tuple[list[float], float]:
     """Estimates of the nested radial rule, and the last step's change.
 
-    An even density on an even number of midpoints is summed over the
-    first half turn at twice the phi weight: the second half holds its
-    mirror images.  At an odd n_phi the node at phi = pi is its own
-    mirror, and the full turn is kept.  Of those n nodes, only the first
-    n / c are summed, at c times the weight, with c = gcd(k, n) for the
-    field's azimuthal period k: the density repeats every 2 pi / c, and an
-    even one is mirrored about pi / c as well, so each of the c cells of
+    parity is the density's mirror_parity.  An odd density sums to exactly
+    0 over the mirror-symmetric midpoints, so it reads 0, converged, before
+    any grid is built.  An even density on an even number of midpoints is
+    summed over the first half turn at twice the phi weight: the second
+    half holds its mirror images.  At an odd n_phi the node at phi = pi is
+    its own mirror, and the full turn is kept.  Of those n nodes, only the
+    first n / c are summed, at c times the weight, with c = gcd(k, n) for
+    the field's azimuthal period k: the density repeats every 2 pi / c, and
+    an even one is mirrored about pi / c as well, so each of the c cells of
     the n nodes holds the same values.  A density constant in phi (k = 0)
     takes one node.
     """
+    if parity < 0:
+        return [0.0], 0.0
     phi, dphi = g.phi_nodes(), 2.0 * np.pi / g.n_phi
-    if even and g.n_phi % 2 == 0:
+    if parity > 0 and g.n_phi % 2 == 0:
         phi, dphi = phi[:g.n_phi // 2], 2.0 * dphi
     cells = math.gcd(field.azimuthal_period(), phi.size)
     ex = field.expansion(phi, phi.size // cells)
@@ -235,22 +232,16 @@ def _closed_forms(charges: np.ndarray, pair: tuple[int, int],
     _ends runs once per distinct row of exponent offsets, each row read as
     the digits of one int key, at omega = 1; halving and doubling are
     exact, so scaling by omega gives _closed_form's values bit for bit.
-    Only where the key space (2 top + 1)^T outgrows an int64 are the rows
-    themselves the keys: np.unique over rows is an order of magnitude
-    slower."""
+    A key space (2 top + 1)^T that outgrows an int64 raises ValueError."""
     a = np.abs(charges)
     omega = charges[:, pair[0]] - charges[:, pair[1]]
     offsets = (np.stack([a[:, m] + a[:, n] for m, n, _ in third], axis=1)
                - (a[:, pair[0]] + a[:, pair[1]])[:, None])
     top = int(np.abs(offsets).max(initial=0))
     dims = (2 * top + 1,) * len(third)
-    if math.prod(dims) <= np.iinfo(np.intp).max:
-        keys, inverse = np.unique(np.ravel_multi_index((offsets + top).T, dims),
-                                  return_inverse=True)
-        rows = np.stack(np.unravel_index(keys, dims), axis=1) - top
-    else:
-        rows, inverse = np.unique(offsets, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+    keys, inverse = np.unique(np.ravel_multi_index((offsets + top).T, dims),
+                              return_inverse=True)
+    rows = np.stack(np.unravel_index(keys, dims), axis=1) - top
     weights = [w for _, _, w in third]
     unit = np.zeros((len(rows), 2))
     closable = np.zeros(len(rows), dtype=bool)

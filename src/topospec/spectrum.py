@@ -400,7 +400,7 @@ def similarity(a, e) -> SimilarityScores:
 
     residual = 1 - sum(|a| - |e|)^2 / sum|a|; cosine is taken between the
     L1-normalized vectors.  Zero vectors have no direction, so they are
-    rejected, and so are non-finite values.
+    rejected, and so are non-finite values and scores that overflow.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -410,10 +410,14 @@ def similarity(a, e) -> SimilarityScores:
     l1_e = np.sum(np.abs(e))
     if not (0.0 < l1_a < np.inf and 0.0 < l1_e < np.inf):
         raise ValueError("similarity needs finite spectra, not all zero")
-    residual = 1.0 - float(np.sum((np.abs(a) - np.abs(e)) ** 2)) / l1_a
-    ah = a / l1_a
-    eh = e / l1_e
-    cosine = float(ah @ eh / (np.linalg.norm(ah) * np.linalg.norm(eh)))
+    with np.errstate(over="ignore"):
+        residual = 1.0 - float(np.sum((np.abs(a) - np.abs(e)) ** 2) / l1_a)
+        ah = a / l1_a
+        eh = e / l1_e
+        cosine = float(ah @ eh / (np.linalg.norm(ah) * np.linalg.norm(eh)))
+    if not (np.isfinite(residual) and np.isfinite(cosine)):
+        raise ValueError(f"similarity scores overflow: residual {residual}, "
+                         f"cosine {cosine}")
     return SimilarityScores(residual, cosine)
 
 

@@ -86,10 +86,18 @@ def make_state(l, c) -> QuditState:
         raise ValueError("c must be a vector matching l")
     if not np.all(np.isfinite(c)):
         raise ValueError("c must be finite")
-    nrm = np.linalg.norm(c)
-    if nrm == 0:
-        raise ValueError("c must not be all zero")
-    return QuditState(l, np.diag(c / nrm))
+    return QuditState(l, np.diag(_normalized(c, "c")))
+
+
+def _normalized(amps: np.ndarray, name: str) -> np.ndarray:
+    """amps over their norm, which must be a positive finite float: a norm
+    that overflows or underflows has no unit vector to give."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(amps))
+    if not 0.0 < nrm < np.inf:
+        raise ValueError(f"{name} has norm {nrm}; a state needs a positive "
+                         "finite norm")
+    return amps / nrm
 
 
 def inject_subspace(state: QuditState, pert: SubspacePerturbation) -> QuditState:
@@ -101,8 +109,7 @@ def inject_subspace(state: QuditState, pert: SubspacePerturbation) -> QuditState
     if pert.delta.shape[0] != state.d:
         raise ValueError("perturbation size does not match state")
     amps = (1.0 - pert.delta_bar) * state.amps + pert.delta
-    nrm = np.linalg.norm(amps)
-    return QuditState(state.l, amps / nrm)
+    return QuditState(state.l, _normalized(amps, "the perturbed state"))
 
 
 PERTURB_LO, PERTURB_HI = 0.025, 0.051   # range of sampled injection weights

@@ -57,6 +57,14 @@ def test_state_make_with_perturbation(tmp_path):
     assert np.asarray(doc["perturbation"]).shape == (3, 3)
 
 
+def test_state_make_with_an_overflowing_norm_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    assert main(["state", "make", "--l", "-1,0,1", "--c", "1e200,1e200,1e200",
+                 "--out", str(path)]) == EXIT_INPUT
+    assert "c has norm inf" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_spectrum_compute_artifacts(tmp_path, capsys):
     state = _make_state(tmp_path)
     csv_path = tmp_path / "spectrum.csv"
@@ -116,6 +124,18 @@ def test_compare_length_mismatch_is_input_error(tmp_path, capsys):
     b.write_text("triple_label,value\n123,1.0\n")
     assert main(["spectrum", "compare", str(a), str(b)]) == EXIT_INPUT
     assert "error" in capsys.readouterr().err
+
+
+def test_compare_of_differently_labelled_spectra_warns_and_compares(tmp_path,
+                                                                   capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("triple_label,value\n123,1.0\n124,0.5\n")
+    b.write_text("triple_label,value\n123,1.0\n125,0.5\n")
+    assert main(["spectrum", "compare", str(a), str(b)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "warning: spectra carry different labels" in captured.err
+    assert "residual=1.000000 cosine=1.000000" in captured.out
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

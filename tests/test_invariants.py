@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from topospec import invariants
 from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
                              UnitField, _Expansion, classify_map, map_layout,
                              triple_field)
@@ -120,9 +121,9 @@ def test_closed_forms_over_a_box_equal_the_per_map_closed_forms():
                                    lambda l: wrapping_analytic_triple(l, idx))
 
 
-def test_closed_forms_past_an_int64_key_space_equal_the_per_map_closed_forms():
+def test_closed_forms_past_an_int64_key_space_raise():
     # a 7-term third at offsets up to 600: the row keys (2 * 600 + 1)^7
-    # outgrow an int64, so the rows themselves are the keys
+    # outgrow an int64, so the box has no int keys and is refused
     idx = (1, 2, 48)
     _, pair, _, third = map_layout(7, idx)
     assert len(third) == 7
@@ -131,8 +132,8 @@ def test_closed_forms_past_an_int64_key_space_equal_the_per_map_closed_forms():
                     for _ in range(40)])
     charges = np.concatenate([big, big[:5], [[300, -300, 1, 2, 3, 4, 5]],
                               list(permutations(range(-3, 4)))[:50]])
-    _assert_closed_forms_equal(charges, pair, third,
-                               lambda l: wrapping_analytic_triple(l, idx))
+    with pytest.raises(ValueError):
+        _closed_forms(charges, pair, third)
 
 
 def test_closed_forms_over_d5_boxes_equal_the_per_map_closed_forms():
@@ -208,6 +209,12 @@ def test_singular_regrid_matches_an_explicit_grid():
     explicit = wrapping_numeric(field, GridSpec(n_r=64, n_phi=4 * n_phi),
                                 singular=False)
     assert auto.raw == explicit.raw
+
+
+def test_numeric_route_needs_an_n_r():
+    field = canonical_field(make_state((-1, 0, 1), np.ones(3)), "123")
+    with pytest.raises(ValueError, match="grid needs an n_r"):
+        wrapping_numeric(field, GridSpec())
 
 
 def test_exact_cancellation_maps_stay_zero():
@@ -547,6 +554,23 @@ def test_accidental_prediction_skips_curves_through_the_origin():
     # phi = pi / 2; the converged numeric wrapping of this map is 0
     assert accidental_predict((-4, -3, 2), (5, 6, 8)) is None
     assert wrapping_analytic_triple((-4, -3, 2), (5, 6, 8)) is None
+
+
+def test_accidental_prediction_skips_a_plain_nice_pair():
+    # (1, 2, 3) at d = 3 is the cos and sin root of modes (0, 1) beside a
+    # diagonal: the nice pair of map 123, not an accidental invariant
+    assert accidental_predict((1, 2, 3), (1, 2, 3)) is None
+
+
+@pytest.mark.parametrize("l", [(1, 1, 2), (2, 1, 2)])
+def test_accidental_prediction_skips_equal_charges_on_a_root(monkeypatch, l):
+    # cos (0, 1), lambda_3 and sin (0, 2): a root whose two modes carry
+    # equal charges does not turn with phi, so no end analysis is run
+    def no_end_analysis(*args):
+        raise AssertionError("end analysis ran")
+
+    monkeypatch.setattr(invariants, "_end_analysis", no_end_analysis)
+    assert accidental_predict(l, (1, 3, 5)) is None
 
 
 def test_accidental_prediction_exists_only_under_degeneracy():

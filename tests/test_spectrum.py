@@ -9,6 +9,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 from collections import Counter
 from xml.etree import ElementTree
 
@@ -146,11 +147,30 @@ def test_similarity_rejects_degenerate_input():
             similarity(np.ones(3), np.array([1.0, 0.5, bad]))
 
 
+@pytest.mark.parametrize("a, e", [([5e-324, 0, 0, 0], [0.1] * 4),
+                                  ([1e-300, 0, 0, 0], [1e10] * 4)])
+def test_similarity_rejects_scores_that_overflow(a, e):
+    # the first L1 norm is subnormal, the second normal: both residuals
+    # overflow, and neither may warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflow"):
+            similarity(a, e)
+
+
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=12))
 @settings(max_examples=40)
 def test_similarity_cosine_bounded(values):
     a = np.asarray(values)
     if np.sum(np.abs(a)) == 0:
+        return
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(np.sum((np.abs(a) - np.abs(a + 0.1)) ** 2)
+                             / np.sum(np.abs(a)))
+    if overflows:
+        # a subnormal L1 norm leaves the residual no finite value
+        with pytest.raises(ValueError, match="overflow"):
+            similarity(a, a + 0.1)
         return
     s = similarity(a, a + 0.1)
     if np.sum(np.abs(a + 0.1)) == 0:
@@ -545,6 +565,20 @@ def test_svg_chart(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<rect") >= len(sp.entries)
+
+
+def test_svg_chart_past_160_bars_keeps_the_nontrivial_ones(tmp_path):
+    path = tmp_path / "census.svg"
+    trivial = [k % 4 != 0 for k in range(200)]
+    svg_bar_chart([str(k) for k in range(200)], np.arange(1.0, 201.0),
+                  trivial, path, title="census")
+    root = ElementTree.parse(path).getroot()
+    # the axis spans the kept bars: the largest value, 200, is trivial
+    texts = [el.text for el in root if el.tag.endswith("text")]
+    assert texts == ["census (nontrivial 50 of 200)", "+197", "-197"]
+    bars = [el for el in root if el.tag.endswith("rect")][1:]
+    assert len(bars) == 50
+    assert all(el.get("fill") == "#3b6ea5" for el in bars)
 
 
 def test_svg_chart_escapes_its_text(tmp_path):

@@ -1,6 +1,7 @@
 """State construction, perturbation, and serialization tests."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,28 @@ def test_make_state_rejects_non_finite_coefficients(c):
 def test_make_state_rejects_charges_that_are_not_whole(l):
     with pytest.raises(ValueError, match="whole numbers"):
         make_state(l, np.ones(3))
+
+
+@pytest.mark.parametrize("c, norm", [([1e200] * 3, "inf"),
+                                     ([1e-200] * 3, "0.0")])
+def test_make_state_rejects_a_norm_that_is_not_a_positive_finite_float(c, norm):
+    # the norm overflows or underflows, and neither may warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"c has norm {norm}"):
+            make_state((-1, 0, 1), c)
+
+
+def test_a_perturbation_whose_norm_overflows_is_rejected(tmp_path):
+    delta = np.full((3, 3), 1e200)
+    np.fill_diagonal(delta, 0.0)
+    path = tmp_path / "huge.json"
+    save_state(path, make_state((-1, 0, 1), np.ones(3)),
+               SubspacePerturbation(delta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="perturbed state has norm inf"):
+            load_state(path)
 
 
 def test_make_state_accepts_whole_float_charges():
