@@ -86,11 +86,6 @@ def build_basis(d: int) -> tuple[BasisElement, ...]:
 
 
 def nice_pairs(d: int) -> list[tuple[int, int]]:
-    """1-based index pairs (cos-like, sin-like) sharing a mode pair."""
-    basis = build_basis(d)
-    by_modes: dict[tuple[int, int], dict[str, int]] = {}
-    for b in basis:
-        if b.modes is not None:
-            by_modes.setdefault(b.modes, {})[b.kind] = b.index
-    return [(v["sym"], v["asym"]) for _, v in sorted(by_modes.items())]
+    """1-based pairs (cos-like, sin-like): each sym element and the next."""
+    return [(b.index, b.index + 1) for b in build_basis(d) if b.kind == "sym"]
 

@@ -47,7 +47,7 @@ nodes of its phi grid, sharing that grid's rows.
 
 Only the triple's cross and determinant tables, the density blocks and the
 classifier's probe values are per map.  The rest is shared: a
-SharedSource builds each component's TermField once for all the maps of
+SharedSource memo builds each component's TermField once for all the maps of
 one call or pool chunk, a TermField keeps its exponent rows per phi grid
 (grid_rows), the classifier's ring grid among them, and the Simpson rule
 of each panel count is built once and kept.  Shared arrays are read-only.
@@ -261,22 +261,18 @@ def term_field(source, matrix: np.ndarray) -> TermField:
 
 
 class SharedSource:
-    """A coefficient source that builds each component's term field once.
+    """A memo of one QuditState's or DensityCoeffs' term fields, with its l, d.
 
-    Stands in for the QuditState or DensityCoeffs it wraps (l, d, coeff
-    and every other attribute read through) while the maps of one call or
-    pool chunk are built from it: triple_field takes each component's
-    TermField from it, and with the field the exponent rows it keeps per
-    phi grid.  It holds the source's tables, so it lives only as long as
-    the call that made it.
+    The maps of one call or pool chunk are built from it: triple_field
+    takes each component's TermField from it, and with the field the
+    exponent rows it keeps per phi grid.  It holds the source's tables, so
+    it lives only as long as the call that made it.
     """
 
     def __init__(self, source):
         self.source = source
+        self.l, self.d = source.l, source.d
         self.terms: dict = {}
-
-    def __getattr__(self, name):
-        return getattr(self.source, name)
 
     @classmethod
     def of(cls, source) -> "SharedSource":
@@ -533,9 +529,11 @@ class _Expansion:
         return np.divide(det, cube, out=cube)
 
     def row_sums(self, r: np.ndarray) -> np.ndarray:
-        """Phi-summed area density at each radial node, streamed in blocks of
-        about BLOCK_POINTS (r, phi) points (at least one row), so that its
-        intermediates stay the same size at every n_phi."""
+        """Phi-summed area density at each radial node: zeros with no live
+        determinant row, else streamed in blocks of about BLOCK_POINTS (r, phi)
+        points (at least one row), the same size at every n_phi."""
+        if not self.det_exps.size:
+            return np.zeros(r.size)
         block = max(1, BLOCK_POINTS // self.n_phi)
         return np.concatenate([self.density(r[lo:lo + block]).sum(axis=1)
                                for lo in range(0, r.size, block)])

@@ -17,7 +17,7 @@ new odd nodes and reuses the phi-summed density kept at the old ones.  The
 field's density expansion (UnitField.expansion) is built once per map; its
 row_sums streams every doubling's nodes in blocks of about BLOCK_POINTS
 (r, phi) points.  An expansion with no live determinant row has the density
-0 at every node, so every rung reads exactly 0 and no block is evaluated.
+0 at every node; its row_sums returns zeros, so every rung reads exactly 0.
 No extrapolation is applied: the finer estimate is reported as it stands.
 The analytic route rests on one end analysis of a map's term content
 (_end_analysis).  With the Gaussian envelope dropped, the pair amplitude
@@ -97,23 +97,22 @@ def singularity_class(field: UnitField) -> bool:
 
 
 def wrapping_numeric(field: UnitField, grid: GridSpec,
-                     singular: bool | None = None,
                      max_doublings: int = 2) -> WrappingResult:
     """Adaptive wrapping integral with trend classification and gluing.
 
     The grid names the starting n_r (spectrum.evaluate_map picks the
-    per-map default); an n_phi left None takes resolve's default.
+    per-map default); an n_phi left None takes resolve's default, four
+    times over for a map singular by its own terms (singularity_class).
     """
     g = grid.resolve(field.l)
-    if singular is None:
-        singular = singularity_class(field)
+    singular = singularity_class(field)
     if singular:
         g = replace(g, n_phi=4 * g.n_phi)
     vals, err = _radial_ladder(field, g, field.mirror_parity(), max_doublings)
     raw = vals[-1]
     cls = classify_map(field)
     return WrappingResult(raw, glue(raw, cls), cls, err, err <= QUAD_TOL,
-                          bool(singular), g.n_r * 2 ** (len(vals) - 1))
+                          singular, g.n_r * 2 ** (len(vals) - 1))
 
 
 def _radial_ladder(field: UnitField, g: GridSpec, parity: int,
@@ -130,7 +129,7 @@ def _radial_ladder(field: UnitField, g: GridSpec, parity: int,
     the field's azimuthal period k: the density repeats every 2 pi / c, and
     an even one is mirrored about pi / c as well, so each of the c cells of
     the n nodes holds the same values.  A density constant in phi (k = 0)
-    takes one node.
+    takes one node.  An all-zero density comes back from row_sums as zeros.
     """
     if parity < 0:
         return [0.0], 0.0
@@ -140,10 +139,6 @@ def _radial_ladder(field: UnitField, g: GridSpec, parity: int,
     cells = math.gcd(field.azimuthal_period(), phi.size)
     ex = field.expansion(phi, phi.size // cells)
     dphi *= cells
-    if not ex.det_exps.size:
-        # no live determinant row: the density is 0 at every node, so every
-        # rung reads 0 and the first doubling settles it
-        return ([0.0, 0.0], 0.0) if max_doublings > 0 else ([0.0], np.inf)
     r, w = g.radial_rule(0)
     rows = ex.row_sums(r)
     vals = [float(w @ rows) * dphi / (4.0 * np.pi)]
@@ -392,8 +387,6 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
         return None
     dc = l[sym.modes[0]] - l[sym.modes[1]]
     ds = l[asym.modes[0]] - l[asym.modes[1]]
-    if dc == 0 or ds == 0:
-        return None
     # the diagonal third must reach a pole at both radial ends of both roots
     third = [(m, m, w) for m, w in enumerate(np.real(np.diag(diag.matrix)))]
     ends = [_end_analysis(l, root.modes, third)[2:] for root in (sym, asym)]

@@ -153,8 +153,8 @@ def evaluate_map(source, spec: TripleSpec, grid: GridSpec | None = None,
     triple_field and its closed form through wrapping_analytic_triple.
     A grid whose n_r is None (no grid, or GridSpec()) takes the per-map
     radial default, 512 panels for a canonical qutrit label and 256 for
-    an index triple, and keeps its n_phi.  The singular flag comes from the
-    field's term content (wrapping_numeric's default).  The analytic
+    an index triple, and keeps its n_phi.  wrapping_numeric reads the
+    singular flag off the field's own term content.  The analytic
     column is filled only for clean (diagonal-amplitude) sources, where
     the closed forms apply.  photon_swap negates every value.
     """
@@ -178,9 +178,9 @@ def _evaluate_chunk(source, specs, options: dict) -> list[SpectrumEntry]:
     """Entries of a run of specs; every input comes in the arguments.
 
     The specs' maps share each component's term field and exponent rows
-    through one SharedSource, dropped when the chunk is done.
+    through one SharedSource: the caller's, or a new one for the chunk.
     """
-    source = SharedSource(source)
+    source = SharedSource.of(source)
     return [evaluate_map(source, spec, **options) for spec in specs]
 
 

@@ -104,11 +104,13 @@ def inject_subspace(state: QuditState, pert: SubspacePerturbation) -> QuditState
     """Mix foreign mode profiles into every component.
 
     Component k becomes (1 - delta_bar) psi_k plus sum_{j != k} delta[j,k]
-    times the profile of mode j.  delta = 0 reproduces the input exactly.
+    times the profile of mode j.  delta = 0 reproduces the input exactly;
+    weights that overflow are left to the norm check.
     """
     if pert.delta.shape[0] != state.d:
         raise ValueError("perturbation size does not match state")
-    amps = (1.0 - pert.delta_bar) * state.amps + pert.delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = (1.0 - pert.delta_bar) * state.amps + pert.delta
     return QuditState(state.l, _normalized(amps, "the perturbed state"))
 
 

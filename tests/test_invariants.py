@@ -205,10 +205,11 @@ def test_singular_regrid_matches_an_explicit_grid():
     field = canonical_field(state, "124")
     grid = GridSpec(n_r=64)
     n_phi = grid.resolve(field.l).n_phi
-    auto = wrapping_numeric(field, grid, singular=True)
-    explicit = wrapping_numeric(field, GridSpec(n_r=64, n_phi=4 * n_phi),
-                                singular=False)
-    assert auto.raw == explicit.raw
+    auto = wrapping_numeric(field, grid)
+    assert auto.singular
+    explicit, _ = invariants._radial_ladder(
+        field, GridSpec(n_r=64, n_phi=4 * n_phi), field.mirror_parity(), 2)
+    assert auto.raw == explicit[-1]
 
 
 def test_numeric_route_needs_an_n_r():
@@ -223,8 +224,7 @@ def test_exact_cancellation_maps_stay_zero():
     l = (2, -2, 0)
     state = make_state(l, np.ones(3))
     for label in ("453", "673"):
-        res = wrapping_numeric(canonical_field(state, label), GridSpec(n_r=512),
-                               singular=singularity_class_label(label, l))
+        res = wrapping_numeric(canonical_field(state, label), GridSpec(n_r=512))
         assert res.glued == 0.0, label
         assert res.converged, label
 
@@ -563,13 +563,9 @@ def test_accidental_prediction_skips_a_plain_nice_pair():
 
 
 @pytest.mark.parametrize("l", [(1, 1, 2), (2, 1, 2)])
-def test_accidental_prediction_skips_equal_charges_on_a_root(monkeypatch, l):
+def test_accidental_prediction_skips_equal_charges_on_a_root(l):
     # cos (0, 1), lambda_3 and sin (0, 2): a root whose two modes carry
-    # equal charges does not turn with phi, so no end analysis is run
-    def no_end_analysis(*args):
-        raise AssertionError("end analysis ran")
-
-    monkeypatch.setattr(invariants, "_end_analysis", no_end_analysis)
+    # equal charges does not turn with phi, so its Lissajous winding is 0
     assert accidental_predict(l, (1, 3, 5)) is None
 
 

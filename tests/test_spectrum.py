@@ -1,11 +1,13 @@
 """Census enumeration, spectrum assembly, dependences, and serialization."""
 
 import contextlib
+import copy
 import dataclasses
 import faulthandler
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec import fields, invariants, spectrum
+from topospec.basis import build_basis
 from topospec.fields import GridSpec, TermField, TripleSpec
 from topospec.invariants import (CANONICAL_LABELS, QUAD_TOL, canonical_field,
                                  singularity_class)
@@ -325,6 +328,20 @@ def test_cleanliness_is_decided_once_per_call_or_chunk(monkeypatch, mode):
     assert len(pool.chunks) == pooled.reads == 3
     if mode == "canonical18":
         assert all(e.analytic is not None for e in want)
+
+
+def test_shared_source_survives_copy_pickle_and_the_pool():
+    # a pool task pickles its source; a shared one must come through whole
+    state = make_state((-1, 0, 1), np.ones(3))
+    shared = fields.SharedSource(state)
+    shared.term(1, build_basis(3)[0].matrix)
+    for twin in (copy.copy(shared), pickle.loads(pickle.dumps(shared))):
+        assert (twin.l, twin.d, list(twin.terms)) == (state.l, 3, [1])
+    want = compute_spectrum(state, "canonical18", workers=1).entries
+    for workers in (1, 2):
+        got = compute_spectrum(fields.SharedSource(state), "canonical18",
+                               workers=workers)
+        assert got.entries == want, workers
 
 
 @pytest.mark.parametrize("kind", ["perturbed", "density"])

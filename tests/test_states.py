@@ -62,15 +62,19 @@ def test_make_state_rejects_a_norm_that_is_not_a_positive_finite_float(c, norm):
 
 
 def test_a_perturbation_whose_norm_overflows_is_rejected(tmp_path):
-    delta = np.full((3, 3), 1e200)
-    np.fill_diagonal(delta, 0.0)
-    path = tmp_path / "huge.json"
-    save_state(path, make_state((-1, 0, 1), np.ones(3)),
-               SubspacePerturbation(delta))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="perturbed state has norm inf"):
-            load_state(path)
+    # 1e308 weights overflow their mean to inf, and the mixed amplitudes
+    # to nan, before the norm check; neither may warn on the way
+    for weight in (1e200, 1e308):
+        delta = np.full((3, 3), weight)
+        np.fill_diagonal(delta, 0.0)
+        path = tmp_path / "huge.json"
+        save_state(path, make_state((-1, 0, 1), np.ones(3)),
+                   SubspacePerturbation(delta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError,
+                               match="perturbed state has norm (inf|nan)"):
+                load_state(path)
 
 
 def test_make_state_accepts_whole_float_charges():
@@ -134,6 +138,30 @@ def test_perturbation_rejects_nonzero_diagonal():
         SubspacePerturbation(delta)
 
 
+def test_perturbation_rejects_a_delta_that_is_not_square():
+    with pytest.raises(ValueError, match="delta must be square"):
+        SubspacePerturbation(np.zeros((2, 3)))
+
+
+def test_inject_rejects_a_perturbation_of_another_size():
+    state = make_state((-1, 0, 1), np.ones(3))
+    with pytest.raises(ValueError,
+                       match="perturbation size does not match state"):
+        inject_subspace(state, SubspacePerturbation(np.zeros((2, 2))))
+
+
+def test_inject_into_a_one_mode_state_is_identity():
+    # one mode has no off-diagonal weights to average: delta_bar is 0
+    # without a mean over an empty slice
+    state = make_state((3,), [1.0])
+    pert = SubspacePerturbation(np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert pert.delta_bar == 0.0
+        out = inject_subspace(state, pert)
+    assert np.array_equal(out.amps, state.amps)
+
+
 @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
 def test_sample_perturbation_bounds(d, seed):
     pert = sample_perturbation(d, np.random.default_rng(seed))
@@ -162,6 +190,29 @@ def test_json_rejects_unknown_keys():
     doc = state_to_json(make_state((0, 1), [1, 1]))
     doc["extra"] = True
     with pytest.raises(ValueError):
+        state_from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["d", "l", "c"])
+def test_json_rejects_a_missing_key(key):
+    doc = state_to_json(make_state((-1, 0, 1), np.ones(3)))
+    del doc[key]
+    with pytest.raises(ValueError, match=f"missing state key: {key}"):
+        state_from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["l", "c"])
+def test_json_rejects_an_l_or_c_whose_length_is_not_d(key):
+    doc = state_to_json(make_state((-1, 0, 1), np.ones(3)))
+    doc[key] = doc[key][:2]
+    with pytest.raises(ValueError, match=f"{key} length must equal d"):
+        state_from_json(doc)
+
+
+def test_json_rejects_a_perturbation_that_is_not_d_by_d():
+    doc = state_to_json(make_state((-1, 0, 1), np.ones(3)))
+    doc["perturbation"] = [[0.0, 0.03], [0.03, 0.0]]
+    with pytest.raises(ValueError, match="perturbation must be d x d"):
         state_from_json(doc)
 
 

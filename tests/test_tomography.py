@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from topospec import tomography
 from topospec.fields import GridSpec
 from topospec.spectrum import compute_spectrum
 from topospec.states import inject_subspace, make_state, sample_perturbation
@@ -325,6 +326,25 @@ def test_no_usable_step_on_the_last_iteration_is_converged(monkeypatch):
     result = reconstruct(C, pset, max_iters=1)
     assert (result.stop, result.n_iter, result.converged) == ("no_step", 1, True)
     assert result.chi2_trace == (result.chi2,)
+
+
+def test_an_uphill_direction_restarts_from_steepest_descent(monkeypatch):
+    # every direction built from a non-empty memory is turned uphill; the
+    # fit must clear its memory and take the -0.1 grad step instead
+    lbfgs, memory = tomography._lbfgs_direction, []
+
+    def uphill(grad, pairs):
+        memory.append(len(pairs))
+        direction = lbfgs(grad, pairs)
+        return -direction if pairs else direction
+
+    monkeypatch.setattr(tomography, "_lbfgs_direction", uphill)
+    pset, C = _qutrit_counts(1e4, 0)
+    result = reconstruct(C, pset)
+    assert result.stop != "no_step"
+    assert np.all(np.diff(result.chi2_trace) <= 0.0)
+    assert any(memory)
+    assert all(memory[k + 1] == 0 for k, n in enumerate(memory) if n)
 
 
 @pytest.mark.parametrize("seed", range(4))
