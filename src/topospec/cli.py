@@ -20,14 +20,14 @@ import numpy as np
 from . import __version__
 from .fields import R_MIN, TAIL_EPS, GridSpec, TripleSpec
 from .invariants import _LABEL_SPECS, QUAD_TOL, canonical_label
-from .spectrum import (compute_spectrum, default_workers, dependency_scan,
-                       evaluate_map, normalize_mode, read_spectrum_values,
-                       similarity, svg_bar_chart, write_spectrum_csv,
-                       write_spectrum_json)
+from .spectrum import (MODES, compute_spectrum, default_workers,
+                       dependency_scan, evaluate_map, normalize_mode,
+                       read_spectrum_values, similarity, svg_bar_chart,
+                       write_spectrum_csv, write_spectrum_json)
 from .states import (load_state, make_state, sample_perturbation, save_state,
                      inject_subspace)
-from .tomography import (check_epsilon, epsilon_from_crosstalk, metrics,
-                         projection_set, reconstruct, save_density,
+from .tomography import (NOISE_MODELS, check_epsilon, epsilon_from_crosstalk,
+                         metrics, projection_set, reconstruct, save_density,
                          simulate_coincidences, spectrum_from_density,
                          write_coincidences_csv)
 
@@ -69,7 +69,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 def _add_census_flags(p: argparse.ArgumentParser) -> None:
     """The grid flags plus the census and pool size of a whole spectrum."""
     _add_grid_flags(p)
-    p.add_argument("--mode", choices=("full", "canonical18"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="census to evaluate (default: canonical18 for d=3)")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="parallel workers (default: all cores, capped by "
@@ -132,12 +132,10 @@ def _cmd_spectrum_compute(args) -> int:
 def _cmd_spectrum_compare(args) -> int:
     labels_a, values_a = read_spectrum_values(args.spectrum_a)
     labels_b, values_b = read_spectrum_values(args.spectrum_b)
-    if len(values_a) != len(values_b):
-        raise ValueError("spectra have different lengths")
+    scores = similarity(values_a, values_b)
     if labels_a != labels_b:
         print("warning: spectra carry different labels; comparing by position",
               file=sys.stderr)
-    scores = similarity(values_a, values_b)
     print(f"residual={scores.residual:.6f} cosine={scores.cosine:.6f}")
     if args.json:
         with open(args.json, "w") as fh:
@@ -292,8 +290,7 @@ def build_parser() -> _Parser:
     _add_census_flags(p_run)
     p_run.add_argument("--counts", type=float, default=1e4,
                        help="total coincidence budget scale")
-    p_run.add_argument("--noise", choices=("none", "poisson", "crosstalk"),
-                       default="none")
+    p_run.add_argument("--noise", choices=NOISE_MODELS, default="none")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--epsilon", default="0",
                        help="density threshold, or 'auto' to take it from "

@@ -65,7 +65,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .basis import build_basis, nice_pairs
-from .states import QuditState
+from .states import QuditState, _whole
 
 # Points per block of area-density rows: _Expansion.row_sums streams its
 # radial nodes in blocks of this many (r, phi) points.
@@ -296,7 +296,8 @@ class SharedSource:
 
 @dataclass(frozen=True)
 class TripleSpec:
-    """Three distinct 1-based basis indices defining a candidate map.
+    """Three distinct 1-based whole-number basis indices, kept sorted as
+    ints, defining a candidate map.
 
     canonical tags the triple as one of the named qutrit maps, and only
     such a triple may hold index slot 0: the starred maps' combined
@@ -308,7 +309,7 @@ class TripleSpec:
     canonical: str | None = None
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
+        idx = tuple(sorted(_whole(self.indices, "basis indices")))
         if len(idx) != 3 or len(set(idx)) != 3:
             raise ValueError("triple needs three distinct indices")
         if self.canonical is None and min(idx) < 1:

@@ -54,7 +54,7 @@ import numpy as np
 from .basis import build_basis
 from .fields import (GridSpec, MapClass, TripleSpec, UnitField, _check_range,
                      classify_map, map_layout, triple_field)
-from .states import QuditState
+from .states import QuditState, _charges, _whole
 
 QUAD_TOL = 5e-3
 
@@ -251,19 +251,10 @@ def _closed_forms(charges: np.ndarray, pair: tuple[int, int],
             np.where(keep, omega * unit[inverse, 1], 0.0))
 
 
-def _charges(l, d: int | None) -> tuple[tuple[int, ...], int]:
-    """The mode charges l as ints, and d, which defaults to their count."""
-    l = tuple(int(x) for x in l)
-    d = d or len(l)
-    if len(l) != d:
-        raise ValueError(f"need {d} mode charges for d = {d}, got {len(l)}")
-    return l, d
-
-
 def wrapping_analytic_usual(l, modes: tuple[int, int]) -> AnalyticWrap:
     """Root-pair map with its own commutator third, any dimension."""
     i, j = modes
-    l = tuple(l)
+    l, _ = _charges(l)
     if i == j or not (0 <= i < len(l) and 0 <= j < len(l)):
         raise ValueError(f"modes {(i, j)} are not two distinct indices "
                          f"into the {len(l)} mode charges")
@@ -280,7 +271,7 @@ def wrapping_analytic_triple(l, indices: tuple[int, int, int],
     predictor.  Anything else has no closed form here.
     """
     l, d = _charges(l, d)
-    idx = tuple(sorted(int(i) for i in indices))
+    idx = tuple(sorted(_whole(indices, "basis indices")))
     _, pair, _, third = map_layout(d, idx)
     if pair is None:
         v = accidental_predict(l, idx, d)
@@ -322,9 +313,8 @@ def _label_map(label: str):
 
 
 def wrapping_analytic_d3(label: str, l) -> AnalyticWrap:
-    """Exact value of one of the 18 canonical qutrit maps."""
-    pair, third = _label_map(label)
-    return _closed_form(_charges(l, 3)[0], pair, third)
+    """Exact value of one of the 18 canonical qutrit maps, each a nice pair."""
+    return wrapping_analytic_triple(l, _LABEL_SPECS[canonical_label(label)].indices, 3)
 
 
 def singularity_class_label(label: str, l) -> bool:
@@ -373,7 +363,7 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     are an error.
     """
     l, d = _charges(l, d)
-    order = sorted(int(i) for i in indices)
+    order = sorted(_whole(indices, "basis indices"))
     _check_range(d, order)
     basis = build_basis(d)
     els = [basis[i - 1] for i in order]

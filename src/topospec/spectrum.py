@@ -43,13 +43,14 @@ from .invariants import (_LABEL_SPECS, CANONICAL_LABELS, _closed_forms,
 from .states import QuditState
 
 TRIVIAL_THRESHOLD = 0.1
+MODES = ("full", "canonical18")     # the census modes normalize_mode accepts
 
 
 def normalize_mode(mode: str | None, d: int) -> str:
-    """The census mode, full or canonical18; None picks canonical18 at d = 3."""
+    """The census mode, one of MODES; None picks canonical18 at d = 3."""
     if mode is None:
         return "canonical18" if d == 3 else "full"
-    if mode not in ("full", "canonical18"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if mode == "canonical18" and d != 3:
         raise ValueError("canonical18 mode needs d = 3")
@@ -262,13 +263,10 @@ def _evaluate_pooled(source, specs, options: dict, workers: int) -> list[Spectru
             try:
                 parts = list(pool.map(_evaluate_chunk, repeat(source), chunks,
                                       repeat(options)))
-            except BrokenProcessPool:
+            except BaseException as exc:
                 _close_pool()
-                if last:
+                if last or not isinstance(exc, BrokenProcessPool):
                     raise
-            except BaseException:
-                _close_pool()
-                raise
             else:
                 entries = [None] * len(specs)
                 for k, part in enumerate(parts):

@@ -75,12 +75,26 @@ class SubspacePerturbation:
         return float(np.mean(off))
 
 
+def _whole(values, what: str) -> tuple[int, ...]:
+    """values as ints, if each is a finite whole number; what names them."""
+    x = list(map(float, values))
+    if not all(map(float.is_integer, x)):
+        raise ValueError(f"{what} must be whole numbers, got {x}")
+    return tuple(map(int, x))
+
+
+def _charges(l, d: int | None = None) -> tuple[tuple[int, ...], int]:
+    """The mode charges l as ints, and d, which defaults to their count."""
+    l = _whole(l, "mode charges")
+    d = d or len(l)
+    if len(l) != d:
+        raise ValueError(f"need {d} mode charges for d = {d}, got {len(l)}")
+    return l, d
+
+
 def make_state(l, c) -> QuditState:
-    """Clean superposition of whole-number charges l, finite c normalized."""
-    charges = np.asarray(l, dtype=float)
-    if not np.all(np.isfinite(charges) & (charges == np.round(charges))):
-        raise ValueError(f"mode charges must be whole numbers, got {charges.tolist()}")
-    l = tuple(int(x) for x in charges)
+    """Normalized clean superposition: whole-number charges l, finite c to match."""
+    l, _ = _charges(l)
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 1 or len(c) != len(l):
         raise ValueError("c must be a vector matching l")

@@ -21,6 +21,7 @@ import numpy as np
 
 from .fields import GridSpec
 from .spectrum import TopologicalSpectrum, compute_spectrum
+from .states import _charges
 
 THETAS = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
@@ -57,10 +58,9 @@ def projection_count(d: int) -> int:
 
 
 def projection_set(d: int, subspace_l) -> ProjectionSet:
-    """Basis kets plus the four-phase pair superpositions, in census order."""
-    subspace_l = tuple(int(x) for x in subspace_l)
-    if len(subspace_l) != d:
-        raise ValueError("subspace_l length must equal d")
+    """Basis kets plus the four-phase pair superpositions, in census order,
+    over d distinct whole-number mode charges subspace_l."""
+    subspace_l, _ = _charges(subspace_l, d)
     if len(set(subspace_l)) != d:
         raise ValueError("subspace_l entries must be distinct")
     rows = list(np.eye(d, dtype=complex))
@@ -463,12 +463,11 @@ def spectrum_from_density(rho, l, mode: str | None = None,
                           workers: int | None = 1) -> TopologicalSpectrum:
     """Topological spectrum carried by a joint density matrix.
 
-    The spatial profiles follow the first photon's mode charges l, and
-    rho must be d^2 x d^2 for d = len(l); its Hermitian part is used.
+    The spatial profiles follow the first photon's whole-number mode
+    charges l; rho must be d^2 x d^2 for d = len(l), its Hermitian part used.
     """
     rho = rho.rho if isinstance(rho, BiphotonDensity) else np.asarray(rho, dtype=complex)
-    l = tuple(int(x) for x in l)
-    d = len(l)
+    l, d = _charges(l)
     if rho.shape != (d * d, d * d):
         raise ValueError("density matrix size does not match l")
     rho = 0.5 * (rho + rho.conj().T)

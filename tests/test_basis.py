@@ -15,6 +15,11 @@ def test_basis_count(d):
     assert len(build_basis(d)) == d * d - 1
 
 
+def test_a_basis_needs_two_modes():
+    with pytest.raises(ValueError, match="^need d >= 2$"):
+        build_basis(1)
+
+
 @given(st_d)
 def test_basis_hermitian_traceless(d):
     for b in build_basis(d):

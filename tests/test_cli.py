@@ -17,10 +17,13 @@ from topospec import cli
 from topospec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from topospec.fields import R_MIN, TAIL_EPS, GridSpec
 from topospec.invariants import _LABEL_SPECS, CANONICAL_LABELS, QUAD_TOL
-from topospec.spectrum import (RelationCheck, compute_spectrum,
+from topospec.spectrum import (MODES, RelationCheck, compute_spectrum,
                                dependency_scan, evaluate_map,
                                read_spectrum_values)
-from topospec.states import load_state
+from topospec.states import inject_subspace, load_state, sample_perturbation
+from topospec.tomography import (NOISE_MODELS, epsilon_from_crosstalk,
+                                 projection_set, read_coincidences_csv,
+                                 simulate_coincidences, write_coincidences_csv)
 
 CSV_HEADER = "triple_label,map_class,raw,glued,analytic,singular,trivial"
 
@@ -124,6 +127,18 @@ def test_compare_length_mismatch_is_input_error(tmp_path, capsys):
     b.write_text("triple_label,value\n123,1.0\n")
     assert main(["spectrum", "compare", str(a), str(b)]) == EXIT_INPUT
     assert "error" in capsys.readouterr().err
+
+
+def test_compare_length_mismatch_is_similarity_s_error_without_a_warning(
+        tmp_path, capsys):
+    # labels differ too, but the length check comes first
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("triple_label,value\n123,1.0\n124,0.5\n")
+    b.write_text("triple_label,value\n125,1.0\n")
+    assert main(["spectrum", "compare", str(a), str(b)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "topospec: error: spectrum vectors differ in length\n"
 
 
 def test_compare_of_differently_labelled_spectra_warns_and_compares(tmp_path,
@@ -367,6 +382,18 @@ def test_parser_offers_exactly_the_documented_commands(capsys):
         assert capsys.readouterr().out.startswith("usage: topospec")
 
 
+def test_census_and_noise_choices_are_the_library_s():
+    groups = _subcommands(cli.build_parser())
+
+    def choices(group, name, dest):
+        parser = _subcommands(groups[group])[name]
+        return next(a.choices for a in parser._actions if a.dest == dest)
+
+    assert choices("spectrum", "compute", "mode") is MODES
+    assert choices("tomo", "run", "mode") is MODES
+    assert choices("tomo", "run", "noise") is NOISE_MODELS
+
+
 @pytest.mark.parametrize("triple", ["1,2", "1,2,3,4", "1,1,2,3"])
 def test_invariant_eval_needs_three_distinct_indices(tmp_path, capsys, triple):
     state = _make_state(tmp_path)
@@ -413,6 +440,51 @@ def test_tomo_run_round_trip(tmp_path, capsys):
     trace = meta["chi2_trace"]
     assert all(b <= a for a, b in zip(trace, trace[1:]))
     assert trace[-1] == meta["chi2"]
+
+
+def _tomo_run(state, out, *flags):
+    """Exit code, density meta and metrics of a `tomo run` on one worker."""
+    code = main(["tomo", "run", str(state), *flags, "--workers", "1",
+                 "--out-dir", str(out)])
+    return (code, json.loads((out / "density.json").read_text())["meta"],
+            json.loads((out / "metrics.json").read_text()))
+
+
+def test_tomo_run_auto_epsilon_of_clean_poisson_counts_is_zero(tmp_path):
+    # a clean state leaves the off-diagonal basis settings dark; the
+    # unthresholded fit's spectrum may leave maps unconverged (exit 2)
+    state = _make_state(tmp_path)
+    _, meta, scores = _tomo_run(state, tmp_path / "tomo", "--noise",
+                                "poisson", "--seed", "7", "--epsilon", "auto")
+    assert meta["epsilon"] == scores["epsilon"] == 0.0
+
+
+def test_tomo_run_auto_epsilon_reads_the_written_crosstalk(tmp_path):
+    state = _make_state(tmp_path)
+    out = tmp_path / "tomo"
+    code, meta, scores = _tomo_run(state, out, "--noise", "crosstalk",
+                                   "--seed", "7", "--epsilon", "auto")
+    assert code == EXIT_OK
+    eps = epsilon_from_crosstalk(read_coincidences_csv(out / "coincidences.csv"),
+                                 projection_set(3, (-1, 0, 1)))
+    assert eps > 0.0
+    assert meta["epsilon"] == scores["epsilon"] == eps
+
+
+def test_tomo_run_perturb_counts_replay_from_the_library(tmp_path):
+    path = _make_state(tmp_path)
+    counts = {}
+    for flags in ((), ("--perturb",)):
+        out = tmp_path / f"tomo{len(flags)}"
+        _tomo_run(path, out, "--noise", "poisson", "--seed", "5", *flags)
+        counts[flags] = (out / "coincidences.csv").read_text()
+    rng = np.random.default_rng(5)
+    state = inject_subspace(load_state(path), sample_perturbation(3, rng))
+    C = simulate_coincidences(state, projection_set(3, state.l),
+                              total_counts=1e4, noise="poisson", rng=rng)
+    write_coincidences_csv(C, tmp_path / "replay.csv")
+    assert counts[("--perturb",)] == (tmp_path / "replay.csv").read_text()
+    assert counts[()] != counts[("--perturb",)]
 
 
 @pytest.mark.parametrize("counts", ["nan", "inf", "-1", "0"])

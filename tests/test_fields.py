@@ -354,6 +354,13 @@ def test_slot_zero_is_only_a_starred_qutrit_map(d, indices):
         triple_field(state, TripleSpec(indices, canonical=label))
 
 
+def test_a_canonical_spec_on_a_d4_state_is_rejected():
+    state = make_state((-2, -1, 1, 0), np.ones(4))
+    with pytest.raises(ValueError,
+                       match="^canonical labels are defined for d = 3$"):
+        triple_field(state, TripleSpec((1, 2, 3), canonical="123"))
+
+
 def _direct_canonical_field(source, label):
     """A canonical map built without map_layout's slot 0: a plain label from
     its index triple, a starred one from its pair's two generators and the

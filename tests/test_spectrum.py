@@ -59,6 +59,11 @@ def test_independent_counts():
     assert independent_count(4) == 42
 
 
+def test_independent_count_needs_two_modes():
+    with pytest.raises(ValueError, match="^need d >= 2$"):
+        independent_count(1)
+
+
 def test_normalize_mode():
     assert normalize_mode(None, 3) == "canonical18"
     assert normalize_mode(None, 5) == "full"

@@ -8,10 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from topospec.fields import TripleSpec
+from topospec.invariants import (accidental_predict, singularity_class_label,
+                                 wrapping_analytic_d3, wrapping_analytic_triple,
+                                 wrapping_analytic_usual)
 from topospec.states import (QuditState, SubspacePerturbation, inject_subspace,
                              load_state, make_state, radial_profile,
                              sample_perturbation, save_state, state_from_json,
                              state_to_json)
+from topospec.tomography import projection_set, spectrum_from_density
 
 st_l = st.lists(st.integers(-6, 6), min_size=2, max_size=5, unique=True)
 st_amp = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
@@ -79,6 +84,60 @@ def test_a_perturbation_whose_norm_overflows_is_rejected(tmp_path):
 
 def test_make_state_accepts_whole_float_charges():
     assert make_state((-1.0, 0.0, 2.0), np.ones(3)).l == (-1, 0, 2)
+
+
+# Every entry point that converts mode charges, given 1.7 as a charge.
+NOT_WHOLE_CHARGES = {
+    "make_state": lambda: make_state((-1, 0, 1.7), np.ones(3)),
+    "wrapping_analytic_usual": lambda: wrapping_analytic_usual((-1, 0, 1.7), (0, 2)),
+    "wrapping_analytic_d3": lambda: wrapping_analytic_d3("123", (-1, 0, 1.7)),
+    "wrapping_analytic_triple":
+        lambda: wrapping_analytic_triple((-1, 0, 1.7), (1, 2, 3)),
+    "singularity_class_label":
+        lambda: singularity_class_label("123", (-1, 0, 1.7)),
+    "accidental_predict": lambda: accidental_predict((1, 1.7, 2), (1, 3, 5)),
+    "projection_set": lambda: projection_set(3, (-1, 0, 1.7)),
+    "spectrum_from_density":
+        lambda: spectrum_from_density(np.eye(9) / 9, (-1, 0, 1.7)),
+}
+
+# Every entry point that converts basis indices, given 3.7 as an index.
+NOT_WHOLE_INDICES = {
+    "TripleSpec": lambda: TripleSpec((1, 2, 3.7)),
+    "wrapping_analytic_triple":
+        lambda: wrapping_analytic_triple((-1, 0, 1), (1, 2, 3.7)),
+    "accidental_predict": lambda: accidental_predict((1, 2, 2), (1, 3.7, 5)),
+}
+
+
+@pytest.mark.parametrize("name", NOT_WHOLE_CHARGES)
+def test_every_charge_conversion_rejects_a_charge_that_is_not_whole(name):
+    with pytest.raises(ValueError, match=r"^mode charges must be whole numbers, "
+                                         r"got \[.*1\.7.*\]$"):
+        NOT_WHOLE_CHARGES[name]()
+
+
+@pytest.mark.parametrize("name", NOT_WHOLE_INDICES)
+def test_every_index_conversion_rejects_an_index_that_is_not_whole(name):
+    with pytest.raises(ValueError, match=r"^basis indices must be whole numbers, "
+                                         r"got \[.*3\.7.*\]$"):
+        NOT_WHOLE_INDICES[name]()
+
+
+def test_whole_float_charges_and_indices_are_read_as_ints():
+    spec = TripleSpec((3.0, 1.0, 2.0))
+    assert spec.indices == (1, 2, 3) and spec.label == "1-2-3"
+    assert all(type(i) is int for i in spec.indices)
+    assert (wrapping_analytic_usual((-1.0, 0.0, 2.0), (0, 2))
+            == wrapping_analytic_usual((-1, 0, 2), (0, 2)))
+    pset = projection_set(3, (-1.0, 0.0, 1.0))
+    assert pset.subspace_l == (-1, 0, 1) and pset.labels[0] == "b-1"
+
+
+def test_projection_set_counts_its_charges_by_the_charge_rule():
+    with pytest.raises(ValueError,
+                       match=r"^need 3 mode charges for d = 3, got 2$"):
+        projection_set(3, (-1, 0))
 
 
 def test_fields_single_mode():

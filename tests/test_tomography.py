@@ -12,8 +12,9 @@ from topospec.states import inject_subspace, make_state, sample_perturbation
 from topospec.tomography import (GRAD_TOL, BiphotonDensity,
                                  CoincidenceMatrix, _chi_square,
                                  _chi_square_gradient, _factored_inversion,
-                                 _joint_amplitudes, _sqrtm_psd, concurrence,
-                                 density_from_json, density_to_json,
+                                 _joint_amplitudes, _sqrtm_psd, check_epsilon,
+                                 concurrence, density_from_json,
+                                 density_to_json,
                                  epsilon_from_crosstalk, fidelity,
                                  load_density, metrics, projection_count,
                                  projection_set, purity,
@@ -189,6 +190,11 @@ def test_coincidence_matrix_validation():
         CoincidenceMatrix(np.ones((3, 3)), labels)
 
 
+def test_coincidence_matrix_rejects_non_square_counts():
+    with pytest.raises(ValueError, match="^counts must be a square matrix$"):
+        CoincidenceMatrix(np.ones((2, 3)), ("a", "b"))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_coincidence_matrix_rejects_a_non_finite_count(bad):
     counts = np.ones((2, 2))
@@ -223,6 +229,48 @@ def test_density_route_equals_pure_route():
     a = simulate_coincidences(state, pset, noise=None)
     b = simulate_coincidences(BiphotonDensity(rho), pset, noise=None)
     assert_allclose(b.counts, a.counts, atol=1e-8)
+
+
+def test_a_raw_density_array_simulates_like_its_biphoton_density():
+    pure = _pure_density(make_state((-1, 0, 1), [1, 2, 3]))
+    rho = 0.9 * pure + 0.1 * np.eye(9) / 9
+    pset = projection_set(3, (-1, 0, 1))
+    raw = simulate_coincidences(rho, pset)
+    wrapped = simulate_coincidences(BiphotonDensity(rho), pset)
+    assert np.array_equal(raw.counts, wrapped.counts)
+    with pytest.raises(ValueError,
+                       match="^density matrix size does not match the census$"):
+        simulate_coincidences(np.eye(4) / 4, pset)
+
+
+def test_check_epsilon_rejects_none():
+    with pytest.raises(ValueError, match="^epsilon must be finite and "
+                                         "nonnegative, got None$"):
+        check_epsilon(None)
+
+
+def test_a_dark_basis_diagonal_gives_a_zero_epsilon():
+    pset = projection_set(2, (0, 1))
+    counts = np.ones((pset.K, pset.K))
+    counts[0, 0] = counts[1, 1] = 0.0
+    C = CoincidenceMatrix(counts, pset.labels)
+    assert epsilon_from_crosstalk(C, pset) == 0.0
+
+
+def test_reconstruct_rejects_all_zero_counts():
+    pset = projection_set(2, (0, 1))
+    C = CoincidenceMatrix(np.zeros((pset.K, pset.K)), pset.labels)
+    with pytest.raises(ValueError, match="^coincidence matrix is all zero$"):
+        reconstruct(C, pset)
+
+
+def test_a_threshold_above_every_entry_collapses_the_projection():
+    state = make_state((0, 1), [1, 1])
+    pset = projection_set(2, state.l)
+    C = simulate_coincidences(state, pset)
+    with pytest.raises(ValueError,
+                       match="^density projection collapsed to zero$"):
+        reconstruct(C, pset, epsilon=1.0)
 
 
 def test_chi_square_gradient_matches_finite_differences():
@@ -380,6 +428,13 @@ def test_biphoton_density_validation():
     BiphotonDensity(np.eye(4) / 4)                # a valid density
 
 
+def test_biphoton_density_rejects_a_non_square_or_non_psd_matrix():
+    with pytest.raises(ValueError, match="^rho must be square$"):
+        BiphotonDensity(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^rho must be positive semidefinite$"):
+        BiphotonDensity(np.diag([1.5, -0.5]))
+
+
 def test_fidelity_purity_concurrence_properties():
     rng = np.random.default_rng(6)
     a = np.diag(rng.uniform(0.1, 1.0, size=4))
@@ -427,6 +482,11 @@ def test_metrics_reports_concurrence_only_for_qubit_pairs():
     assert metrics(rho3, rho3).concurrence is None
 
 
+def test_metrics_rejects_densities_of_different_sizes():
+    with pytest.raises(ValueError, match="^density matrices differ in size$"):
+        metrics(np.eye(4) / 4, np.eye(9) / 9)
+
+
 def test_spectrum_from_density_matches_state_route():
     state = make_state((-1, 0, 1), np.ones(3))
     rho = _pure_density(state)
@@ -454,6 +514,14 @@ def test_coincidence_csv_round_trip(tmp_path):
     back = read_coincidences_csv(path)
     assert back.labels == C.labels
     assert_allclose(back.counts, C.counts, rtol=1e-9)
+
+
+@pytest.mark.parametrize("text", ["", "setting,b0,b1\n"])
+def test_a_coincidence_file_without_rows_is_rejected(tmp_path, text):
+    path = tmp_path / "counts.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="empty coincidence file$"):
+        read_coincidences_csv(path)
 
 
 def test_density_json_round_trip(tmp_path):
