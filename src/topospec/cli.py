@@ -76,20 +76,18 @@ def _add_census_flags(p: argparse.ArgumentParser) -> None:
                         "TOPOSPEC_THREADS)")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_complex_list(text: str) -> list[complex]:
-    return [complex(tok.replace(" ", "")) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, kind) -> list:
+    """The comma-separated numbers of text as kind; the library applies its
+    own rules to them (whole-number charges and indices)."""
+    return [kind(tok.replace(" ", "")) for tok in text.split(",") if tok.strip()]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_state_make(args) -> int:
-    l = _parse_int_list(args.l)
-    c = _parse_complex_list(args.c)
+    l = _parse_list(args.l, float)
+    c = _parse_list(args.c, complex)
     state = make_state(l, c)
     pert = None
     if args.perturb:
@@ -148,7 +146,7 @@ def _cmd_spectrum_compare(args) -> int:
 def _cmd_invariant_eval(args) -> int:
     state = load_state(args.state)
     if "," in args.triple:
-        spec = TripleSpec(tuple(_parse_int_list(args.triple)))
+        spec = TripleSpec(tuple(_parse_list(args.triple, float)))
     else:
         spec = _LABEL_SPECS[canonical_label(args.triple)]
     e = evaluate_map(state, spec, GridSpec(args.grid_nr, args.grid_nphi),

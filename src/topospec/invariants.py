@@ -274,7 +274,7 @@ def wrapping_analytic_triple(l, indices: tuple[int, int, int],
     idx = tuple(sorted(_whole(indices, "basis indices")))
     _, pair, _, third = map_layout(d, idx)
     if pair is None:
-        v = accidental_predict(l, idx, d)
+        v = _accidental(l, idx, d)
         return None if v is None else AnalyticWrap(v, v, "accidental")
     return _closed_form(l, pair, third)
 
@@ -284,7 +284,7 @@ CANONICAL_LABELS = ["123", "45*", "67*",
                     "451", "452", "453", "456", "457",
                     "671", "672", "673", "674", "675"]
 
-_ALIASES = {"45s": "45*", "67s": "67*", "458": "45*", "678": "67*"}
+_ALIASES = {"45s": "45*", "67s": "67*"}
 
 
 # The TripleSpec of every canonical label: a plain label is the index
@@ -365,6 +365,12 @@ def accidental_predict(l, indices: tuple[int, int, int], d: int | None = None) -
     l, d = _charges(l, d)
     order = sorted(_whole(indices, "basis indices"))
     _check_range(d, order)
+    return _accidental(l, order, d)
+
+
+def _accidental(l: tuple[int, ...], order, d: int) -> float | None:
+    """accidental_predict on checked input: whole-number charges l, d of
+    them, and a sorted triple of basis indices of d."""
     basis = build_basis(d)
     els = [basis[i - 1] for i in order]
     kinds = {e.kind: e for e in els}

@@ -132,8 +132,7 @@ def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4
         if G.shape != (pset.d, pset.d):
             raise ValueError("state size does not match the census")
     else:
-        rho = source.rho if isinstance(source, BiphotonDensity) \
-            else np.asarray(source, dtype=complex)
+        rho = np.asarray(source, dtype=complex)
         if rho.shape != (pset.d ** 2, pset.d ** 2):
             raise ValueError("density matrix size does not match the census")
         G = _sqrtm_psd(rho)
@@ -202,6 +201,10 @@ class BiphotonDensity:
         if float(np.linalg.eigvalsh(rho).min()) < -1e-8:
             raise ValueError("rho must be positive semidefinite")
         object.__setattr__(self, "rho", rho)
+
+    def __array__(self, dtype=None, copy=None):
+        """rho itself, so np.asarray reads a density as its matrix."""
+        return np.array(self.rho, dtype=dtype, copy=copy)
 
 
 def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,8 +429,7 @@ def metrics(rho_t, rho_m) -> Metrics:
     Purity and concurrence describe the measured matrix; concurrence only
     exists for the two-mode biphoton (4 x 4) case and is None otherwise.
     """
-    rho_t = rho_t.rho if isinstance(rho_t, BiphotonDensity) else np.asarray(rho_t)
-    rho_m = rho_m.rho if isinstance(rho_m, BiphotonDensity) else np.asarray(rho_m)
+    rho_t, rho_m = np.asarray(rho_t), np.asarray(rho_m)
     if rho_t.shape != rho_m.shape:
         raise ValueError("density matrices differ in size")
     conc = concurrence(rho_m) if rho_m.shape == (4, 4) else None
@@ -466,7 +468,7 @@ def spectrum_from_density(rho, l, mode: str | None = None,
     The spatial profiles follow the first photon's whole-number mode
     charges l; rho must be d^2 x d^2 for d = len(l), its Hermitian part used.
     """
-    rho = rho.rho if isinstance(rho, BiphotonDensity) else np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
     l, d = _charges(l)
     if rho.shape != (d * d, d * d):
         raise ValueError("density matrix size does not match l")
@@ -497,8 +499,8 @@ def read_coincidences_csv(path) -> CoincidenceMatrix:
 
 
 def density_to_json(rho: BiphotonDensity | np.ndarray, meta: dict | None = None) -> dict:
-    m = rho.rho if isinstance(rho, BiphotonDensity) else np.asarray(rho)
-    return {"rho": [[[float(z.real), float(z.imag)] for z in row] for row in m],
+    return {"rho": [[[float(z.real), float(z.imag)] for z in row]
+                    for row in np.asarray(rho)],
             "meta": dict(meta or {})}
 
 

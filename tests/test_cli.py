@@ -68,6 +68,21 @@ def test_state_make_with_an_overflowing_norm_writes_no_file(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_state_make_reads_whole_number_charges_as_the_library_does(tmp_path):
+    ints = _make_state(tmp_path, name="ints.json")
+    floats = _make_state(tmp_path, l="-1,0,1.0", name="floats.json")
+    assert floats.read_bytes() == ints.read_bytes()
+
+
+def test_state_make_names_the_whole_number_rule_and_writes_no_file(tmp_path,
+                                                                   capsys):
+    path = tmp_path / "half.json"
+    assert main(["state", "make", "--l", "-1,0,1.5", "--c", "1,1,1",
+                 "--out", str(path)]) == EXIT_INPUT
+    assert "mode charges must be whole numbers" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_spectrum_compute_artifacts(tmp_path, capsys):
     state = _make_state(tmp_path)
     csv_path = tmp_path / "spectrum.csv"
@@ -194,6 +209,27 @@ def test_invariant_eval_indices(tmp_path, capsys):
                  "--grid-nr", "256", "--grid-nphi", "64"])
     assert code == EXIT_OK
     assert "singular=True" in capsys.readouterr().out
+
+
+def test_invariant_eval_reads_whole_number_indices_as_the_library_does(
+        tmp_path, capsys):
+    state = _make_state(tmp_path)
+    values = []
+    for triple in ("1,2,4", "1,2,4.0"):
+        capsys.readouterr()
+        assert main(["invariant", "eval", str(state), triple,
+                     "--grid-nr", "256", "--grid-nphi", "64"]) == EXIT_OK
+        label, line = capsys.readouterr().out.split(": ", 1)
+        assert label == triple
+        values.append(line)
+    assert values[0] == values[1]
+
+
+def test_invariant_eval_names_the_whole_number_rule(tmp_path, capsys):
+    state = _make_state(tmp_path)
+    capsys.readouterr()
+    assert main(["invariant", "eval", str(state), "1,2,3.7"]) == EXIT_INPUT
+    assert "basis indices must be whole numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("triple, mode, label", [("453", "canonical18", "453"),

@@ -53,9 +53,12 @@ def test_frozen_canonical_values():
 
 def test_canonical_label_aliases():
     assert canonical_label("45s") == "45*"
-    assert canonical_label("678") == "67*"
-    with pytest.raises(ValueError):
-        canonical_label("999")
+    assert canonical_label("67s") == "67*"
+    # a plain label spells its index triple: 4-5-8 and 6-7-8 are not the
+    # starred maps, so 458 and 678 name no canonical map
+    for label in ("458", "678", "999"):
+        with pytest.raises(ValueError, match="unknown canonical label"):
+            canonical_label(label)
 
 
 def test_glue_doubles_disks_only():

@@ -259,6 +259,27 @@ def test_census_builds_each_component_table_once(monkeypatch):
     assert len({key[0] for key in tables}) == 15
 
 
+def test_census_checks_each_closed_form_input_once(monkeypatch):
+    # the closed form of every map of a serial clean d = 4 census, and
+    # none of its 377 maps without a nice pair re-enters the public
+    # predictor, whose checks wrapping_analytic_triple has already made
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectrum, "wrapping_analytic_triple",
+                        counting("triple", spectrum.wrapping_analytic_triple))
+    monkeypatch.setattr(invariants, "accidental_predict",
+                        counting("accidental", invariants.accidental_predict))
+    compute_spectrum(make_state((-2, -1, 1, 0), np.ones(4)), "full",
+                     grid=GridSpec(n_r=64, n_phi=32), workers=1)
+    assert calls == {"triple": 455}
+
+
 class _InProcessPool:
     """Stands in for the process pool: runs each task at once, in order,
     and records every chunk's labels and the term fields it builds."""

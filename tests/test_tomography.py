@@ -482,6 +482,18 @@ def test_metrics_reports_concurrence_only_for_qubit_pairs():
     assert metrics(rho3, rho3).concurrence is None
 
 
+def test_metrics_take_the_fit_s_density_as_its_matrix():
+    state = _haar_state(2, np.random.default_rng(0))
+    pset = projection_set(2, state.l)
+    fit = reconstruct(simulate_coincidences(state, pset), pset).rho
+    target = _pure_density(state)
+    assert fidelity(target, fit) == fidelity(target, fit.rho)
+    assert fidelity(fit, target) == fidelity(fit.rho, target)
+    assert purity(fit) == purity(fit.rho)
+    assert concurrence(fit) == concurrence(fit.rho)
+    assert metrics(target, fit) == metrics(target, fit.rho)
+
+
 def test_metrics_rejects_densities_of_different_sizes():
     with pytest.raises(ValueError, match="^density matrices differ in size$"):
         metrics(np.eye(4) / 4, np.eye(9) / 9)
