@@ -204,7 +204,8 @@ class BiphotonDensity:
 
     def __array__(self, dtype=None, copy=None):
         """rho itself, so np.asarray reads a density as its matrix."""
-        return np.array(self.rho, dtype=dtype, copy=copy)
+        rho = np.asarray(self.rho, dtype=dtype)
+        return rho.copy() if copy else rho
 
 
 def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

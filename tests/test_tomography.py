@@ -494,6 +494,20 @@ def test_metrics_take_the_fit_s_density_as_its_matrix():
     assert metrics(target, fit) == metrics(target, fit.rho)
 
 
+def test_a_density_gives_its_matrix_as_numpy_1_and_2_ask_for_it():
+    rho = BiphotonDensity(np.eye(4) / 4)
+    # numpy 1.x passes no copy argument, numpy 2 passes copy=None/True/False
+    assert rho.__array__() is rho.rho
+    assert rho.__array__(None, None) is rho.rho
+    assert rho.__array__(None, False) is rho.rho
+    assert_allclose(rho.__array__(np.complex64), np.eye(4) / 4)
+    assert rho.__array__(np.complex64).dtype == np.complex64
+    copied = rho.__array__(None, True)
+    assert copied is not rho.rho
+    assert_allclose(copied, rho.rho)
+    assert np.asarray(rho) is rho.rho
+
+
 def test_metrics_rejects_densities_of_different_sizes():
     with pytest.raises(ValueError, match="^density matrices differ in size$"):
         metrics(np.eye(4) / 4, np.eye(9) / 9)
