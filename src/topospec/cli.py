@@ -9,7 +9,6 @@ reconstruction fails to converge or a dependency check is violated.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import asdict
@@ -24,8 +23,8 @@ from .spectrum import (MODES, compute_spectrum, default_workers,
                        dependency_scan, evaluate_map, normalize_mode,
                        read_spectrum_values, similarity, svg_bar_chart,
                        write_spectrum_csv, write_spectrum_json)
-from .states import (load_state, make_state, sample_perturbation, save_state,
-                     inject_subspace)
+from .states import (_write_json, inject_subspace, load_state, make_state,
+                     sample_perturbation, save_state)
 from .tomography import (NOISE_MODELS, check_epsilon, epsilon_from_crosstalk,
                          metrics, projection_set, reconstruct, save_density,
                          simulate_coincidences, spectrum_from_density,
@@ -136,10 +135,7 @@ def _cmd_spectrum_compare(args) -> int:
               file=sys.stderr)
     print(f"residual={scores.residual:.6f} cosine={scores.cosine:.6f}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"residual": scores.residual, "cosine": scores.cosine,
-                       "n": len(values_a)}, fh, indent=1)
-            fh.write("\n")
+        _write_json(args.json, {**asdict(scores), "n": len(values_a)})
     return EXIT_OK
 
 
@@ -193,6 +189,9 @@ def _cmd_tomo_run(args) -> int:
 
     if eps is None:
         eps = epsilon_from_crosstalk(C, pset)
+        if eps == 0.0:
+            print("warning: --epsilon auto read 0 from the dark basis "
+                  "settings, so the fit is not thresholded", file=sys.stderr)
     res = reconstruct(C, pset, epsilon=eps)
     psi = state.amps.reshape(-1)
     rho_t = np.outer(psi, psi.conj())
@@ -202,11 +201,8 @@ def _cmd_tomo_run(args) -> int:
                   "epsilon": eps, "chi2": res.chi2, "n_iter": res.n_iter,
                   "converged": res.converged, "stop": res.stop,
                   "chi2_trace": list(res.chi2_trace)})
-    with open(out / "metrics.json", "w") as fh:
-        json.dump({"fidelity": score.fidelity, "purity": score.purity,
-                   "concurrence": score.concurrence, "chi2": res.chi2,
-                   "epsilon": eps, "seed": args.seed}, fh, indent=1)
-        fh.write("\n")
+    _write_json(out / "metrics.json", {**asdict(score), "chi2": res.chi2,
+                                       "epsilon": eps, "seed": args.seed})
 
     spec = spectrum_from_density(res.rho, state.l, mode=mode, grid=grid,
                                  workers=workers)

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import csv
 import html
-import json
 import math
 import os
 import threading
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations, permutations, repeat
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from .fields import GridSpec, SharedSource, TripleSpec, triple_field
 from .invariants import (_LABEL_SPECS, CANONICAL_LABELS, _closed_forms,
                          _label_map, wrapping_analytic_triple,
                          wrapping_numeric)
-from .states import QuditState
+from .states import QuditState, _write_json
 
 TRIVIAL_THRESHOLD = 0.1
 MODES = ("full", "canonical18")     # the census modes normalize_mode accepts
@@ -202,10 +200,10 @@ def _shared_pool(workers: int):
     if _pool is not None and _pool[1:3] == (workers, os.getpid()):
         return _pool[0]
     _close_pool()
-    # imported on first use: at module level it adds about 14 ms to
-    # `import topospec`, which one-shot commands and serial callers pay
+    # imported on first use, so that one-shot commands and serial callers
+    # do not pay for them in `import topospec`
     from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing.util import Finalize
+    from multiprocessing import get_context, util
     executor = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                    initializer=_exit_with_parent,
                                    initargs=(os.getpid(),))
@@ -213,8 +211,8 @@ def _shared_pool(workers: int):
     # but a multiprocessing child first joins its children and closes its
     # queues (at exit priority 10), so it would wait on idle workers
     # forever.  This finalizer runs before both and stops them.
-    close = Finalize(None, executor.shutdown, kwargs={"cancel_futures": True},
-                     exitpriority=20)
+    close = util.Finalize(None, executor.shutdown,
+                          kwargs={"cancel_futures": True}, exitpriority=20)
     _pool = (executor, workers, os.getpid(), close)
     return executor
 
@@ -442,14 +440,11 @@ def write_spectrum_csv(spectrum: TopologicalSpectrum, path) -> None:
 
 def spectrum_to_dict(spectrum: TopologicalSpectrum, meta: dict | None = None) -> dict:
     """JSON document of a spectrum; each entry holds every SpectrumEntry field."""
-    names = [f.name for f in fields(SpectrumEntry)]
-    entries = []
-    for e in spectrum.entries:
-        entry = {name: getattr(e, name) for name in names}
+    entries = [asdict(e) for e in spectrum.entries]
+    for entry in entries:
         # no doubling leaves an infinite error, which JSON lacks
-        if not math.isfinite(e.quadrature_error):
+        if not math.isfinite(entry["quadrature_error"]):
             entry["quadrature_error"] = None
-        entries.append(entry)
     out = {"d": spectrum.d, "mode": spectrum.mode, "entries": entries,
            "meta": dict(meta or {})}
     out["meta"].setdefault("non_converged", spectrum.non_converged)
@@ -458,9 +453,7 @@ def spectrum_to_dict(spectrum: TopologicalSpectrum, meta: dict | None = None) ->
 
 def write_spectrum_json(spectrum: TopologicalSpectrum, path,
                         meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(spectrum_to_dict(spectrum, meta), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, spectrum_to_dict(spectrum, meta))
 
 
 def read_spectrum_values(path) -> tuple[list[str], np.ndarray]:

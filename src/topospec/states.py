@@ -144,11 +144,7 @@ def state_to_json(state: QuditState, pert: SubspacePerturbation | None = None) -
     """The state document: l, the diagonal c and the perturbation, if any."""
     if pert is None and np.any(state.amps - np.diag(state.c)):
         raise ValueError("state has off-diagonal amplitudes; pass its perturbation")
-    doc = {
-        "d": state.d,
-        "l": list(state.l),
-        "c": [[float(z.real), float(z.imag)] for z in state.c],
-    }
+    doc = {"d": state.d, "l": list(state.l), "c": _pairs(state.c)}
     if pert is not None:
         doc["perturbation"] = [[float(x) for x in row] for row in pert.delta]
     return doc
@@ -159,6 +155,19 @@ def _real(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"expected a real number, got {x!r}")
     return float(x)
+
+
+def _pairs(values) -> list[list[float]]:
+    """Complex values as the [re, im] pairs that every JSON document holds."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _complexes(pairs) -> list[complex]:
+    """[re, im] pairs as complex values; each pair is two JSON real numbers."""
+    try:
+        return [complex(_real(re), _real(im)) for re, im in pairs]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed [re, im] pairs: {exc}") from None
 
 
 def state_from_json(doc: dict) -> QuditState:
@@ -176,7 +185,7 @@ def state_from_json(doc: dict) -> QuditState:
         raise ValueError(f"d must be an integer, got {d!r}")
     try:
         l = [_real(x) for x in doc["l"]]
-        c = [complex(_real(re), _real(im)) for re, im in doc["c"]]
+        c = _complexes(doc["c"])
         delta = (np.asarray([[_real(x) for x in row]
                              for row in doc["perturbation"]])
                  if "perturbation" in doc else None)
@@ -200,7 +209,12 @@ def load_state(path) -> QuditState:
 
 
 def save_state(path, state: QuditState, pert: SubspacePerturbation | None = None):
-    doc = state_to_json(state, pert)
+    _write_json(path, state_to_json(state, pert))
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write doc as JSON: indent 1, finite numbers only, a final newline.
+    A document it rejects leaves no file behind."""
+    text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

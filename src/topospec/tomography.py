@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import GridSpec
-from .spectrum import TopologicalSpectrum, compute_spectrum
-from .states import _charges
+from .spectrum import TopologicalSpectrum, _fmt, compute_spectrum
+from .states import _charges, _complexes, _pairs, _write_json
 
 THETAS = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
@@ -486,7 +486,7 @@ def write_coincidences_csv(C: CoincidenceMatrix, path) -> None:
         w = csv.writer(fh)
         w.writerow(["setting", *C.labels])
         for lab, row in zip(C.labels, C.counts):
-            w.writerow([lab, *(format(x, ".12g") for x in row)])
+            w.writerow([lab, *map(_fmt, row)])
 
 
 def read_coincidences_csv(path) -> CoincidenceMatrix:
@@ -500,20 +500,16 @@ def read_coincidences_csv(path) -> CoincidenceMatrix:
 
 
 def density_to_json(rho: BiphotonDensity | np.ndarray, meta: dict | None = None) -> dict:
-    return {"rho": [[[float(z.real), float(z.imag)] for z in row]
-                    for row in np.asarray(rho)],
-            "meta": dict(meta or {})}
+    return {"rho": list(map(_pairs, np.asarray(rho))), "meta": dict(meta or {})}
 
 
 def density_from_json(doc: dict) -> BiphotonDensity:
-    rho = np.array([[complex(re, im) for re, im in row] for row in doc["rho"]])
-    return BiphotonDensity(rho)
+    """Parse the density document; its pairs follow the state document's rule."""
+    return BiphotonDensity(np.array([_complexes(row) for row in doc["rho"]]))
 
 
 def save_density(path, rho, meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(density_to_json(rho, meta), fh)
-        fh.write("\n")
+    _write_json(path, density_to_json(rho, meta))
 
 
 def load_density(path) -> BiphotonDensity:

@@ -486,25 +486,51 @@ def _tomo_run(state, out, *flags):
             json.loads((out / "metrics.json").read_text()))
 
 
-def test_tomo_run_auto_epsilon_of_clean_poisson_counts_is_zero(tmp_path):
+AUTO_ZERO_WARNING = ("warning: --epsilon auto read 0 from the dark basis "
+                     "settings, so the fit is not thresholded")
+
+
+def test_tomo_run_auto_epsilon_of_clean_poisson_counts_is_zero(tmp_path,
+                                                               capsys):
     # a clean state leaves the off-diagonal basis settings dark; the
     # unthresholded fit's spectrum may leave maps unconverged (exit 2)
     state = _make_state(tmp_path)
     _, meta, scores = _tomo_run(state, tmp_path / "tomo", "--noise",
                                 "poisson", "--seed", "7", "--epsilon", "auto")
     assert meta["epsilon"] == scores["epsilon"] == 0.0
+    assert AUTO_ZERO_WARNING in capsys.readouterr().err
 
 
-def test_tomo_run_auto_epsilon_reads_the_written_crosstalk(tmp_path):
+def test_tomo_run_auto_epsilon_reads_the_written_crosstalk(tmp_path, capsys):
     state = _make_state(tmp_path)
     out = tmp_path / "tomo"
     code, meta, scores = _tomo_run(state, out, "--noise", "crosstalk",
                                    "--seed", "7", "--epsilon", "auto")
     assert code == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
     eps = epsilon_from_crosstalk(read_coincidences_csv(out / "coincidences.csv"),
                                  projection_set(3, (-1, 0, 1)))
     assert eps > 0.0
     assert meta["epsilon"] == scores["epsilon"] == eps
+
+
+def test_every_json_artifact_has_the_one_layout(tmp_path):
+    state = _make_state(tmp_path, l="0,1", c="1,1")
+    grid = ["--grid-nr", "256", "--grid-nphi", "64", "--workers", "1"]
+    spec = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "compute", str(state), *grid, "--out", str(spec),
+                 "--json", str(tmp_path / "spectrum.json")]) == EXIT_OK
+    assert main(["spectrum", "compare", str(spec), str(spec),
+                 "--json", str(tmp_path / "scores.json")]) == EXIT_OK
+    assert main(["tomo", "run", str(state), "--seed", "3", *grid,
+                 "--out-dir", str(tmp_path / "tomo")]) == EXIT_OK
+    paths = sorted(tmp_path.rglob("*.json"))
+    assert [p.name for p in paths] == ["scores.json", "spectrum.json",
+                                       "state.json", "density.json",
+                                       "metrics.json"]
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n", path
 
 
 def test_tomo_run_perturb_counts_replay_from_the_library(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from topospec.fields import TripleSpec
 from topospec.invariants import _LABEL_SPECS, QUAD_TOL
-from topospec.spectrum import evaluate_map
+from topospec.spectrum import RELATIONS, evaluate_map
 from topospec.states import inject_subspace, make_state, sample_perturbation
 
 
@@ -43,3 +43,36 @@ def test_unresolved_azimuthal_map_is_flagged_or_whole():
     e = evaluate_map(make_state((-2, -1, 0, 1, 2), np.ones(5)),
                      TripleSpec((1, 7, 10)))
     assert not e.converged or abs(e.glued - 1.0) <= QUAD_TOL
+
+
+# Spectra of ROADMAP item 23's draw (one default_rng(1) over 60 clean, 60
+# unequal and 60 complex d = 3 states) that break a linear relation with
+# every entry flagged converged; c is the drawn state's unit amplitudes.
+RELATION_CASES = {
+    "unequal (0, 2, -3)": (
+        (0, 2, -3),
+        (0.5716276571274885, 0.8118425930045673, 0.11896817133401232),
+        "67* + 451 - 124"),
+    "unequal (2, -3, 4)": (
+        (2, -3, 4),
+        (0.6772793536420201, 0.2010598170059637, 0.7077200202875257),
+        "123 - 456 + 674"),
+    "complex (-4, -1, 2)": (
+        (-4, -1, 2),
+        (-0.637859461203332 - 0.7199191581065147j,
+         -0.24773998035961367 - 0.0834726245189219j,
+         0.02200758074009749 - 0.07761831627851257j),
+        "67* + 451 - 124"),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 3 and 23: the probe "
+                   "classifier reads a nice pair with a diagonal third as a "
+                   "disk, so a linear relation breaks by a whole number")
+@pytest.mark.parametrize("case", RELATION_CASES)
+def test_relation_holds_on_a_diagonal_amplitude_spectrum(case):
+    l, c, relation = RELATION_CASES[case]
+    state = make_state(l, c)
+    residual = sum(k * evaluate_map(state, _LABEL_SPECS[label]).glued
+                   for label, k in dict(RELATIONS)[relation])
+    assert abs(residual) <= 0.05

@@ -560,3 +560,18 @@ def test_density_json_round_trip(tmp_path):
     path = tmp_path / "density.json"
     save_density(path, BiphotonDensity(rho))
     assert_allclose(load_density(path).rho, rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("pair", [[True, 0], ["0.25", 0], [0.25]])
+def test_a_malformed_density_pair_is_rejected_as_in_a_state(pair):
+    doc = density_to_json(np.eye(4) / 4)
+    doc["rho"][1][1] = pair
+    with pytest.raises(ValueError, match=r"malformed \[re, im\] pairs"):
+        density_from_json(doc)
+
+
+def test_a_density_document_holds_finite_numbers_only(tmp_path):
+    path = tmp_path / "density.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_density(path, np.eye(4) / 4, {"chi2": float("nan")})
+    assert not path.exists()
