@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .fields import R_MIN, TAIL_EPS, GridSpec, TripleSpec
 from .invariants import _LABEL_SPECS, QUAD_TOL, canonical_label
-from .spectrum import (MODES, compute_spectrum, default_workers,
-                       dependency_scan, evaluate_map, normalize_mode,
-                       read_spectrum_values, similarity, svg_bar_chart,
+from .spectrum import (MODES, compute_spectrum, dependency_scan,
+                       evaluate_map, normalize_mode, read_spectrum_values,
+                       similarity, svg_bar_chart, worker_count,
                        write_spectrum_csv, write_spectrum_json)
 from .states import (_write_json, inject_subspace, load_state, make_state,
                      sample_perturbation, save_state)
@@ -51,13 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-nr", type=int, default=None,
                    help="radial Simpson panels")
@@ -70,9 +63,9 @@ def _add_census_flags(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     p.add_argument("--mode", choices=MODES, default=None,
                    help="census to evaluate (default: canonical18 for d=3)")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="parallel workers (default: all cores, capped by "
-                        "TOPOSPEC_THREADS)")
+    p.add_argument("--workers", default=None,
+                   help="parallel workers, a positive integer (default: all "
+                        "cores, capped by TOPOSPEC_THREADS)")
 
 
 def _parse_list(text: str, kind) -> list:
@@ -100,7 +93,7 @@ def _cmd_state_make(args) -> int:
 
 def _cmd_spectrum_compute(args) -> int:
     state = load_state(args.state)
-    workers = args.workers or default_workers()
+    workers = worker_count(args.workers, "--workers")
     grid = GridSpec(args.grid_nr, args.grid_nphi)
     spec = compute_spectrum(state, mode=args.mode, grid=grid,
                             workers=workers, photon_swap=args.swap_photons)
@@ -178,7 +171,7 @@ def _cmd_tomo_run(args) -> int:
         state = inject_subspace(state, sample_perturbation(state.d, rng))
     eps = None if args.epsilon == "auto" else check_epsilon(args.epsilon)
     pset = projection_set(state.d, state.l)
-    workers = args.workers or default_workers()
+    workers = worker_count(args.workers, "--workers")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

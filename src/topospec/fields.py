@@ -130,7 +130,7 @@ class GridSpec:
                              "in the per-map default")
         n_phi = self.n_phi
         if n_phi is None:
-            n_phi = 64 * max(1, int(max(l) - min(l)))
+            n_phi = 64 * int(max(1, max(l) - min(l)))
         return GridSpec(int(self.n_r), int(n_phi))
 
     def radial_rule(self, doublings: int = 0):

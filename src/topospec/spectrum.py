@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import html
 import math
+import numbers
 import os
 import threading
 import time
@@ -272,23 +273,27 @@ def _evaluate_pooled(source, specs, options: dict, workers: int) -> list[Spectru
                 return entries
 
 
-def default_workers() -> int:
-    """All cores, capped by a positive integer in TOPOSPEC_THREADS if set.
+def worker_count(workers: int | str | None = None, name: str = "workers") -> int:
+    """The pool size: workers, or all cores capped by TOPOSPEC_THREADS if set.
 
-    Any other value of the variable is a ValueError that names it.
+    The one rule for the argument, the CLI's --workers and the variable:
+    each is a positive integer or the decimal text of one, and anything
+    else is a ValueError that names it.
     """
-    cap = os.cpu_count() or 1
-    env = os.environ.get("TOPOSPEC_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise ValueError(f"TOPOSPEC_THREADS must be a positive integer, "
-                             f"got {env!r}")
-        cap = min(cap, threads)
-    return cap
+    if workers is None:
+        cores = os.cpu_count() or 1
+        cap = os.environ.get("TOPOSPEC_THREADS")
+        return min(cores, worker_count(cap, "TOPOSPEC_THREADS")) if cap else cores
+    whole = (workers.strip().isdecimal() if isinstance(workers, str) else
+             isinstance(workers, numbers.Integral) and not isinstance(workers, bool))
+    if not whole or int(workers) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {workers!r}")
+    return int(workers)
+
+
+def default_workers() -> int:
+    """All cores, capped by TOPOSPEC_THREADS under worker_count's rule."""
+    return worker_count()
 
 
 def compute_spectrum(state: QuditState, mode: str | None = None,
@@ -314,7 +319,7 @@ def compute_spectrum(state: QuditState, mode: str | None = None,
     """
     mode = normalize_mode(mode, state.d)
     specs = enumerate_triples(state.d, mode)
-    workers = default_workers() if workers is None else max(1, int(workers))
+    workers = worker_count(workers)
     options = dict(grid=grid, max_doublings=max_doublings,
                    photon_swap=photon_swap)
     if workers == 1 or len(specs) <= 2:

@@ -137,9 +137,6 @@ def sample_perturbation(d: int, rng: np.random.Generator) -> SubspacePerturbatio
     return SubspacePerturbation(delta)
 
 
-_STATE_KEYS = {"d", "l", "c", "perturbation"}
-
-
 def state_to_json(state: QuditState, pert: SubspacePerturbation | None = None) -> dict:
     """The state document: l, the diagonal c and the perturbation, if any."""
     if pert is None and np.any(state.amps - np.diag(state.c)):
@@ -170,17 +167,23 @@ def _complexes(pairs) -> list[complex]:
         raise ValueError(f"malformed [re, im] pairs: {exc}") from None
 
 
+def _document(doc, kind: str, required: tuple, optional: tuple = ()) -> dict:
+    """doc, if it is a JSON object that holds every required key and no key
+    outside required and optional; kind names the document in the error."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} document must be a JSON object")
+    unknown = set(doc) - {*required, *optional}
+    if unknown:
+        raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"missing {kind} key: {key}")
+    return doc
+
+
 def state_from_json(doc: dict) -> QuditState:
     """Parse the state document, rejecting unknown keys and malformed values."""
-    if not isinstance(doc, dict):
-        raise ValueError("state document must be a JSON object")
-    unknown = set(doc) - _STATE_KEYS
-    if unknown:
-        raise ValueError(f"unknown state keys: {sorted(unknown)}")
-    for key in ("d", "l", "c"):
-        if key not in doc:
-            raise ValueError(f"missing state key: {key}")
-    d = doc["d"]
+    d = _document(doc, "state", ("d", "l", "c"), ("perturbation",))["d"]
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"d must be an integer, got {d!r}")
     try:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import GridSpec
 from .spectrum import TopologicalSpectrum, _fmt, compute_spectrum
-from .states import _charges, _complexes, _pairs, _write_json
+from .states import _charges, _complexes, _document, _pairs, _write_json
 
 THETAS = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
@@ -166,6 +166,12 @@ def check_epsilon(epsilon) -> float:
     return value
 
 
+def _check_settings(C: CoincidenceMatrix, pset: ProjectionSet) -> None:
+    """Refuse counts read by position whose settings are not pset's labels."""
+    if tuple(C.labels) != pset.labels:
+        raise ValueError("settings must follow the projection set's labels")
+
+
 def epsilon_from_crosstalk(C: CoincidenceMatrix, pset: ProjectionSet) -> float:
     """Threshold estimate: worst forbidden basis coincidence, as a fraction.
 
@@ -173,8 +179,7 @@ def epsilon_from_crosstalk(C: CoincidenceMatrix, pset: ProjectionSet) -> float:
     whatever shows up there measures the leak floor; dividing by the basis
     diagonal total puts it on the density-matrix entry scale.
     """
-    if tuple(C.labels) != pset.labels:
-        raise ValueError("settings must follow the projection set's labels")
+    _check_settings(C, pset)
     d = pset.d
     block = C.counts[:d, :d]
     diag_total = float(np.trace(block))
@@ -311,8 +316,7 @@ def reconstruct(C: CoincidenceMatrix, pset: ProjectionSet, epsilon: float = 0.0,
     output untouched.
     """
     epsilon = check_epsilon(epsilon)
-    if tuple(C.labels) != pset.labels:
-        raise ValueError("settings must follow the projection set's labels")
+    _check_settings(C, pset)
     counts = C.counts.reshape(-1).astype(float)
     total = counts.sum()
     if total <= 0:
@@ -463,11 +467,12 @@ class DensityCoeffs:
 
 def spectrum_from_density(rho, l, mode: str | None = None,
                           grid: GridSpec | None = None,
-                          workers: int | None = 1) -> TopologicalSpectrum:
+                          workers: int | None = None) -> TopologicalSpectrum:
     """Topological spectrum carried by a joint density matrix.
 
     The spatial profiles follow the first photon's whole-number mode
     charges l; rho must be d^2 x d^2 for d = len(l), its Hermitian part used.
+    workers takes compute_spectrum's default and rule.
     """
     rho = np.asarray(rho, dtype=complex)
     l, d = _charges(l)
@@ -490,11 +495,15 @@ def write_coincidences_csv(C: CoincidenceMatrix, path) -> None:
 
 
 def read_coincidences_csv(path) -> CoincidenceMatrix:
+    """Counts of a CSV whose header and first column name one settings list."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or len(rows) < 2:
         raise ValueError(f"{path}: empty coincidence file")
     labels = tuple(rows[0][1:])
+    if [row[:1] for row in rows[1:]] != [[lab] for lab in labels]:
+        raise ValueError(f"{path}: the first column must name the header's "
+                         f"settings in the header's order")
     counts = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
     return CoincidenceMatrix(counts, labels, {"source": str(path)})
 
@@ -504,8 +513,12 @@ def density_to_json(rho: BiphotonDensity | np.ndarray, meta: dict | None = None)
 
 
 def density_from_json(doc: dict) -> BiphotonDensity:
-    """Parse the density document; its pairs follow the state document's rule."""
-    return BiphotonDensity(np.array([_complexes(row) for row in doc["rho"]]))
+    """Parse the density document (rho, optional meta), rejecting unknown
+    keys and malformed values; its pairs follow the state document's rule."""
+    rho = _document(doc, "density", ("rho",), ("meta",))["rho"]
+    if not isinstance(rho, list):
+        raise ValueError(f"malformed density document: rho is {rho!r}, not rows")
+    return BiphotonDensity(np.array([_complexes(row) for row in rho]))
 
 
 def save_density(path, rho, meta: dict | None = None) -> None:

@@ -304,6 +304,25 @@ def test_a_bad_thread_cap_is_an_input_error(tmp_path, monkeypatch, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "tomo"])
+@pytest.mark.parametrize("value", ["1.5", "0", "two"])
+def test_a_bad_worker_flag_gets_the_library_rule(tmp_path, capsys, command,
+                                                 value):
+    # --workers is read by the library's worker-count rule, in its words,
+    # before any output is written
+    state = _make_state(tmp_path)
+    out = tmp_path / "out"
+    if command == "spectrum":
+        args = ["spectrum", "compute", str(state), "--out", str(out)]
+    else:
+        args = ["tomo", "run", str(state), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert main([*args, "--workers", value]) == EXIT_INPUT
+    assert (f"topospec: error: --workers must be a positive integer, "
+            f"got '{value}'" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_json_records_the_workers_that_ran(tmp_path):
     state = _make_state(tmp_path)
     json_path = tmp_path / "spectrum.json"

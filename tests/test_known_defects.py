@@ -46,8 +46,9 @@ def test_unresolved_azimuthal_map_is_flagged_or_whole():
 
 
 # Spectra of ROADMAP item 23's draw (one default_rng(1) over 60 clean, 60
-# unequal and 60 complex d = 3 states) that break a linear relation with
-# every entry flagged converged; c is the drawn state's unit amplitudes.
+# unequal and 60 complex d = 3 states) that break a linear relation by a
+# whole number with the relation's three maps flagged converged; c is the
+# drawn state's unit amplitudes.
 RELATION_CASES = {
     "unequal (0, 2, -3)": (
         (0, 2, -3),
@@ -63,6 +64,46 @@ RELATION_CASES = {
          -0.24773998035961367 - 0.0834726245189219j,
          0.02200758074009749 - 0.07761831627851257j),
         "67* + 451 - 124"),
+    "unequal (3, 0, -1)": (
+        (3, 0, -1),
+        (0.8226809131216244, 0.5434855023545319, 0.1667921578366697),
+        "67* + 451 - 124"),
+    "unequal (2, 3, 0)": (
+        (2, 3, 0),
+        (0.697383502516371, 0.21463777422741442, 0.6838032438448214),
+        "123 - 456 + 674"),
+    "unequal (1, -4, 0)": (
+        (1, -4, 0),
+        (0.21863574002398362, 0.553456269367895, 0.8036694414257253),
+        "671 - 45* - 126"),
+    "unequal (-1, 0, 1)": (
+        (-1, 0, 1),
+        (0.33371668747770894, 0.8935198649375763, 0.3004254041535774),
+        "67* + 451 - 124"),
+    "complex (-3, 3, 2)": (
+        (-3, 3, 2),
+        (-0.1401400055218917 - 0.013427862702584701j,
+         -0.043892829865482444 - 0.6380087967663869j,
+         -0.5361682329909659 + 0.5326558851848132j),
+        "671 - 45* - 126"),
+    "complex (-4, 0, 3)": (
+        (-4, 0, 3),
+        (-0.050899188571503315 - 0.24157945279773452j,
+         -0.40341181632583867 - 0.1401850777434617j,
+         -0.5708075719601485 - 0.656379773308423j),
+        "671 - 45* - 126"),
+    "complex (-2, 0, -1)": (
+        (-2, 0, -1),
+        (0.05262226146463326 - 0.22988144320949813j,
+         0.5008523279332959 - 0.3160276478545163j,
+         -0.4642665017258708 - 0.6149109743994069j),
+        "671 - 45* - 126"),
+    "complex (-4, -3, -1)": (
+        (-4, -3, -1),
+        (0.19945754471928498 - 0.13606959638066574j,
+         0.7657709365535963 - 0.3037759615941106j,
+         0.3475087302949017 - 0.37716637317181906j),
+        "123 - 456 + 674"),
 }
 
 

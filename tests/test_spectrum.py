@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import threading
 import time
@@ -392,6 +393,23 @@ def test_default_workers_rejects_a_bad_thread_cap(monkeypatch, value):
 def test_default_workers_caps_the_cores(monkeypatch, value, want):
     monkeypatch.setenv("TOPOSPEC_THREADS", value)
     assert spectrum.default_workers() == (want or os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.7, True, "two"])
+def test_a_worker_count_that_is_not_a_positive_integer_is_refused(workers):
+    # the argument follows the variable's rule: no clamp to 1, no truncation
+    with pytest.raises(ValueError, match=re.escape(
+            f"workers must be a positive integer, got {workers!r}")):
+        compute_spectrum(make_state((-1, 0, 1), np.ones(3)), grid=SMALL_GRID,
+                         workers=workers)
+
+
+@pytest.mark.parametrize("workers, want", [(2, 2), (np.int64(3), 3),
+                                           ("4", 4), (" 5 ", 5)])
+def test_a_worker_count_is_a_positive_integer_or_its_decimal_text(workers,
+                                                                 want):
+    got = spectrum.worker_count(workers)
+    assert got == want and type(got) is int
 
 
 POOL_TIMEOUT = 60       # seconds; every pool test finishes in a few

@@ -1,5 +1,9 @@
 """Coincidence simulation, density reconstruction, metrics, serialization."""
 
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +28,13 @@ from topospec.tomography import (GRAD_TOL, BiphotonDensity,
                                  write_coincidences_csv)
 
 import sources
+
+# the frozen spectra's script, for its mixed density
+_spec = importlib.util.spec_from_file_location(
+    "freeze_spectra",
+    Path(__file__).resolve().parent.parent / "scripts" / "freeze_spectra.py")
+freeze = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(freeze)
 
 st_d = st.integers(2, 4)
 
@@ -525,6 +536,13 @@ def test_spectrum_from_density_matches_state_route():
     assert np.all(np.isnan(sp_rho.values("analytic")))
 
 
+def test_spectrum_from_density_by_default_equals_one_worker():
+    # the default is compute_spectrum's: all cores, capped by TOPOSPEC_THREADS
+    rho = freeze._mixed_density()
+    assert (spectrum_from_density(rho, (-1, 0, 1)).entries ==
+            spectrum_from_density(rho, (-1, 0, 1), workers=1).entries)
+
+
 def test_spectrum_from_density_validates_shape():
     with pytest.raises(ValueError):
         spectrum_from_density(np.eye(4) / 4, (-1, 0, 1))
@@ -550,6 +568,19 @@ def test_a_coincidence_file_without_rows_is_rejected(tmp_path, text):
         read_coincidences_csv(path)
 
 
+def test_a_coincidence_file_whose_rows_are_swapped_is_refused(tmp_path):
+    state = make_state((0, 1), [1, 1])
+    pset = projection_set(2, state.l)
+    path = tmp_path / "counts.csv"
+    write_coincidences_csv(simulate_coincidences(state, pset), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: the first column must name the header's settings")):
+        read_coincidences_csv(path)
+
+
 def test_density_json_round_trip(tmp_path):
     rho = np.eye(4) / 4 + 0.05j * (np.eye(4, k=1) - np.eye(4, k=-1)) / 4
     rho = 0.5 * (rho + rho.conj().T)
@@ -567,6 +598,17 @@ def test_a_malformed_density_pair_is_rejected_as_in_a_state(pair):
     doc = density_to_json(np.eye(4) / 4)
     doc["rho"][1][1] = pair
     with pytest.raises(ValueError, match=r"malformed \[re, im\] pairs"):
+        density_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "density document must be a JSON object"),
+    ({"rho": 5}, "malformed density document: rho is 5, not rows"),
+    ({"meta": {}}, "missing density key: rho"),
+    ({"rho": [[[1, 0]]], "extra": 1}, "unknown density keys: ['extra']"),
+])
+def test_a_malformed_density_document_is_rejected_as_a_state_one(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         density_from_json(doc)
 
 
