@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .fields import R_MIN, TAIL_EPS, GridSpec, TripleSpec
-from .invariants import _LABEL_SPECS, QUAD_TOL, canonical_label
+from .invariants import QUAD_TOL
 from .spectrum import (MODES, compute_spectrum, dependency_scan,
                        evaluate_map, normalize_mode, read_spectrum_values,
                        similarity, svg_bar_chart, worker_count,
@@ -36,15 +36,13 @@ EXIT_NUMERIC = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with the input-error code.
-
-    Also lets charge lists that open with a negative number ("-1,0,1")
-    pass as values instead of being read as option strings.
-    """
+    """Argument parser whose usage errors exit with the input-error code,
+    and which reads a token that opens with a dash and then a digit or a
+    point ("-1,0,1", "-1j,1,1", "-.5,1,1") as a value: no option does."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d[\d,.eE+-]*$")
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -134,11 +132,8 @@ def _cmd_spectrum_compare(args) -> int:
 
 def _cmd_invariant_eval(args) -> int:
     state = load_state(args.state)
-    if "," in args.triple:
-        spec = TripleSpec(tuple(_parse_list(args.triple, float)))
-    else:
-        spec = _LABEL_SPECS[canonical_label(args.triple)]
-    e = evaluate_map(state, spec, GridSpec(args.grid_nr, args.grid_nphi),
+    e = evaluate_map(state, TripleSpec.parse(args.triple),
+                     GridSpec(args.grid_nr, args.grid_nphi),
                      photon_swap=args.swap_photons)
     ana_txt = "n/a" if e.analytic is None else format(e.analytic, ".6g")
     print(f"{args.triple}: class={e.map_class} raw={e.raw:.6f} "
@@ -264,7 +259,7 @@ def build_parser() -> _Parser:
                      _cmd_invariant_eval)
     p_eval.add_argument("state")
     p_eval.add_argument("triple",
-                        help="canonical label (123, 45*, ...) or indices a,b,c")
+                        help="canonical label (123, 45*, ...) or a,b,c or a-b-c")
     _add_grid_flags(p_eval)
     p_eval.add_argument("--swap-photons", action="store_true")
 

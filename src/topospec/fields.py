@@ -102,6 +102,7 @@ class GridSpec:
     per-map one that spectrum.evaluate_map fills in (512 panels for a
     canonical label, 256 for an index triple), n_phi 64 nodes per unit of
     charge spread (resolve).  So GridSpec() is the per-map default grid.
+    A map singular at the origin integrates on 4 n_phi, set or default.
     """
 
     n_r: int | None = None
@@ -294,15 +295,28 @@ class SharedSource:
         return amps is not None and not np.any(amps - np.diag(np.diag(amps)))
 
 
+CANONICAL_LABELS = ["123", "45*", "67*",
+                    "124", "125", "126", "127", "128",
+                    "451", "452", "453", "456", "457",
+                    "671", "672", "673", "674", "675"]
+
+
+def canonical_label(label: str) -> str:
+    label = {"45s": "45*", "67s": "67*"}.get(label, label)   # the aliases
+    if label not in CANONICAL_LABELS:
+        raise ValueError(f"unknown canonical label: {label!r}")
+    return label
+
+
 @dataclass(frozen=True)
 class TripleSpec:
     """Three distinct 1-based whole-number basis indices, kept sorted as
     ints, defining a candidate map.
 
-    canonical tags the triple as one of the named qutrit maps, and only
-    such a triple may hold index slot 0: the starred maps' combined
-    diagonal, which map_layout and triple_field resolve like any index.
-    The label must spell the indices, '*' standing for slot 0.
+    canonical tags the triple as one of the 18 named qutrit maps
+    (CANONICAL_LABELS), and only such a triple may hold index slot 0: the
+    starred maps' combined diagonal, which map_layout and triple_field
+    resolve like any index.  The label must spell the indices ('*' is 0).
     """
 
     indices: tuple[int, int, int]
@@ -314,17 +328,27 @@ class TripleSpec:
             raise ValueError("triple needs three distinct indices")
         if self.canonical is None and min(idx) < 1:
             raise ValueError("basis indices are 1-based")
-        if self.canonical is not None and \
-                sorted(self.canonical.replace("*", "0")) != [str(i) for i in idx]:
+        if self.canonical is not None and (
+                canonical_label(self.canonical) != self.canonical   # an alias
+                or sorted(self.canonical.replace("*", "0")) != [str(i) for i in idx]):
             raise ValueError(f"canonical label {self.canonical!r} does not "
                              f"spell the indices {idx} ('*' is slot 0)")
         object.__setattr__(self, "indices", idx)
 
+    @classmethod
+    def parse(cls, name: str) -> "TripleSpec":
+        """The one reader of map names: indices a,b,c (blanks drop out) or
+        a-b-c, else a canonical label or alias; parse(spec.label) == spec."""
+        if "," in name:
+            return cls(tuple(float(t) for t in name.split(",") if t.strip()))
+        if "-" in name:
+            return cls(tuple(map(float, name.split("-"))))
+        label = canonical_label(name)
+        return cls(tuple(0 if ch == "*" else int(ch) for ch in label), label)
+
     @property
     def label(self) -> str:
-        if self.canonical is not None:
-            return self.canonical
-        return "-".join(str(i) for i in self.indices)
+        return self.canonical or "-".join(map(str, self.indices))
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,11 @@ flag).  The closed forms and the singular flag of a field or of a
 canonical label read it for the pair; the accidental predictor reads it
 for both of its roots and needs a pole at both ends of each.  A nice-pair
 triple takes its pair and third-axis terms from fields.map_layout, and so
-does every canonical qutrit label through its TripleSpec: a plain label is
-the index triple it spells, a starred one index slot 0 beside its pair,
-which map_layout reads as the pair's usual map (third axis the pair's own
-commutator).  _ends sees the charges only as exponent offsets from the
-pair, and a closed form is linear in omega = l_j - l_j', so over a box of
-charge tuples (_closed_forms) it runs once per distinct row of offsets.
+does every canonical qutrit label, through the TripleSpec that
+TripleSpec.parse reads from it (a starred label is its pair's usual map).
+_ends sees the charges only as exponent offsets from the pair, and a
+closed form is linear in omega = l_j - l_j', so over a box of charge
+tuples (_closed_forms) it runs once per distinct row of offsets.
 Disk-like maps (one boundary end mapping to a trace instead of a point)
 are glued, doubling the raw integral.
 """
@@ -52,8 +51,9 @@ from itertools import combinations
 import numpy as np
 
 from .basis import build_basis
-from .fields import (GridSpec, MapClass, TripleSpec, UnitField, _check_range,
-                     classify_map, map_layout, triple_field)
+from .fields import (CANONICAL_LABELS, GridSpec, MapClass, TripleSpec,  # re-exported
+                     UnitField, _check_range, canonical_label, classify_map,
+                     map_layout, triple_field)
 from .states import QuditState, _charges, _whole
 
 QUAD_TOL = 5e-3
@@ -101,8 +101,8 @@ def wrapping_numeric(field: UnitField, grid: GridSpec,
     """Adaptive wrapping integral with trend classification and gluing.
 
     The grid names the starting n_r (spectrum.evaluate_map picks the
-    per-map default); an n_phi left None takes resolve's default, four
-    times over for a map singular by its own terms (singularity_class).
+    per-map default) and n_phi, None taking resolve's default; a map
+    singular by its own terms (singularity_class) runs on 4 n_phi, either way.
     """
     g = grid.resolve(field.l)
     singular = singularity_class(field)
@@ -279,51 +279,23 @@ def wrapping_analytic_triple(l, indices: tuple[int, int, int],
     return _closed_form(l, pair, third)
 
 
-CANONICAL_LABELS = ["123", "45*", "67*",
-                    "124", "125", "126", "127", "128",
-                    "451", "452", "453", "456", "457",
-                    "671", "672", "673", "674", "675"]
-
-_ALIASES = {"45s": "45*", "67s": "67*"}
-
-
-# The TripleSpec of every canonical label: a plain label is the index
-# triple it spells, a starred one index slot 0 beside its pair.
-_LABEL_SPECS = {label: TripleSpec(tuple(0 if ch == "*" else int(ch)
-                                        for ch in label), canonical=label)
-                for label in CANONICAL_LABELS}
-
-
-def canonical_label(label: str) -> str:
-    label = _ALIASES.get(label, label)
-    if label not in CANONICAL_LABELS:
-        raise ValueError(f"unknown canonical label: {label!r}")
-    return label
-
-
 def canonical_field(state: QuditState, label: str) -> UnitField:
-    """UnitField of a canonical qutrit map label (or alias) for the state,
-    built by triple_field from the label's TripleSpec."""
-    return triple_field(state, _LABEL_SPECS[canonical_label(label)])
-
-
-def _label_map(label: str):
-    """Pair modes and third-axis terms of a canonical label or alias."""
-    return map_layout(3, _LABEL_SPECS[canonical_label(label)].indices)[1::2]
+    """UnitField of a canonical qutrit map label (or alias) for the state."""
+    return triple_field(state, TripleSpec.parse(canonical_label(label)))
 
 
 def wrapping_analytic_d3(label: str, l) -> AnalyticWrap:
     """Exact value of one of the 18 canonical qutrit maps, each a nice pair."""
-    return wrapping_analytic_triple(l, _LABEL_SPECS[canonical_label(label)].indices, 3)
+    return wrapping_analytic_triple(
+        l, TripleSpec.parse(canonical_label(label)).indices, 3)
 
 
 def singularity_class_label(label: str, l) -> bool:
-    """Origin-singularity flag of a canonical label at mode indices l.
-
-    The label's layout holds the equal-amplitude term content, so the
-    flag is that of a clean state with equal amplitudes.
-    """
-    return _end_analysis(_charges(l, 3)[0], *_label_map(label))[0]
+    """Origin-singularity flag of a canonical label at mode indices l: that
+    of a clean state with equal amplitudes, whose term content the label's
+    layout holds."""
+    spec = TripleSpec.parse(canonical_label(label))
+    return _end_analysis(_charges(l, 3)[0], *map_layout(3, spec.indices)[1::2])[0]
 
 
 # ---------------------------------------------------------------------------

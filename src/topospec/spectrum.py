@@ -35,9 +35,9 @@ from itertools import combinations, permutations, repeat
 
 import numpy as np
 
-from .fields import GridSpec, SharedSource, TripleSpec, triple_field
-from .invariants import (_LABEL_SPECS, CANONICAL_LABELS, _closed_forms,
-                         _label_map, wrapping_analytic_triple,
+from .fields import (CANONICAL_LABELS, GridSpec, SharedSource, TripleSpec,
+                     map_layout, triple_field)
+from .invariants import (_closed_forms, wrapping_analytic_triple,
                          wrapping_numeric)
 from .states import QuditState, _write_json
 
@@ -90,7 +90,7 @@ def enumerate_triples(d: int, mode: str | None = None) -> list[TripleSpec]:
     mode = normalize_mode(mode, d)
     if mode == "full":
         return [TripleSpec(c) for c in combinations(range(1, d * d), 3)]
-    return [_LABEL_SPECS[lab] for lab in CANONICAL_LABELS]
+    return [TripleSpec.parse(lab) for lab in CANONICAL_LABELS]
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,12 @@ class TopologicalSpectrum:
             out.append(np.nan if v is None else float(v))
         return np.array(out)
 
-    def entry(self, label: str) -> SpectrumEntry:
-        for e in self.entries:
-            if e.triple_label == label:
-                return e
-        raise KeyError(label)
+    def entry(self, name: str) -> SpectrumEntry:
+        try:
+            label = TripleSpec.parse(name).label
+            return next(e for e in self.entries if e.triple_label == label)
+        except (ValueError, StopIteration):
+            raise KeyError(name) from None
 
     @property
     def nontrivial(self) -> list[SpectrumEntry]:
@@ -371,8 +372,8 @@ def dependency_scan(l_range: int) -> DependencyReport:
     if l_range < 3:
         raise ValueError("need l_range >= 3")
     charges = np.array(list(permutations(range(-l_range, l_range + 1), 3)))
-    mat = np.column_stack([_closed_forms(charges, *_label_map(lab))[1]
-                           for lab in CANONICAL_LABELS])
+    mat = np.column_stack([_closed_forms(charges, *map_layout(3, spec.indices)[1::2])[1]
+                           for spec in enumerate_triples(3)])
     col = dict(zip(CANONICAL_LABELS, mat.T))
 
     def check(name: str, residual: np.ndarray) -> RelationCheck:

@@ -504,8 +504,16 @@ def read_coincidences_csv(path) -> CoincidenceMatrix:
     if [row[:1] for row in rows[1:]] != [[lab] for lab in labels]:
         raise ValueError(f"{path}: the first column must name the header's "
                          f"settings in the header's order")
-    counts = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
-    return CoincidenceMatrix(counts, labels, {"source": str(path)})
+    counts = []
+    for lab, row in zip(labels, rows[1:]):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}: row {lab!r} holds {len(row) - 1} counts, "
+                             f"not {len(labels)}")
+        try:
+            counts.append([float(x) for x in row[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lab!r}: {exc}") from None
+    return CoincidenceMatrix(np.array(counts), labels, {"source": str(path)})
 
 
 def density_to_json(rho: BiphotonDensity | np.ndarray, meta: dict | None = None) -> dict:
@@ -518,7 +526,12 @@ def density_from_json(doc: dict) -> BiphotonDensity:
     rho = _document(doc, "density", ("rho",), ("meta",))["rho"]
     if not isinstance(rho, list):
         raise ValueError(f"malformed density document: rho is {rho!r}, not rows")
-    return BiphotonDensity(np.array([_complexes(row) for row in rho]))
+    rows = [_complexes(row) for row in rho]
+    for k, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError(f"malformed density document: rho row {k} holds "
+                             f"{len(row)} pairs, not {len(rows)}")
+    return BiphotonDensity(np.array(rows))
 
 
 def save_density(path, rho, meta: dict | None = None) -> None:

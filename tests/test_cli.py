@@ -15,8 +15,8 @@ from numpy.testing import assert_allclose
 import topospec
 from topospec import cli
 from topospec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from topospec.fields import R_MIN, TAIL_EPS, GridSpec
-from topospec.invariants import _LABEL_SPECS, CANONICAL_LABELS, QUAD_TOL
+from topospec.fields import R_MIN, TAIL_EPS, GridSpec, TripleSpec
+from topospec.invariants import CANONICAL_LABELS, QUAD_TOL
 from topospec.spectrum import (MODES, RelationCheck, compute_spectrum,
                                dependency_scan, evaluate_map,
                                read_spectrum_values)
@@ -72,6 +72,17 @@ def test_state_make_reads_whole_number_charges_as_the_library_does(tmp_path):
     ints = _make_state(tmp_path, name="ints.json")
     floats = _make_state(tmp_path, l="-1,0,1.0", name="floats.json")
     assert floats.read_bytes() == ints.read_bytes()
+
+
+@pytest.mark.parametrize("c", ["-1j,1,1", "-1+2j,1,1", "-.5,1,1"])
+def test_state_make_reads_an_amplitude_list_that_opens_with_a_minus(tmp_path,
+                                                                     c):
+    # such a list was once taken for an option string: "expected one argument"
+    spaced = _make_state(tmp_path, c=c, name="spaced.json")
+    joined = tmp_path / "joined.json"
+    assert main(["state", "make", "--l", "-1,0,1", f"--c={c}",
+                 "--out", str(joined)]) == EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
 
 
 def test_state_make_names_the_whole_number_rule_and_writes_no_file(tmp_path,
@@ -223,6 +234,22 @@ def test_invariant_eval_reads_whole_number_indices_as_the_library_does(
         assert label == triple
         values.append(line)
     assert values[0] == values[1]
+
+
+def test_invariant_eval_reads_the_labels_spectrum_compute_writes(tmp_path,
+                                                                capsys):
+    # spectrum compute --mode full labels the map of indices 1,2,4 "1-2-4"
+    state = _make_state(tmp_path)
+    lines = []
+    for triple in ("1,2,4", "1-2-4"):
+        capsys.readouterr()
+        assert main(["invariant", "eval", str(state), triple,
+                     "--grid-nr", "256", "--grid-nphi", "64"]) == EXIT_OK
+        label, line = capsys.readouterr().out.split(": ", 1)
+        assert label == triple
+        lines.append(line)
+    assert lines[0] == lines[1]
+    assert "class=" in lines[0] and "err=" in lines[0]
 
 
 def test_invariant_eval_names_the_whole_number_rule(tmp_path, capsys):
@@ -673,7 +700,7 @@ def test_json_records_the_grid_and_version(tmp_path, flags, grid):
 def test_a_grid_without_n_r_keeps_the_per_map_radial_default(tmp_path, capsys):
     # GridSpec(n_phi=...) and --grid-nphi both start map 123 on 512 panels
     state = _make_state(tmp_path)
-    qutrit, spec = load_state(state), _LABEL_SPECS["123"]
+    qutrit, spec = load_state(state), TripleSpec.parse("123")
     grid = GridSpec(n_phi=128)
     e = evaluate_map(qutrit, spec, grid)
     assert e.n_r_used == evaluate_map(qutrit, spec).n_r_used == 1024

@@ -1,6 +1,7 @@
 """Component-field evaluation, unit maps, and boundary classification tests."""
 
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -333,6 +334,42 @@ def test_triple_spec_validation():
     assert TripleSpec((1, 2, 3)).label == "1-2-3"
 
 
+def test_a_spec_refuses_a_canonical_label_outside_the_18():
+    # a made-up label that spells its indices once passed, and failed only
+    # later, in map_layout, on index slot 0
+    with pytest.raises(ValueError, match=re.escape("unknown canonical label: '12*'")):
+        TripleSpec((0, 1, 2), canonical="12*")
+    with pytest.raises(ValueError, match="does not spell the indices"):
+        TripleSpec((0, 4, 5), canonical="45s")   # an alias is not a label
+
+
+def test_parse_reads_back_every_label_the_tool_writes():
+    for spec in enumerate_triples(3) + enumerate_triples(3, "full") + \
+            enumerate_triples(4):
+        assert TripleSpec.parse(spec.label) == spec
+    assert TripleSpec.parse("1,2,4") == TripleSpec.parse("1,2,4.0") == \
+        TripleSpec.parse("1-2-4") == TripleSpec((1, 2, 4))
+    assert TripleSpec.parse("45s") == TripleSpec.parse("45*") == \
+        TripleSpec((0, 4, 5), canonical="45*")
+    # an index triple and a canonical label of the same indices differ
+    assert TripleSpec.parse("124") != TripleSpec.parse("1-2-4")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("999", "unknown canonical label: '999'"),
+    ("458", "unknown canonical label: '458'"),
+    ("1,2", "three distinct indices"),
+    ("1-2", "three distinct indices"),
+    ("0-1-2", "1-based"),
+    ("-1,2,3", "1-based"),
+    ("1,2,3.5", "whole numbers"),
+    ("x,2,3", "could not convert"),
+])
+def test_parse_refuses_a_name_of_no_map(name, message):
+    with pytest.raises(ValueError, match=message):
+        TripleSpec.parse(name)
+
+
 def test_starred_maps_are_slot_zero_layouts():
     # the pair's usual map: third axis +1 on the pair's first mode, -1 on its
     # second, no orientation gauge
@@ -350,6 +387,9 @@ def test_slot_zero_is_only_a_starred_qutrit_map(d, indices):
         map_layout(d, indices)
     state = make_state(range(d), np.ones(d))
     label = f"{indices[1]}{indices[2]}*"   # a label that spells the indices
+    if label not in CANONICAL_LABELS:
+        # a made-up label is refused before any map is built
+        message = f"unknown canonical label: '{re.escape(label)}'"
     with pytest.raises(ValueError, match=message):
         triple_field(state, TripleSpec(indices, canonical=label))
 

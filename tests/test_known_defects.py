@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from topospec.fields import TripleSpec
-from topospec.invariants import _LABEL_SPECS, QUAD_TOL
+from topospec.invariants import QUAD_TOL
 from topospec.spectrum import RELATIONS, evaluate_map
 from topospec.states import inject_subspace, make_state, sample_perturbation
 
@@ -20,20 +20,20 @@ from topospec.states import inject_subspace, make_state, sample_perturbation
 def test_perturbed_fold_is_not_reported_converged():
     state = inject_subspace(make_state((-3, 1, 4), np.ones(3)),
                             sample_perturbation(3, np.random.default_rng(0)))
-    assert not evaluate_map(state, _LABEL_SPECS["457"]).converged
+    assert not evaluate_map(state, TripleSpec.parse("457")).converged
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the closed forms' "
                    "tie latitude assumes equal amplitudes")
 def test_skewed_closed_form_agrees_with_the_quadrature_or_is_absent():
-    e = evaluate_map(make_state((-3, 0, 3), (1, 2, 3)), _LABEL_SPECS["453"])
+    e = evaluate_map(make_state((-3, 0, 3), (1, 2, 3)), TripleSpec.parse("453"))
     assert e.analytic is None or abs(e.analytic - e.glued) <= QUAD_TOL
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the probe classifier "
                    "calls a sphere a disk and glues it")
 def test_skewed_673_is_a_sphere_at_minus_one():
-    e = evaluate_map(make_state((-1, 0, 1), (1, 2, 3)), _LABEL_SPECS["673"])
+    e = evaluate_map(make_state((-1, 0, 1), (1, 2, 3)), TripleSpec.parse("673"))
     assert e.map_class == "sphere" and abs(e.glued + 1.0) <= QUAD_TOL
 
 
@@ -114,6 +114,6 @@ RELATION_CASES = {
 def test_relation_holds_on_a_diagonal_amplitude_spectrum(case):
     l, c, relation = RELATION_CASES[case]
     state = make_state(l, c)
-    residual = sum(k * evaluate_map(state, _LABEL_SPECS[label]).glued
+    residual = sum(k * evaluate_map(state, TripleSpec.parse(label)).glued
                    for label, k in dict(RELATIONS)[relation])
     assert abs(residual) <= 0.05

@@ -112,6 +112,34 @@ def test_spectrum_entry_lookup():
         sp.entry("999")
 
 
+def test_spectrum_entry_reads_every_name_of_a_map():
+    sp = _spectrum_m101()
+    assert sp.entry("45s") is sp.entry("45*")
+    assert sp.entry("67s") is sp.entry("67*")
+    # an index triple is not a canonical label, and a bad name finds nothing
+    for name in ("1-2-4", "1,2,4", "x"):
+        with pytest.raises(KeyError):
+            sp.entry(name)
+    census = compute_spectrum(make_state((-1, 0, 1), np.ones(3)), "full",
+                              grid=SMALL_GRID, workers=1)
+    assert census.entry("1,2,4") is census.entry("1-2-4")
+    assert census.entry("1,2,4").triple_label == "1-2-4"
+    with pytest.raises(KeyError):
+        census.entry("124")
+
+
+@pytest.mark.parametrize("l, mode", [((-2, -1, 1, 0), "full"),
+                                     ((-1, 0, 1), "canonical18")])
+def test_each_entry_s_label_names_the_map_that_made_it(l, mode):
+    # every label the tool writes reads back, through TripleSpec.parse, as
+    # the map whose entry it labels
+    state = make_state(l, np.ones(len(l)))
+    sp = compute_spectrum(state, mode, workers=1)
+    assert len(sp.entries) == (455 if mode == "full" else 18)
+    for e in sp.entries:
+        assert evaluate_map(state, TripleSpec.parse(e.triple_label)) == e
+
+
 def test_dependency_scan_small():
     rep = dependency_scan(3)
     assert rep.rank == 9

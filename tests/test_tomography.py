@@ -581,6 +581,18 @@ def test_a_coincidence_file_whose_rows_are_swapped_is_refused(tmp_path):
         read_coincidences_csv(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("b,3\n", "row 'b' holds 1 counts, not 2"),
+    ("b,3,x\n", "row 'b': could not convert string to float: 'x'"),
+])
+def test_a_coincidence_row_it_cannot_read_is_named(tmp_path, row, message):
+    # numpy's inhomogeneous-shape error or float's once named neither
+    path = tmp_path / "counts.csv"
+    path.write_text("setting,a,b\na,1,2\n" + row)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_coincidences_csv(path)
+
+
 def test_density_json_round_trip(tmp_path):
     rho = np.eye(4) / 4 + 0.05j * (np.eye(4, k=1) - np.eye(4, k=-1)) / 4
     rho = 0.5 * (rho + rho.conj().T)
@@ -606,6 +618,14 @@ def test_a_malformed_density_pair_is_rejected_as_in_a_state(pair):
     ({"rho": 5}, "malformed density document: rho is 5, not rows"),
     ({"meta": {}}, "missing density key: rho"),
     ({"rho": [[[1, 0]]], "extra": 1}, "unknown density keys: ['extra']"),
+    # a row holds as many pairs as rho has rows; numpy's ragged-array error
+    # once named neither the document nor the row
+    ({"rho": [[[1, 0]], [[1, 0], [0, 0]]]},
+     "malformed density document: rho row 0 holds 1 pairs, not 2"),
+    ({"rho": [[[1, 0], [0, 0]], [[1, 0]]]},
+     "malformed density document: rho row 1 holds 1 pairs, not 2"),
+    ({"rho": [[[1, 0], [0, 0]]]},
+     "malformed density document: rho row 0 holds 2 pairs, not 1"),
 ])
 def test_a_malformed_density_document_is_rejected_as_a_state_one(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
