@@ -18,42 +18,48 @@ every radius, so it cancels in the normalized map and in its area density,
 and no evaluator computes it: each pair term is r^e times an angular
 factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's terms per
 exponent into one table row each, and every evaluator reads those rows:
-TermField.evaluate, whose envelope-free values UnitField.evaluate stacks
-and ``unit`` normalizes for the boundary classifier, and the area density
-det[m, m_r, m_phi] / |m|^3 of the fixed map.  UnitField.expansion is the
-density's one entry point: the determinant and |m|^2 are short sums of
-radial monomials times tables in phi, built once per map and azimuthal
-grid.  A block of radii then costs one small matrix-vector product per
-radius and table, scaled per radius by a power of r that keeps every
-factor in range and cancels in the quotient; the expansion's row_sums
-streams radii in blocks of up to BLOCK_POINTS points, which keeps the
-intermediates a few megabytes at any azimuthal resolution.  A third of
-one exponent row has one sign per phi node at every radius, so its
-origin fix is applied once, to the determinant tables; only a multi-row
-third is summed and its sign read per point.
+TermField.evaluate, whose envelope-free values and partials
+UnitField.evaluate stacks and ``unit`` normalizes, TermField.grid_values,
+the values alone that ``unit(..., partials=False)`` normalizes for the
+boundary classifier, and the area density det[m, m_r, m_phi] / |m|^3 of
+the fixed map.  UnitField.expansion is the density's one entry point: the
+determinant and |m|^2 are short sums of radial monomials times tables in
+phi, built once per map and azimuthal grid, |m|^2 from each component's
+squared rows (TermField.grid_squares).  A block of radii then costs one
+small matrix-vector product per radius and table, scaled per radius by a
+power of r that keeps every factor in range and cancels in the quotient;
+the expansion's row_sums streams radii in blocks of up to BLOCK_POINTS
+points, which keeps the intermediates a few megabytes at any azimuthal
+resolution.  A third of one exponent row has one sign per phi node at
+every radius, so its origin fix is applied once, to the determinant
+tables; only a multi-row third is summed and its sign read per point.
 
 Real amplitudes make every component a pure cosine series (all beta = 0)
 or a pure sine series (all alpha = 0), so the area density is even or odd
 under phi -> 2 pi - phi.  UnitField.mirror_parity reads that from the
-terms alone; wrapping_numeric then integrates an even density over half a
-turn and sets an odd one to 0.  Complex amplitudes (every reconstructed
-density among them) mix the two series and have no parity.  The terms
-also give the density's period in phi (UnitField.azimuthal_period): the
-gcd of their |D|, or of the third's alone when the pair only rotates
+components' TermField.parity; wrapping_numeric then integrates an even
+density over half a turn and sets an odd one to 0.  Complex amplitudes
+(every reconstructed density among them) mix the two series and have no
+parity.  The terms also give the density's period in phi
+(UnitField.azimuthal_period): the gcd of their |D| (each component's
+TermField.period), or of the third's alone when the pair only rotates
 about the third axis, as a clean nice pair does; a diagonal third then
 leaves the density constant in phi.  wrapping_numeric integrates one
 symmetry cell of the midpoints, which the expansion takes as the first
 nodes of its phi grid, sharing that grid's rows.
 
 Only the triple's cross and determinant tables, the density blocks and the
-classifier's probe values are per map.  The rest is shared: a
+classifier's normalized ring values are per map.  The rest is shared: a
 SharedSource memo builds each component's TermField once for all the maps of
-one call or pool chunk, a TermField keeps its exponent rows per phi grid
-(grid_rows), the classifier's ring grid among them, and the Simpson rule
-of each panel count is built once and kept.  Shared arrays are read-only.
-The classifier places its five probe rings from the charges alone,
-stacks the three components' values and partials on them into one array
-and reads every ring's statistics from it at once.
+one call or pool chunk, and a TermField keeps, each for at most ROW_GRIDS
+grids, its exponent rows and squared rows per phi grid (grid_rows,
+grid_squares) and its values per (r, phi) grid (grid_values); its parity
+and |D| gcd are read once.  The Simpson rule of each panel count is built
+once and kept.  Shared arrays are read-only.  The classifier places its
+five probe rings from the charges alone, so every map of a source probes
+the same rings: each component's values on them are built once per
+source, the classifier stacks the three kept tables into one array and
+reads every ring's statistics from it at once, and no partial is computed.
 """
 
 from __future__ import annotations
@@ -86,7 +92,8 @@ TAIL_EPS = 1e-6
 # Radial rules kept at once, one per panel count (GridSpec.radial_rule).
 RULE_CACHE = 8
 
-# Phi grids whose exponent rows (TermField.grid_rows) a term field keeps.
+# Grids whose tables a term field keeps in each of its memos (the exponent
+# and squared rows per phi grid, the values per (r, phi) grid).
 ROW_GRIDS = 4
 
 
@@ -165,8 +172,10 @@ def _simpson_rule(n: int):
 class TermField:
     """One component as pair terms over mode indices (j <= jp).
 
-    The field keeps its exponent rows on the last few phi grids it was
-    evaluated on (grid_rows), so maps that share it share them too.
+    The field keeps its exponent rows and squared rows on the last few phi
+    grids it was evaluated on (grid_rows, grid_squares), and its values on
+    the last few (r, phi) grids (grid_values), so maps that share it share
+    them too.
     """
 
     l: tuple[int, ...]
@@ -176,9 +185,26 @@ class TermField:
     beta: np.ndarray
 
     def __post_init__(self):
-        # phi grid bytes -> read-only (p, dp); not a dataclass field, so
-        # replace() and == ignore it
-        object.__setattr__(self, "_kept", {})
+        # the memos: phi grid bytes -> read-only (p, dp) in _kept and
+        # squared rows in _kept_squares, (r, phi) grid bytes -> read-only
+        # values in _kept_values; not dataclass fields, so replace() and ==
+        # ignore them
+        for memo in ("_kept", "_kept_squares", "_kept_values"):
+            object.__setattr__(self, memo, {})
+
+    @cached_property
+    def parity(self) -> int:
+        """+1 for a cosine series (every beta = 0, even in phi), -1 for a
+        sine series (every alpha = 0, odd), 0 when the terms mix both."""
+        if not np.any(self.beta):
+            return 1
+        return -1 if not np.any(self.alpha) else 0
+
+    @cached_property
+    def period(self) -> int:
+        """gcd of the terms' |D| = |l_j' - l_j|; 0 when every D is 0."""
+        return math.gcd(*(abs(self.l[jp] - self.l[j])
+                          for j, jp in zip(self.js.tolist(), self.jps.tolist())))
 
     def rows(self, phi):
         """Pair terms summed per envelope-free radial exponent, in term order.
@@ -201,25 +227,56 @@ class TermField:
         return p, dp
 
     def grid_rows(self, phi):
-        """rows(phi), built once per phi grid and then shared read-only.
+        """rows(phi), built once per phi grid and then shared read-only."""
+        phi = np.asarray(phi, dtype=float)
+        return self._memo("_kept", phi.tobytes(), lambda: self.rows(phi))
 
-        The memo holds the rows of at most ROW_GRIDS grids; a further one
+    def grid_squares(self, phi):
+        """The rows of m^2 on phi, built once per phi grid and then shared
+        read-only: row F sums p[e] p[F - e] over e in increasing order, so
+        the three components' tables add up to |m|^2 = sum_F r^F row F."""
+        phi = np.asarray(phi, dtype=float)
+        return self._memo("_kept_squares", phi.tobytes(),
+                          lambda: self._squares(phi))
+
+    def grid_values(self, r, phi):
+        """m alone on the outer-product grid, evaluate's first array, built
+        once per (r, phi) grid and then shared read-only."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        phi = np.asarray(phi, dtype=float)
+        return self._memo("_kept_values", (r.tobytes(), phi.tobytes()),
+                          lambda: self._values(r, phi))
+
+    def _squares(self, phi):
+        """The rows of m^2 on phi, fresh."""
+        p = self.grid_rows(phi)[0]
+        return _poly_mul(p, p)
+
+    def _values(self, r, phi):
+        """m on the outer-product grid, fresh: the product evaluate makes."""
+        p = self.grid_rows(phi)[0]
+        return (r[:, None] ** np.arange(len(p))) @ p
+
+    def _memo(self, name: str, key, build):
+        """The table under key in the memo called name, from build() on
+        the first request; build returns an array or a tuple of arrays.
+
+        A memo holds the tables of at most ROW_GRIDS grids; a further one
         starts it over.  It is never changed in place, only replaced by a
         new dict, so threads sharing the field need no lock: two of them
         may both build an entry, and one may drop an entry the other
         stored, but each gets equal arrays.
         """
-        phi = np.asarray(phi, dtype=float)
-        kept, key = self._kept, phi.tobytes()
-        rows = kept.get(key)
-        if rows is None:
-            rows = self.rows(phi)
-            for table in rows:
-                table.setflags(write=False)
+        kept = getattr(self, name)
+        table = kept.get(key)
+        if table is None:
+            table = build()
+            for a in table if isinstance(table, tuple) else (table,):
+                a.setflags(write=False)
             kept = dict(kept) if len(kept) < ROW_GRIDS else {}
-            kept[key] = rows
-            object.__setattr__(self, "_kept", kept)
-        return rows
+            kept[key] = table
+            object.__setattr__(self, name, kept)
+        return table
 
     def evaluate(self, r, phi):
         """Return (m, dm/dr, dm/dphi) on the outer-product grid, envelope-free.
@@ -376,23 +433,34 @@ class UnitField:
             _fix_sign(out[:, 2], out[0, 2], self.sigma)
         return out
 
-    def unit(self, r, phi, fix: bool = True):
+    def unit(self, r, phi, fix: bool = True, partials: bool = True):
         """Normalized S and its partials via the tangent-projection rule.
 
         The envelope-free stacks are divided by the per-radius peak of |m|:
         the dropped envelope and the peak are positive per radius, so they
         drop out of S while every intermediate stays in floating-point
-        range at any radius.
+        range at any radius.  With partials=False only the components'
+        values m are stacked, from the tables each TermField keeps per
+        (r, phi) grid (grid_values), and S alone is returned, equal to the
+        S of the full call.
         """
-        stack = self.evaluate(r, phi, fix)
+        if partials:
+            stack = self.evaluate(r, phi, fix)
+        else:
+            # kind axis of length 1: the values alone, fresh
+            stack = np.stack([t.grid_values(r, phi) for t in self.terms])[None]
+            if fix and self.sigma != 0.0:
+                _fix_sign(stack[:, 2], stack[0, 2], self.sigma)
         peak = np.abs(stack[0]).max(axis=(0, 2))
         peak[peak == 0.0] = 1.0
         stack /= peak[:, None]
-        m, partials = stack[0], stack[1:]
+        m, dm = stack[0], stack[1:]
         nrm = np.sqrt(np.sum(m * m, axis=0))
         nrm = np.where(nrm == 0.0, 1.0, nrm)
         s = m / nrm
-        sr, sp = (partials - s * np.sum(s * partials, axis=1)[:, None]) / nrm
+        if not partials:
+            return s
+        sr, sp = (dm - s * np.sum(s * dm, axis=1)[:, None]) / nrm
         return s, sr, sp
 
     def mirror_parity(self) -> int:
@@ -405,17 +473,14 @@ class UnitField:
         -p_1 p_2 p_3, the phi-derivative row giving the minus sign.
         Returns +1 (even), -1 (odd), or 0 when some component mixes
         cosines and sines (complex amplitudes) and no parity is known.
+        Each component's parity is read once, by its TermField.
         """
         parity = -1
         for k, t in enumerate(self.terms):
-            if not np.any(t.beta):
-                p = 1
-            elif not np.any(t.alpha):
-                p = -1
-            else:
+            if t.parity == 0:
                 return 0
             if k < 2 or self.sigma == 0.0:
-                parity *= p
+                parity *= t.parity
         return parity
 
     def azimuthal_period(self) -> int:
@@ -424,19 +489,19 @@ class UnitField:
         not depend on phi.
 
         A pair term turns with D = l_j' - l_j, so k is the gcd of |D| over
-        the terms of the three components (0 when every D is 0).  When the
-        pair components are one term each on the same modes, with
-        perpendicular (alpha, beta) of equal length, they are r^e times a
-        unit vector turning at the rate D, maybe mirrored: the pair only
-        rotates about the third axis, which leaves the density unchanged,
-        so only the third's terms count.  Every nice-pair map of a clean
-        state with real amplitudes is one (complex amplitudes may round the
-        two terms off perpendicular, and then every term counts).  The
-        folded third sigma |m_3| has the period of m_3.
+        the terms of the three components (0 when every D is 0), the gcd
+        of the components' own TermField.period.  When the pair components
+        are one term each on the same modes, with perpendicular (alpha,
+        beta) of equal length, they are r^e times a unit vector turning at
+        the rate D, maybe mirrored: the pair only rotates about the third
+        axis, which leaves the density unchanged, so only the third's terms
+        count.  Every nice-pair map of a clean state with real amplitudes
+        is one (complex amplitudes may round the two terms off
+        perpendicular, and then every term counts).  The folded third
+        sigma |m_3| has the period of m_3.
         """
         terms = self.terms[2:] if self._rotating_pair() else self.terms
-        return math.gcd(*(abs(t.l[jp] - t.l[j]) for t in terms
-                          for j, jp in zip(t.js.tolist(), t.jps.tolist())))
+        return math.gcd(*(t.period for t in terms))
 
     def _rotating_pair(self) -> bool:
         """True when the first two components are one term each on the same
@@ -487,7 +552,11 @@ class UnitField:
         terms = np.matmul(cross.transpose(1, 0, 2), dp.transpose(2, 0, 1))
         for s, pair in zip(a + b, terms.transpose(1, 2, 0)):
             det[s:s + n] += pair
-        nrm = _poly_mul(p[0], p[0]) + _poly_mul(p[1], p[1]) + _poly_mul(p[2], p[2])
+        # |m|^2 from each component's squared rows, kept per phi grid: rows
+        # outside e_lo..e_hi are 0 on these nodes and add only zeros
+        sq = [t.grid_squares(phi)[2 * e_lo:2 * e_hi + 1, :nodes]
+              for t in self.terms]
+        nrm = sq[0] + sq[1] + sq[2]
         third_exps, third_tables = _live_rows(p[2], e_lo)
         sigma = self.sigma
         if sigma != 0.0 and third_exps.size <= 1:
@@ -706,7 +775,7 @@ class MapClass:
 
 
 def classify_map(field: UnitField, grid: GridSpec | None = None) -> MapClass:
-    """Trend-based boundary classification.
+    """Trend-based boundary classification from S alone on five probe rings.
 
     A radial end maps to a point when the phi-variance of S decays toward
     it (ratio < 0.5 between an end ring and one at twice/half the radius),
@@ -714,13 +783,15 @@ def classify_map(field: UnitField, grid: GridSpec | None = None) -> MapClass:
     at all (phi-independent, or r-independent) is degenerate.  The probe
     rings sit at R_MIN and 2 R_MIN and at a quarter, half and all of
     r_out = sqrt(max|l|) + 6, read off the charges alone; grid is ignored,
-    and is accepted only for callers that still pass one.
+    and is accepted only for callers that still pass one.  S comes from
+    field.unit(..., partials=False), which stacks the components' values
+    each TermField keeps on these rings, built once per source.
     """
     r_out = float(np.sqrt(max(abs(x) for x in field.l)) + 6.0)
-    # rings in0, in1, mid0, mid1 and out, in one evaluation: unit() treats
-    # every radius on its own
+    # rings in0, in1, mid0, mid1 and out, in one call: unit() treats every
+    # radius on its own
     radii = np.array([R_MIN, 2.0 * R_MIN, 0.25 * r_out, 0.5 * r_out, r_out])
-    s, _, _ = field.unit(radii, _PROBE_PHI)
+    s = field.unit(radii, _PROBE_PHI, partials=False)
     # the phi-variance of S per ring, summed over the components
     v_in, v_in1, v_mid0, v_out1, v_out = np.var(s, axis=2).sum(axis=0).tolist()
     tiny = 1e-12

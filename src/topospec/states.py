@@ -189,8 +189,7 @@ def state_from_json(doc: dict) -> QuditState:
     try:
         l = [_real(x) for x in doc["l"]]
         c = _complexes(doc["c"])
-        delta = (np.asarray([[_real(x) for x in row]
-                             for row in doc["perturbation"]])
+        delta = ([[_real(x) for x in row] for row in doc["perturbation"]]
                  if "perturbation" in doc else None)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from None
@@ -200,9 +199,13 @@ def state_from_json(doc: dict) -> QuditState:
         raise ValueError("c length must equal d")
     state = make_state(l, c)
     if delta is not None:
-        if delta.shape != (d, d):
+        if len(delta) != d:
             raise ValueError("perturbation must be d x d")
-        state = inject_subspace(state, SubspacePerturbation(delta))
+        for k, row in enumerate(delta):
+            if len(row) != d:
+                raise ValueError(f"malformed state document: perturbation row "
+                                 f"{k} holds {len(row)} numbers, not {d}")
+        state = inject_subspace(state, SubspacePerturbation(np.array(delta)))
     return state
 
 

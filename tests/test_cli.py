@@ -116,6 +116,22 @@ def test_spectrum_compute_artifacts(tmp_path, capsys):
     assert "18 maps" in capsys.readouterr().out
 
 
+def test_spectrum_compute_names_its_non_converged_maps(tmp_path, capsys):
+    # the perturbed qutrit of the README leaves maps unconverged: exit 2,
+    # and one stderr line lists exactly those maps
+    path = tmp_path / "bumped.json"
+    assert main(["state", "make", "--l", "-1,0,1", "--c", "1,1,1", "--perturb",
+                 "--seed", "5", "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["spectrum", "compute", str(path), "--workers", "1",
+                 "--out", str(tmp_path / "bumped.csv")])
+    assert code == EXIT_NUMERIC
+    bad = compute_spectrum(load_state(path), workers=1).non_converged
+    assert bad
+    assert capsys.readouterr().err.splitlines() == [
+        f"non-converged maps: {', '.join(bad)}"]
+
+
 def test_spectrum_swap_photons_negates(tmp_path):
     state = _make_state(tmp_path)
     a = tmp_path / "a.csv"

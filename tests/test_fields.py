@@ -15,9 +15,9 @@ from numpy.testing import assert_allclose
 
 from topospec.basis import build_basis
 from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec, MapClass,
-                             SharedSource, TripleSpec, UnitField, _radial_sum,
-                             _simpson_rule, classify_map, map_layout,
-                             term_field, triple_field)
+                             SharedSource, TermField, TripleSpec, UnitField,
+                             _radial_sum, _simpson_rule, classify_map,
+                             map_layout, term_field, triple_field)
 from topospec.invariants import CANONICAL_LABELS, canonical_field
 from topospec.spectrum import enumerate_triples
 from topospec.states import inject_subspace, make_state, sample_perturbation
@@ -458,9 +458,9 @@ def test_classify_map_probes_all_rings_in_one_call(monkeypatch):
     calls = []
     inner = UnitField.unit
 
-    def counting(self, r, phi, fix=True):
+    def counting(self, r, phi, *args, **kwargs):
         calls.append(np.array(r))
-        return inner(self, r, phi, fix)
+        return inner(self, r, phi, *args, **kwargs)
 
     monkeypatch.setattr(UnitField, "unit", counting)
     qutrit = make_state((-1, 0, 1), np.ones(3))
@@ -475,6 +475,20 @@ def test_classify_map_probes_all_rings_in_one_call(monkeypatch):
         assert kind is None or got.kind == kind
         assert classify_map(field, GridSpec(n_r=16, n_phi=8)) == got
         assert classify_map(field) == got
+    # a component's ring values are one table per source, whatever the map:
+    # the 455 maps of a d = 4 census build at most its 15 components' tables
+    tables = []
+    values = TermField._values
+
+    def counting_values(self, r, phi):
+        tables.append(self)
+        return values(self, r, phi)
+
+    monkeypatch.setattr(TermField, "_values", counting_values)
+    shared = SharedSource(make_state((-2, -1, 1, 0), np.ones(4)))
+    for spec in combinations(range(1, 16), 3):
+        classify_map(triple_field(shared, TripleSpec(spec)))
+    assert len(tables) <= 15
 
 
 def test_shared_tables_are_read_only_and_bounded():

@@ -232,6 +232,22 @@ def test_value_csv_round_trip(tmp_path):
     assert_allclose(values, [-1.5, 0.25])
 
 
+def test_spectrum_file_reader_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: empty spectrum file")):
+        read_spectrum_values(path)
+
+
+@pytest.mark.parametrize("header", ["label,value", "triple_label,raw"])
+def test_spectrum_file_reader_refuses_a_file_without_its_columns(tmp_path, header):
+    path = tmp_path / "columns.csv"
+    path.write_text(f"{header}\n123,-1.5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: need triple_label and glued/value columns")):
+        read_spectrum_values(path)
+
+
 @pytest.mark.parametrize("l, mode, grid", [
     ((-4, -3, 4), "canonical18", SMALL_GRID),
     ((-2, -1, 1, 0), "full", GridSpec(n_r=64)),

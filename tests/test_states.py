@@ -275,6 +275,15 @@ def test_json_rejects_a_perturbation_that_is_not_d_by_d():
         state_from_json(doc)
 
 
+def test_json_names_a_ragged_perturbation_row():
+    doc = {"d": 3, "l": [-1, 0, 1], "c": [[1, 0]] * 3,
+           "perturbation": [[0, 0, 0], [0, 0], [0, 0, 0]]}
+    with pytest.raises(ValueError, match=re.escape(
+            "malformed state document: perturbation row 1 holds 2 numbers, "
+            "not 3")):
+        state_from_json(doc)
+
+
 @pytest.mark.parametrize("doc", [5, "state", None])
 def test_json_rejects_a_document_that_is_not_an_object(doc):
     with pytest.raises(ValueError, match="must be a JSON object"):
