@@ -19,17 +19,18 @@ and no evaluator computes it: each pair term is r^e times an angular
 factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's terms per
 exponent into one table row each, and every evaluator reads those rows:
 TermField.evaluate, whose envelope-free values and partials
-UnitField.evaluate stacks and ``unit`` normalizes, TermField.grid_values,
-the values alone that ``unit(..., partials=False)`` normalizes for the
-boundary classifier, and the area density det[m, m_r, m_phi] / |m|^3 of
-the fixed map.  UnitField.expansion is the density's one entry point: the
-determinant and |m|^2 are short sums of radial monomials times tables in
-phi, built once per map and azimuthal grid, |m|^2 from each component's
-squared rows (TermField.grid_squares).  A block of radii then costs one
-small matrix-vector product per radius and table, scaled per radius by a
-power of r that keeps every factor in range and cancels in the quotient;
-the expansion's row_sums streams radii in blocks of up to BLOCK_POINTS
-points, which keeps the intermediates a few megabytes at any azimuthal
+UnitField.evaluate stacks and ``unit`` normalizes, ``unit(...,
+partials=False)``, which stacks the three components' rows and takes one
+product with the powers of r for the boundary classifier's S, and the
+area density det[m, m_r, m_phi] / |m|^3 of the fixed map.
+UnitField.expansion is the density's one entry point: the determinant and
+|m|^2 are short sums of radial monomials times tables in phi, built once
+per map and azimuthal grid, |m|^2 from each component's squared rows
+(TermField.grid_squares).  A block of radii then costs one small
+matrix-vector product per radius and table, scaled per radius by a power
+of r that keeps every factor in range and cancels in the quotient; the
+expansion's row_sums streams radii in blocks of up to BLOCK_POINTS points,
+which keeps the intermediates a few megabytes at any azimuthal
 resolution.  A third of one exponent row has one sign per phi node at
 every radius, so its origin fix is applied once, to the determinant
 tables; only a multi-row third is summed and its sign read per point.
@@ -49,17 +50,17 @@ symmetry cell of the midpoints, which the expansion takes as the first
 nodes of its phi grid, sharing that grid's rows.
 
 Only the triple's cross and determinant tables, the density blocks and the
-classifier's normalized ring values are per map.  The rest is shared: a
-SharedSource memo builds each component's TermField once for all the maps of
-one call or pool chunk, and a TermField keeps, each for at most ROW_GRIDS
-grids, its exponent rows and squared rows per phi grid (grid_rows,
-grid_squares) and its values per (r, phi) grid (grid_values); its parity
-and |D| gcd are read once.  The Simpson rule of each panel count is built
-once and kept.  Shared arrays are read-only.  The classifier places its
-five probe rings from the charges alone, so every map of a source probes
-the same rings: each component's values on them are built once per
-source, the classifier stacks the three kept tables into one array and
-reads every ring's statistics from it at once, and no partial is computed.
+classifier's values and normalized S on its rings are per map.  The rest is
+shared: a SharedSource memo builds each component's TermField once for all
+the maps of one call or pool chunk, and a TermField keeps one memo, for at
+most ROW_GRIDS phi grids, of its exponent rows, their phi-derivatives and
+its squared rows, built together (grid_rows, grid_squares); its parity and
+|D| gcd are read once.  The Simpson rule of each panel count is built once
+and kept.  Shared arrays are read-only.  The classifier places its five
+probe rings from the charges alone, on one phi grid, so every map of a
+source reads the same kept rows: it takes one product of the three
+components' rows with the powers of the ring radii, reads every ring's
+statistics from the result at once, and computes no partial.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ TAIL_EPS = 1e-6
 # Radial rules kept at once, one per panel count (GridSpec.radial_rule).
 RULE_CACHE = 8
 
-# Grids whose tables a term field keeps in each of its memos (the exponent
-# and squared rows per phi grid, the values per (r, phi) grid).
+# Phi grids whose tables (exponent rows, their phi-derivatives and squared
+# rows) a term field keeps in its memo.
 ROW_GRIDS = 4
 
 
@@ -172,10 +173,10 @@ def _simpson_rule(n: int):
 class TermField:
     """One component as pair terms over mode indices (j <= jp).
 
-    The field keeps its exponent rows and squared rows on the last few phi
-    grids it was evaluated on (grid_rows, grid_squares), and its values on
-    the last few (r, phi) grids (grid_values), so maps that share it share
-    them too.
+    The field keeps one memo: per phi grid, for the last few it was read
+    on, its exponent rows, their phi-derivatives and its squared rows,
+    built together (grid_rows, grid_squares), so maps that share the field
+    share them too.  Nothing is kept per radius.
     """
 
     l: tuple[int, ...]
@@ -185,12 +186,9 @@ class TermField:
     beta: np.ndarray
 
     def __post_init__(self):
-        # the memos: phi grid bytes -> read-only (p, dp) in _kept and
-        # squared rows in _kept_squares, (r, phi) grid bytes -> read-only
-        # values in _kept_values; not dataclass fields, so replace() and ==
-        # ignore them
-        for memo in ("_kept", "_kept_squares", "_kept_values"):
-            object.__setattr__(self, memo, {})
+        # the memo: phi grid bytes -> read-only (p, dp, squared rows); not a
+        # dataclass field, so replace() and == ignore it
+        object.__setattr__(self, "_kept", {})
 
     @cached_property
     def parity(self) -> int:
@@ -227,56 +225,37 @@ class TermField:
         return p, dp
 
     def grid_rows(self, phi):
-        """rows(phi), built once per phi grid and then shared read-only."""
-        phi = np.asarray(phi, dtype=float)
-        return self._memo("_kept", phi.tobytes(), lambda: self.rows(phi))
+        """rows(phi), kept per phi grid and shared read-only."""
+        return self._tables(phi)[:2]
 
     def grid_squares(self, phi):
-        """The rows of m^2 on phi, built once per phi grid and then shared
-        read-only: row F sums p[e] p[F - e] over e in increasing order, so
-        the three components' tables add up to |m|^2 = sum_F r^F row F."""
-        phi = np.asarray(phi, dtype=float)
-        return self._memo("_kept_squares", phi.tobytes(),
-                          lambda: self._squares(phi))
+        """The rows of m^2 on phi, kept per phi grid and shared read-only:
+        row F sums p[e] p[F - e] over e in increasing order, so the three
+        components' tables add up to |m|^2 = sum_F r^F row F."""
+        return self._tables(phi)[2]
 
-    def grid_values(self, r, phi):
-        """m alone on the outer-product grid, evaluate's first array, built
-        once per (r, phi) grid and then shared read-only."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        phi = np.asarray(phi, dtype=float)
-        return self._memo("_kept_values", (r.tobytes(), phi.tobytes()),
-                          lambda: self._values(r, phi))
+    def _tables(self, phi):
+        """(p, dp, squared rows) on phi, built together on the first request
+        for the grid.
 
-    def _squares(self, phi):
-        """The rows of m^2 on phi, fresh."""
-        p = self.grid_rows(phi)[0]
-        return _poly_mul(p, p)
-
-    def _values(self, r, phi):
-        """m on the outer-product grid, fresh: the product evaluate makes."""
-        p = self.grid_rows(phi)[0]
-        return (r[:, None] ** np.arange(len(p))) @ p
-
-    def _memo(self, name: str, key, build):
-        """The table under key in the memo called name, from build() on
-        the first request; build returns an array or a tuple of arrays.
-
-        A memo holds the tables of at most ROW_GRIDS grids; a further one
+        The memo holds the tables of at most ROW_GRIDS grids; a further one
         starts it over.  It is never changed in place, only replaced by a
         new dict, so threads sharing the field need no lock: two of them
         may both build an entry, and one may drop an entry the other
         stored, but each gets equal arrays.
         """
-        kept = getattr(self, name)
-        table = kept.get(key)
-        if table is None:
-            table = build()
-            for a in table if isinstance(table, tuple) else (table,):
+        phi = np.asarray(phi, dtype=float)
+        key, kept = phi.tobytes(), self._kept
+        tables = kept.get(key)
+        if tables is None:
+            p, dp = self.rows(phi)
+            tables = (p, dp, _poly_mul(p, p))
+            for a in tables:
                 a.setflags(write=False)
             kept = dict(kept) if len(kept) < ROW_GRIDS else {}
-            kept[key] = table
-            object.__setattr__(self, name, kept)
-        return table
+            kept[key] = tables
+            object.__setattr__(self, "_kept", kept)
+        return tables
 
     def evaluate(self, r, phi):
         """Return (m, dm/dr, dm/dphi) on the outer-product grid, envelope-free.
@@ -395,11 +374,15 @@ class TripleSpec:
     @classmethod
     def parse(cls, name: str) -> "TripleSpec":
         """The one reader of map names: indices a,b,c (blanks drop out) or
-        a-b-c, else a canonical label or alias; parse(spec.label) == spec."""
-        if "," in name:
-            return cls(tuple(float(t) for t in name.split(",") if t.strip()))
-        if "-" in name:
-            return cls(tuple(map(float, name.split("-"))))
+        a-b-c, else a canonical label or alias; parse(spec.label) == spec.
+        An index name that is no map's is refused with the name."""
+        if "," in name or "-" in name:
+            tokens = ([t for t in name.split(",") if t.strip()] if "," in name
+                      else name.split("-"))
+            try:
+                return cls(tuple(map(float, tokens)))
+            except ValueError as exc:
+                raise ValueError(f"map name {name!r}: {exc}") from None
         label = canonical_label(name)
         return cls(tuple(0 if ch == "*" else int(ch) for ch in label), label)
 
@@ -439,16 +422,18 @@ class UnitField:
         The envelope-free stacks are divided by the per-radius peak of |m|:
         the dropped envelope and the peak are positive per radius, so they
         drop out of S while every intermediate stays in floating-point
-        range at any radius.  With partials=False only the components'
-        values m are stacked, from the tables each TermField keeps per
-        (r, phi) grid (grid_values), and S alone is returned, equal to the
-        S of the full call.
+        range at any radius.  With partials=False S alone is returned,
+        equal to the S of the full call: the components' kept exponent rows
+        on phi (grid_rows) are stacked and take one product with the powers
+        of r, so nothing is kept per radius.
         """
         if partials:
             stack = self.evaluate(r, phi, fix)
         else:
             # kind axis of length 1: the values alone, fresh
-            stack = np.stack([t.grid_values(r, phi) for t in self.terms])[None]
+            r = np.atleast_1d(np.asarray(r, dtype=float))
+            p = np.stack([t.grid_rows(phi)[0] for t in self.terms])
+            stack = (r[:, None] ** np.arange(p.shape[1]) @ p)[None]
             if fix and self.sigma != 0.0:
                 _fix_sign(stack[:, 2], stack[0, 2], self.sigma)
         peak = np.abs(stack[0]).max(axis=(0, 2))
@@ -784,8 +769,8 @@ def classify_map(field: UnitField, grid: GridSpec | None = None) -> MapClass:
     rings sit at R_MIN and 2 R_MIN and at a quarter, half and all of
     r_out = sqrt(max|l|) + 6, read off the charges alone; grid is ignored,
     and is accepted only for callers that still pass one.  S comes from
-    field.unit(..., partials=False), which stacks the components' values
-    each TermField keeps on these rings, built once per source.
+    field.unit(..., partials=False), one product of the rings' radial
+    powers with the exponent rows each TermField keeps on the ring grid.
     """
     r_out = float(np.sqrt(max(abs(x) for x in field.l)) + 6.0)
     # rings in0, in1, mid0, mid1 and out, in one call: unit() treats every

@@ -210,12 +210,21 @@ def state_from_json(doc: dict) -> QuditState:
 
 
 def load_state(path) -> QuditState:
-    with open(path) as fh:
-        return state_from_json(json.load(fh))
+    return _read_json(path, state_from_json)
 
 
 def save_state(path, state: QuditState, pert: SubspacePerturbation | None = None):
     _write_json(path, state_to_json(state, pert))
+
+
+def _read_json(path, parse):
+    """parse(doc) of the JSON document in the file at path; a ValueError,
+    from the JSON text or from parse, is raised with the path in front."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_json(path, doc: dict) -> None:

@@ -11,7 +11,6 @@ optional entry thresholding, and feeds the spectrum pipeline.
 
 from __future__ import annotations
 
-import json
 import csv
 import math
 from collections import deque
@@ -21,7 +20,8 @@ import numpy as np
 
 from .fields import GridSpec
 from .spectrum import TopologicalSpectrum, _fmt, compute_spectrum
-from .states import _charges, _complexes, _document, _pairs, _write_json
+from .states import (_charges, _complexes, _document, _pairs, _read_json,
+                     _write_json)
 
 THETAS = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
@@ -539,5 +539,4 @@ def save_density(path, rho, meta: dict | None = None) -> None:
 
 
 def load_density(path) -> BiphotonDensity:
-    with open(path) as fh:
-        return density_from_json(json.load(fh))
+    return _read_json(path, density_from_json)

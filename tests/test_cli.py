@@ -500,6 +500,21 @@ def test_invariant_eval_needs_three_distinct_indices(tmp_path, capsys, triple):
     assert "three distinct indices" in capsys.readouterr().err
 
 
+def test_invariant_eval_names_a_map_name_it_cannot_read(tmp_path, capsys):
+    state = _make_state(tmp_path)
+    capsys.readouterr()
+    assert main(["invariant", "eval", str(state), "1--2-3"]) == EXIT_INPUT
+    assert "map name '1--2-3': " in capsys.readouterr().err
+
+
+def test_invariant_eval_names_a_truncated_state_file(tmp_path, capsys):
+    state = _make_state(tmp_path)
+    state.write_text(state.read_text()[:8])
+    capsys.readouterr()
+    assert main(["invariant", "eval", str(state), "123"]) == EXIT_INPUT
+    assert f"topospec: error: {state}: Expecting" in capsys.readouterr().err
+
+
 def test_deps_scan_reports_rank(capsys):
     assert main(["deps", "scan", "--l-range", "3"]) == EXIT_OK
     out = capsys.readouterr().out

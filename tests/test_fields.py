@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec.basis import build_basis
-from topospec.fields import (R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec, MapClass,
-                             SharedSource, TermField, TripleSpec, UnitField,
-                             _radial_sum, _simpson_rule, classify_map,
-                             map_layout, term_field, triple_field)
+from topospec.fields import (N_PROBE, R_MIN, ROW_GRIDS, RULE_CACHE, GridSpec,
+                             MapClass, SharedSource, TermField, TripleSpec,
+                             UnitField, _radial_sum, _simpson_rule,
+                             classify_map, map_layout, term_field,
+                             triple_field)
 from topospec.invariants import CANONICAL_LABELS, canonical_field
 from topospec.spectrum import enumerate_triples
 from topospec.states import inject_subspace, make_state, sample_perturbation
@@ -370,6 +371,18 @@ def test_parse_refuses_a_name_of_no_map(name, message):
         TripleSpec.parse(name)
 
 
+@pytest.mark.parametrize("name, message", [
+    ("1--2-3", "could not convert string to float: ''"),
+    ("1-2-x", "could not convert string to float: 'x'"),
+    ("1,2", "triple needs three distinct indices"),
+    ("1,2,3.5", "basis indices must be whole numbers"),
+])
+def test_an_index_name_of_no_map_is_named_in_its_error(name, message):
+    with pytest.raises(ValueError) as info:
+        TripleSpec.parse(name)
+    assert str(info.value).startswith(f"map name {name!r}: {message}")
+
+
 def test_starred_maps_are_slot_zero_layouts():
     # the pair's usual map: third axis +1 on the pair's first mode, -1 on its
     # second, no orientation gauge
@@ -475,16 +488,19 @@ def test_classify_map_probes_all_rings_in_one_call(monkeypatch):
         assert kind is None or got.kind == kind
         assert classify_map(field, GridSpec(n_r=16, n_phi=8)) == got
         assert classify_map(field) == got
-    # a component's ring values are one table per source, whatever the map:
-    # the 455 maps of a d = 4 census build at most its 15 components' tables
+    # a component's rows on the ring grid are one table per source, whatever
+    # the map: the 455 maps of a d = 4 census build at most its 15
+    # components' tables
     tables = []
-    values = TermField._values
+    rows = TermField.rows
+    probe_phi = GridSpec(n_phi=N_PROBE).phi_nodes()
 
-    def counting_values(self, r, phi):
-        tables.append(self)
-        return values(self, r, phi)
+    def counting_rows(self, phi):
+        if np.array_equal(phi, probe_phi):
+            tables.append(self)
+        return rows(self, phi)
 
-    monkeypatch.setattr(TermField, "_values", counting_values)
+    monkeypatch.setattr(TermField, "rows", counting_rows)
     shared = SharedSource(make_state((-2, -1, 1, 0), np.ones(4)))
     for spec in combinations(range(1, 16), 3):
         classify_map(triple_field(shared, TripleSpec(spec)))

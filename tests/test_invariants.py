@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from topospec import invariants
-from topospec.fields import (BLOCK_POINTS, GridSpec, MapClass, TripleSpec,
-                             UnitField, _Expansion, classify_map, map_layout,
-                             triple_field)
+from topospec.fields import (BLOCK_POINTS, R_MIN, GridSpec, MapClass,
+                             TripleSpec, UnitField, _Expansion, classify_map,
+                             map_layout, triple_field)
 from topospec.invariants import (CANONICAL_LABELS,
                                  AnalyticWrap,
                                  _closed_forms, _end_analysis,
@@ -409,6 +409,28 @@ def test_unit_field_stacks_its_reference_components(l, label, kind, seed):
         for g, want in zip(got, term.evaluate(r, phi)):
             assert_allclose(g[k], want, rtol=1e-12,
                             atol=1e-12 * np.max(np.abs(want), initial=0.0))
+
+
+@given(st.one_of(
+    st.tuples(st_l3, st.sampled_from(CANONICAL_LABELS)),
+    st.tuples(st.lists(st.integers(-4, 4), min_size=4, max_size=4, unique=True),
+              st.sampled_from(list(combinations(range(1, 16), 3))))),
+    st.sampled_from(["clean", "complex", "mixed"]), st.integers(0, 2 ** 16),
+    st.lists(st.floats(R_MIN, 1e6), min_size=1, max_size=6),
+    st.booleans(), st.integers(1, 41))
+@settings(max_examples=60, deadline=None)
+def test_unit_without_partials_is_the_s_of_the_full_call(lmap, kind, seed,
+                                                         radii, fix, n_phi):
+    # the classifier's S-only call stacks the kept rows, not evaluate's
+    # values, and must still give the full call's S bit for bit, with the
+    # per-radius peak division far out and with the origin fix on or off
+    l, key = lmap
+    source = sources.source(kind, l, np.random.default_rng(seed))
+    field = (canonical_field(source, key) if isinstance(key, str)
+             else triple_field(source, TripleSpec(key)))
+    r, phi = np.array(radii), GridSpec(n_phi=n_phi).phi_nodes()
+    assert np.array_equal(field.unit(r, phi, fix, partials=False),
+                          field.unit(r, phi, fix)[0])
 
 
 def test_row_sums_of_mixed_source_equal_one_shot_density():

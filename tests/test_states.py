@@ -1,5 +1,6 @@
 """State construction, perturbation, and serialization tests."""
 
+import json
 import re
 import warnings
 
@@ -329,6 +330,27 @@ def test_save_load(tmp_path):
     back = load_state(path)
     assert isinstance(back, QuditState)
     assert_allclose(back.amps, state.amps, atol=1e-12)
+
+
+def _one_pair_short(text):
+    doc = json.loads(text)
+    doc["c"].pop()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda text: text[:len(text) // 2], "Expecting"),
+    (_one_pair_short, "c length must equal d"),
+])
+def test_load_state_names_the_file_it_refuses(tmp_path, cut, message):
+    # a truncated file, and a document whose c is one pair short
+    path = tmp_path / "state.json"
+    save_state(path, make_state((-1, 0, 1), np.ones(3)))
+    path.write_text(cut(path.read_text()))
+    with pytest.raises(ValueError) as info:
+        load_state(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
 
 
 def test_save_refuses_a_perturbed_state_without_its_perturbation(tmp_path):

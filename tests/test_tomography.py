@@ -605,6 +605,21 @@ def test_density_json_round_trip(tmp_path):
     assert_allclose(load_density(path).rho, rho, atol=1e-12)
 
 
+@pytest.mark.parametrize("cut, message", [
+    (lambda text: text[:len(text) // 2], "Expecting"),
+    (lambda text: text.replace('"meta"', '"extra"'), "unknown density keys"),
+])
+def test_load_density_names_the_file_it_refuses(tmp_path, cut, message):
+    # a truncated file, and a document with a key outside rho and meta
+    path = tmp_path / "density.json"
+    save_density(path, BiphotonDensity(np.eye(4) / 4))
+    path.write_text(cut(path.read_text()))
+    with pytest.raises(ValueError) as info:
+        load_density(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
 @pytest.mark.parametrize("pair", [[True, 0], ["0.25", 0], [0.25]])
 def test_a_malformed_density_pair_is_rejected_as_in_a_state(pair):
     doc = density_to_json(np.eye(4) / 4)
