@@ -167,11 +167,10 @@ def _cmd_tomo_run(args) -> int:
     eps = None if args.epsilon == "auto" else check_epsilon(args.epsilon)
     pset = projection_set(state.d, state.l)
     workers = worker_count(args.workers, "--workers")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     C = simulate_coincidences(state, pset, total_counts=args.counts,
                               noise=args.noise, rng=rng)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     C.meta["seed"] = args.seed
     write_coincidences_csv(C, out / "coincidences.csv")
 

@@ -17,12 +17,13 @@ The Gaussian envelope exp(-2 r^2) is common to every term and positive at
 every radius, so it cancels in the normalized map and in its area density,
 and no evaluator computes it: each pair term is r^e times an angular
 factor, e = |l_j| + |l_j'|.  TermField.rows sums a component's terms per
-exponent into one table row each, and every evaluator reads those rows:
-TermField.evaluate, whose envelope-free values and partials
-UnitField.evaluate stacks and ``unit`` normalizes, ``unit(...,
-partials=False)``, which stacks the three components' rows and takes one
-product with the powers of r for the boundary classifier's S, and the
-area density det[m, m_r, m_phi] / |m|^3 of the fixed map.
+exponent into one table row each, and every evaluator reads those rows.
+UnitField.unit is the one entry point of the normalized map S: it stacks
+the three components' rows once and takes one product with the powers of
+r per kind it returns, m alone for the boundary classifier's S, or m,
+m_r and m_phi for S and its partials.  TermField.evaluate, one
+component's values and partials, is the per-term reference it is checked
+against, and no evaluator calls it.
 UnitField.expansion is the density's one entry point: the determinant and
 |m|^2 are short sums of radial monomials times tables in phi, built once
 per map and azimuthal grid, |m|^2 from each component's squared rows
@@ -264,7 +265,9 @@ class TermField:
         (m here is the expectation divided by it), so the values stay
         representable at any radius; the envelope is positive per radius
         and drops out of the normalized map and of the area density.  The
-        values are fresh arrays, built from the kept rows of phi.
+        values are fresh arrays, built from the kept rows of phi.  This is
+        the per-term reference that UnitField.unit is checked against; no
+        evaluator calls it.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         p, dp = self.grid_rows(phi)
@@ -407,35 +410,29 @@ class UnitField:
     sigma: float
     pair_modes: tuple[int, int] | None
 
-    def evaluate(self, r, phi, fix: bool = True) -> np.ndarray:
-        """Envelope-free (m, m_r, m_phi) of the three components as one fresh
-        array of shape (kind, component, nr, nphi), the origin fix applied."""
-        values = [t.evaluate(r, phi) for t in self.terms]
-        out = np.array(list(zip(*values)))
-        if fix and self.sigma != 0.0:
-            _fix_sign(out[:, 2], out[0, 2], self.sigma)
-        return out
-
     def unit(self, r, phi, fix: bool = True, partials: bool = True):
         """Normalized S and its partials via the tangent-projection rule.
 
-        The envelope-free stacks are divided by the per-radius peak of |m|:
-        the dropped envelope and the peak are positive per radius, so they
-        drop out of S while every intermediate stays in floating-point
-        range at any radius.  With partials=False S alone is returned,
-        equal to the S of the full call: the components' kept exponent rows
-        on phi (grid_rows) are stacked and take one product with the powers
-        of r, so nothing is kept per radius.
+        The components' kept exponent rows on phi (grid_rows) are stacked
+        once, and each kind returned takes one product with the powers of
+        r: m alone with partials=False, else m, m_r and m_phi, as one fresh
+        (kind, component, nr, nphi) stack with the origin fix applied.
+        Nothing is kept per radius.  The envelope-free stack is divided by
+        the per-radius peak of |m|: the dropped envelope and the peak are
+        positive per radius, so they drop out of S while every intermediate
+        stays in floating-point range at any radius.
         """
-        if partials:
-            stack = self.evaluate(r, phi, fix)
-        else:
-            # kind axis of length 1: the values alone, fresh
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            p = np.stack([t.grid_rows(phi)[0] for t in self.terms])
-            stack = (r[:, None] ** np.arange(p.shape[1]) @ p)[None]
-            if fix and self.sigma != 0.0:
-                _fix_sign(stack[:, 2], stack[0, 2], self.sigma)
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        p, dp = zip(*(t.grid_rows(phi) for t in self.terms))
+        p = np.stack(p)
+        e = np.arange(p.shape[1])
+        powers = r[:, None] ** e
+        m = powers @ p
+        # the phi-derivative rows are stacked only when m_phi is returned
+        stack = (np.array([m, (powers * (e / r[:, None])) @ p,
+                           powers @ np.stack(dp)]) if partials else m[None])
+        if fix and self.sigma != 0.0:
+            _fix_sign(stack[:, 2], stack[0, 2], self.sigma)
         peak = np.abs(stack[0]).max(axis=(0, 2))
         peak[peak == 0.0] = 1.0
         stack /= peak[:, None]
@@ -730,9 +727,9 @@ def triple_field(state: QuditState, spec: TripleSpec) -> UnitField:
     map's index triple.  A SharedSource state lends its components' term
     fields.
     """
-    arrangement, pair_modes, sigma, _ = map_layout(state.d, spec.indices)
     if spec.canonical is not None and state.d != 3:
         raise ValueError("canonical labels are defined for d = 3")
+    arrangement, pair_modes, sigma, _ = map_layout(state.d, spec.indices)
     basis, source = build_basis(state.d), SharedSource.of(state)
     # slot 0: (+-lambda_3 + sqrt(3) lambda_8) / 2, + for 45* and - for 67*
     sign = 1.0 if spec.indices[1] == 4 else -1.0

@@ -395,7 +395,7 @@ def test_invariant_eval_rejects_an_index_beyond_the_basis(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("label", ["453", "123"])
+@pytest.mark.parametrize("label", ["453", "123", "45*", "67s"])
 def test_invariant_eval_rejects_a_canonical_label_off_d3(tmp_path, label):
     # a canonical label spells a qutrit index triple; on a d = 4 state it
     # would name another map under the qutrit map's label
@@ -635,6 +635,7 @@ def test_tomo_run_rejects_a_bad_count_budget(tmp_path, counts):
     assert ("topospec: error: count budget must be finite and > 0"
             in proc.stderr)
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x").exists()
 
 
 def test_tomo_run_epsilon_validation(tmp_path, capsys):

@@ -320,8 +320,9 @@ def test_origin_fix_makes_third_single_signed():
     field = canonical_field(state, "124")
     assert field.sigma != 0.0
     phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    m, _, _ = field.evaluate(np.array([0.7]), phi, fix=True)
-    third = m[2, 0, :]
+    # S = m / |m| carries the sign of m_3 in its third component
+    s = field.unit(np.array([0.7]), phi, fix=True, partials=False)
+    third = s[2, 0, :]
     assert np.all(third <= 1e-12) or np.all(third >= -1e-12)
 
 
@@ -403,6 +404,9 @@ def test_slot_zero_is_only_a_starred_qutrit_map(d, indices):
     if label not in CANONICAL_LABELS:
         # a made-up label is refused before any map is built
         message = f"unknown canonical label: '{re.escape(label)}'"
+    elif d != 3:
+        # a starred label off d = 3 is refused by the label's own rule
+        message = "canonical labels are defined for d = 3"
     with pytest.raises(ValueError, match=message):
         triple_field(state, TripleSpec(indices, canonical=label))
 
@@ -591,10 +595,11 @@ def test_shared_source_fields_classify_like_fresh_ones():
     assert shared.terms[4] is canonical_field(shared, "457").terms[0]
 
 
-def _stacked_unit(field, r, phi):
-    """UnitField.unit as three separate stacks, fixed and scaled each."""
+def _stacked_unit(field, r, phi, fix=True):
+    """UnitField.unit as three separate stacks of the per-term reference
+    TermField.evaluate, fixed (when fix is set) and scaled each."""
     m, mr, mp = map(np.stack, zip(*(t.evaluate(r, phi) for t in field.terms)))
-    if field.sigma != 0.0:
+    if fix and field.sigma != 0.0:
         sgn = np.where(m[2] < 0.0, -field.sigma, field.sigma)
         m[2] *= sgn
         mr[2] *= sgn
@@ -662,8 +667,10 @@ def test_one_stack_classifier_equals_ring_by_ring_statistics(lmap, kind, seed):
     assert classify_map(field, GridSpec()) == _ring_by_ring_class(field)
     r = np.array([R_MIN, 0.3, 1.0, 2.5, 50.0])
     phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 17)
-    for got, want in zip(field.unit(r, phi), _stacked_unit(field, r, phi)):
-        assert np.array_equal(got, want)
+    for fix in (True, False):
+        for got, want in zip(field.unit(r, phi, fix),
+                             _stacked_unit(field, r, phi, fix)):
+            assert np.array_equal(got, want)
 
 
 def test_radial_rule_integrates_known_integral():

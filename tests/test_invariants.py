@@ -394,23 +394,6 @@ def test_level0_integral_matches_unit_triple_product(l, label, kind, seed):
     assert abs(w @ field.expansion(phi).row_sums(r) - w @ reference) * scale <= 1e-9
 
 
-@given(st_l3, st.sampled_from(CANONICAL_LABELS),
-       st.sampled_from(["clean", "complex", "mixed"]), st.integers(0, 2 ** 16))
-@settings(max_examples=30, deadline=None)
-def test_unit_field_stacks_its_reference_components(l, label, kind, seed):
-    # the production stacks against TermField.evaluate, the reference that
-    # test_term_field_matches_direct_expectation ties to QuditState.fields
-    field = canonical_field(sources.source(kind, l, np.random.default_rng(seed)),
-                            label)
-    r = np.array([1e-3, 0.4, 1.0, 2.5, 9.0])
-    phi = GridSpec(n_phi=24).phi_nodes()
-    got = field.evaluate(r, phi, fix=False)
-    for k, term in enumerate(field.terms):
-        for g, want in zip(got, term.evaluate(r, phi)):
-            assert_allclose(g[k], want, rtol=1e-12,
-                            atol=1e-12 * np.max(np.abs(want), initial=0.0))
-
-
 @given(st.one_of(
     st.tuples(st_l3, st.sampled_from(CANONICAL_LABELS)),
     st.tuples(st.lists(st.integers(-4, 4), min_size=4, max_size=4, unique=True),
