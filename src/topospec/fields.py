@@ -27,7 +27,7 @@ against, and no evaluator calls it.
 UnitField.expansion is the density's one entry point: the determinant and
 |m|^2 are short sums of radial monomials times tables in phi, built once
 per map and azimuthal grid, |m|^2 from each component's squared rows
-(TermField.grid_squares).  A block of radii then costs one small
+(TermField.tables).  A block of radii then costs one small
 matrix-vector product per radius and table, scaled per radius by a power
 of r that keeps every factor in range and cancels in the quotient; the
 expansion's row_sums streams radii in blocks of up to BLOCK_POINTS points,
@@ -55,8 +55,9 @@ classifier's values and normalized S on its rings are per map.  The rest is
 shared: a SharedSource memo builds each component's TermField once for all
 the maps of one call or pool chunk, and a TermField keeps one memo, for at
 most ROW_GRIDS phi grids, of its exponent rows, their phi-derivatives and
-its squared rows, built together (grid_rows, grid_squares); its parity and
-|D| gcd are read once.  The Simpson rule of each panel count is built once
+its squared rows, built together and read through TermField.tables, once
+per component per call of unit, expansion or evaluate; its parity and |D|
+gcd are read once.  The Simpson rule of each panel count is built once
 and kept.  Shared arrays are read-only.  The classifier places its five
 probe rings from the charges alone, on one phi grid, so every map of a
 source reads the same kept rows: it takes one product of the three
@@ -176,7 +177,7 @@ class TermField:
 
     The field keeps one memo: per phi grid, for the last few it was read
     on, its exponent rows, their phi-derivatives and its squared rows,
-    built together (grid_rows, grid_squares), so maps that share the field
+    built together and read through tables, so maps that share the field
     share them too.  Nothing is kept per radius.
     """
 
@@ -225,19 +226,12 @@ class TermField:
             dp[e] += delta * (-a * s + b * c)
         return p, dp
 
-    def grid_rows(self, phi):
-        """rows(phi), kept per phi grid and shared read-only."""
-        return self._tables(phi)[:2]
-
-    def grid_squares(self, phi):
-        """The rows of m^2 on phi, kept per phi grid and shared read-only:
-        row F sums p[e] p[F - e] over e in increasing order, so the three
-        components' tables add up to |m|^2 = sum_F r^F row F."""
-        return self._tables(phi)[2]
-
-    def _tables(self, phi):
-        """(p, dp, squared rows) on phi, built together on the first request
-        for the grid.
+    def tables(self, phi):
+        """(p, dp, squared rows) on phi, kept per phi grid and shared
+        read-only: (p, dp) = rows(phi), and row F of the squared rows sums
+        p[e] p[F - e] over e in increasing order, so the three components'
+        squared rows add up to |m|^2 = sum_F r^F row F.  All three are built
+        together on the first request for the grid.
 
         The memo holds the tables of at most ROW_GRIDS grids; a further one
         starts it over.  It is never changed in place, only replaced by a
@@ -265,12 +259,12 @@ class TermField:
         (m here is the expectation divided by it), so the values stay
         representable at any radius; the envelope is positive per radius
         and drops out of the normalized map and of the area density.  The
-        values are fresh arrays, built from the kept rows of phi.  This is
-        the per-term reference that UnitField.unit is checked against; no
-        evaluator calls it.
+        values are fresh arrays, built from the kept rows of phi (tables).
+        This is the per-term reference that UnitField.unit is checked
+        against; no evaluator calls it.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        p, dp = self.grid_rows(phi)
+        p, dp, _ = self.tables(phi)
         e = np.arange(len(p))
         powers = r[:, None] ** e
         return powers @ p, (powers * (e / r[:, None])) @ p, powers @ dp
@@ -413,17 +407,18 @@ class UnitField:
     def unit(self, r, phi, fix: bool = True, partials: bool = True):
         """Normalized S and its partials via the tangent-projection rule.
 
-        The components' kept exponent rows on phi (grid_rows) are stacked
-        once, and each kind returned takes one product with the powers of
-        r: m alone with partials=False, else m, m_r and m_phi, as one fresh
-        (kind, component, nr, nphi) stack with the origin fix applied.
+        The components' kept exponent rows on phi (TermField.tables, one
+        lookup per component) are stacked once, and each kind returned
+        takes one product with the powers of r: m alone with
+        partials=False, else m, m_r and m_phi, as one fresh (kind,
+        component, nr, nphi) stack with the origin fix applied.
         Nothing is kept per radius.  The envelope-free stack is divided by
         the per-radius peak of |m|: the dropped envelope and the peak are
         positive per radius, so they drop out of S while every intermediate
         stays in floating-point range at any radius.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        p, dp = zip(*(t.grid_rows(phi) for t in self.terms))
+        p, dp, _ = zip(*(t.tables(phi) for t in self.terms))
         p = np.stack(p)
         e = np.arange(p.shape[1])
         powers = r[:, None] ** e
@@ -509,8 +504,9 @@ class UnitField:
         radius, so its origin fix is applied to the determinant tables
         once, and the density applies none of its own.
         """
+        p, dp, sq = zip(*(t.tables(phi) for t in self.terms))
         p, dp = (np.stack([rows[:, :nodes] for rows in kind])
-                 for kind in zip(*(t.grid_rows(phi) for t in self.terms)))
+                 for kind in (p, dp))
         live = np.flatnonzero(np.any(p, axis=(0, 2)) | np.any(dp, axis=(0, 2)))
         e_lo, e_hi = (int(live[0]), int(live[-1])) if live.size else (0, 0)
         p, dp = p[:, e_lo:e_hi + 1], dp[:, e_lo:e_hi + 1]
@@ -536,8 +532,7 @@ class UnitField:
             det[s:s + n] += pair
         # |m|^2 from each component's squared rows, kept per phi grid: rows
         # outside e_lo..e_hi are 0 on these nodes and add only zeros
-        sq = [t.grid_squares(phi)[2 * e_lo:2 * e_hi + 1, :nodes]
-              for t in self.terms]
+        sq = [rows[2 * e_lo:2 * e_hi + 1, :nodes] for rows in sq]
         nrm = sq[0] + sq[1] + sq[2]
         third_exps, third_tables = _live_rows(p[2], e_lo)
         sigma = self.sigma

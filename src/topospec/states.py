@@ -84,9 +84,9 @@ def _whole(values, what: str) -> tuple[int, ...]:
 
 
 def _charges(l, d: int | None = None) -> tuple[tuple[int, ...], int]:
-    """The mode charges l as ints, and d, which defaults to their count."""
+    """The mode charges l as ints, and d; only d = None takes their count."""
     l = _whole(l, "mode charges")
-    d = d or len(l)
+    d = len(l) if d is None else d
     if len(l) != d:
         raise ValueError(f"need {d} mode charges for d = {d}, got {len(l)}")
     return l, d

@@ -116,15 +116,15 @@ def simulate_coincidences(source, pset: ProjectionSet, total_counts: float = 1e4
     The ideal rate of setting (m, n) is the squared overlap of the joint
     projector p_m x p_n with the joint state (summed over the rows of
     rho^1/2 for a density), times total_counts.  noise names a NOISE_MODELS
-    entry (None is "none"): "crosstalk" adds a Gaussian mode-distance leak
-    inside the basis block, and "poisson" and "crosstalk" then sample every
-    entry.  total_counts must be finite and positive.
+    entry (only None is "none"): "crosstalk" adds a Gaussian mode-distance
+    leak inside the basis block, and "poisson" and "crosstalk" then sample
+    every entry.  total_counts must be finite and positive.
     """
     if not (np.isfinite(total_counts) and total_counts > 0):
         raise ValueError(f"count budget must be finite and > 0, "
                          f"got {total_counts}")
     try:
-        poisson, sigma = NOISE_MODELS[noise or "none"]
+        poisson, sigma = NOISE_MODELS["none" if noise is None else noise]
     except KeyError:
         raise ValueError(f"unknown noise model: {noise!r}") from None
     if hasattr(source, "amps"):

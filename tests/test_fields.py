@@ -519,15 +519,42 @@ def test_shared_tables_are_read_only_and_bounded():
     assert _simpson_rule.cache_info().maxsize == RULE_CACHE
     term = canonical_field(make_state((-1, 0, 1), np.ones(3)), "124").terms[0]
     phi = GridSpec(n_phi=32).phi_nodes()
-    p, dp = term.grid_rows(phi)
-    assert term.grid_rows(phi.copy())[0] is p
+    p, dp, _ = term.tables(phi)
+    assert term.tables(phi.copy())[0] is p
     for table in (r, w, p, dp):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
     for n_phi in range(33, 33 + 2 * ROW_GRIDS):
-        term.grid_rows(GridSpec(n_phi=n_phi).phi_nodes())
+        term.tables(GridSpec(n_phi=n_phi).phi_nodes())
         assert len(term._kept) <= ROW_GRIDS
-    assert np.array_equal(term.grid_rows(phi)[0], p)
+    assert np.array_equal(term.tables(phi)[0], p)
+
+
+def test_each_call_reads_each_component_tables_once(monkeypatch):
+    # unit, expansion and evaluate read a component's kept tables through
+    # one lookup each, and the squared rows are kept read-only with the rows
+    calls = []
+    tables = TermField.tables
+
+    def counting_tables(self, phi):
+        calls.append(self)
+        return tables(self, phi)
+
+    monkeypatch.setattr(TermField, "tables", counting_tables)
+    field = canonical_field(make_state((-1, 0, 1), np.ones(3)), "453")
+    phi = GridSpec(n_phi=48).phi_nodes()
+    r = np.linspace(0.1, 3.0, 4)
+    for run in (lambda: field.expansion(phi), lambda: field.expansion(phi, 12),
+                lambda: field.unit(r, phi),
+                lambda: field.unit(r, phi, partials=False)):
+        calls.clear()
+        run()
+        assert list(map(id, calls)) == list(map(id, field.terms))
+    calls.clear()
+    field.terms[0].evaluate(r, phi)
+    assert list(map(id, calls)) == [id(field.terms[0])]
+    with pytest.raises(ValueError, match="read-only"):
+        field.terms[0].tables(phi)[2][0] = 0.0
 
 
 def test_shared_tables_in_four_threads_match_serial():
@@ -552,7 +579,7 @@ def test_shared_tables_in_four_threads_match_serial():
         for i in range(60):
             j = (i + k) % len(grids)
             term = shared.term(4, build_basis(3)[3].matrix)
-            p, dp = term.grid_rows(grids[j])
+            p, dp, _ = term.tables(grids[j])
             values = term.evaluate(r, grids[j])
             sizes.append(len(term._kept))
             dens = canonical_field(shared, "453").expansion(grids[j]).density(r)

@@ -32,9 +32,27 @@ def test_skewed_closed_form_agrees_with_the_quadrature_or_is_absent():
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the probe classifier "
                    "calls a sphere a disk and glues it")
-def test_skewed_673_is_a_sphere_at_minus_one():
-    e = evaluate_map(make_state((-1, 0, 1), (1, 2, 3)), TripleSpec.parse("673"))
-    assert e.map_class == "sphere" and abs(e.glued + 1.0) <= QUAD_TOL
+@pytest.mark.parametrize("l, value", [((-1, 0, 1), -1.0), ((-3, 1, 4), -3.0)],
+                         ids=["(-1, 0, 1)", "(-3, 1, 4)"])
+def test_skewed_673_is_a_sphere_at_its_closed_form(l, value):
+    e = evaluate_map(make_state(l, (1, 2, 3)), TripleSpec.parse("673"))
+    assert e.map_class == "sphere" and abs(e.glued - value) <= QUAD_TOL
+
+
+# The unit amplitudes of ROADMAP item 30's complex (-3, 1, 4) draw
+# (tests/sources.py, kind "complex", default_rng(5)).
+COMPLEX_45S_C = (-0.40410385956095735 + 0.21186792048036449j,
+                 -0.6673620271315159 + 0.5724688844495854j,
+                 -0.12515270869175657 + 0.055282506693720194j)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 3 and 30: the probe "
+                   "classifier reads 45* of a complex state as a disk and "
+                   "glues it to twice its closed form")
+def test_complex_45s_is_a_sphere_at_its_closed_form():
+    e = evaluate_map(make_state((-3, 1, 4), COMPLEX_45S_C),
+                     TripleSpec.parse("45*"))
+    assert e.map_class == "sphere" and abs(e.glued - 7.0) <= QUAD_TOL
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: only the radial "

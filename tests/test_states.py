@@ -141,6 +141,23 @@ def test_projection_set_counts_its_charges_by_the_charge_rule():
         projection_set(3, (-1, 0))
 
 
+# Every entry point that takes d beside the charges, given d = 0.
+ZERO_D = {
+    "wrapping_analytic_triple":
+        lambda: wrapping_analytic_triple((-1, 0, 1), (1, 2, 3), 0),
+    "accidental_predict": lambda: accidental_predict((1, 2, 2), (1, 3, 5), 0),
+    "projection_set": lambda: projection_set(0, (-1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_D)
+def test_d_zero_is_a_size_that_no_charges_number(name):
+    # only d = None takes the charges' count
+    with pytest.raises(ValueError,
+                       match=r"^need 0 mode charges for d = 0, got 3$"):
+        ZERO_D[name]()
+
+
 def test_fields_single_mode():
     state = make_state((3,), [1.0])
     r = np.array([0.5, 1.0, 2.0])

@@ -142,6 +142,14 @@ def test_unknown_noise_name_is_rejected():
         simulate_coincidences(state, pset, noise="gaussian")
 
 
+def test_an_empty_noise_name_is_rejected():
+    # only None means no noise
+    state = make_state((0, 1), [1, 1])
+    pset = projection_set(2, state.l)
+    with pytest.raises(ValueError, match=r"^unknown noise model: ''$"):
+        simulate_coincidences(state, pset, noise="")
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_joint_amplitudes_equal_the_kron_loop(d):
     # the fit's forward pass: each row of G against every joint projector
